@@ -40,9 +40,9 @@ from .game_core import (
     Edge,
     GameState,
     InvalidParameters,
+    LexCursor,
     Player,
     StrategyInapplicable,
-    all_edges,
 )
 
 RECOMPUTE_EVERY = 1024  # full log-weight refresh cadence, keeps drift ~1e-12
@@ -319,9 +319,10 @@ class FloodingBreaker:
 
     select() is a cursor-based fast path over the rule in
     mindeg_breaker_select: identical picks on any position reached by forward
-    play, without rescanning the unclaimed set every turn.  The pure function
-    stays around as the reference implementation for exhaustive verification.
-    Instances carry per-match cursors; they reset if the log rewinds.
+    play or by an exhaustive verifier, without rescanning the unclaimed set
+    every turn.  The pure function stays as the reference implementation.
+    The target and both cursors restart unless the log is longer than at the
+    previous call (see the heuristics module for why that rule is sound).
     """
 
     name = "flooding-breaker"
@@ -329,23 +330,22 @@ class FloodingBreaker:
     def __init__(self) -> None:
         self._target: int | None = None
         self._ring = 0
-        self._lex = 0
-        self._edges: list[Edge] = []
-        self._log_len = 0
+        self._lex: LexCursor | None = None
+        self._log_len = -1
 
     def select(self, state: GameState) -> list[Edge]:
-        if len(state.move_log) < self._log_len:
+        if self._lex is None:
+            self._lex = LexCursor(state.n)
+        elif len(state.move_log) <= self._log_len:
             self._target = None
-            self._ring = 0
-            self._lex = 0
         self._log_len = len(state.move_log)
         if self._target is None:
             self._target = flood_target(state)
-            self._edges = all_edges(state.n)
+            self._ring = 0
+            self._lex.reset()
         t = self._target
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
-        taken: set[Edge] = set()
         while self._ring < state.n and len(picks) < count:
             w = self._ring
             self._ring += 1
@@ -354,11 +354,5 @@ class FloodingBreaker:
             e = (t, w) if t < w else (w, t)
             if e in state.unclaimed:
                 picks.append(e)
-                taken.add(e)
-        while self._lex < len(self._edges) and len(picks) < count:
-            e = self._edges[self._lex]
-            self._lex += 1
-            if e in state.unclaimed and e not in taken:
-                picks.append(e)
-                taken.add(e)
+        picks += self._lex.take(state.unclaimed, count - len(picks), picks)
         return picks

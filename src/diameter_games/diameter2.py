@@ -32,9 +32,9 @@ from .game_core import (
     Edge,
     GameState,
     InvalidParameters,
+    LexCursor,
     Player,
     StrategyInapplicable,
-    all_edges,
     edge_count,
     mk_edge,
 )
@@ -209,8 +209,7 @@ class D2Breaker:
         self._completed: list[int] = []
         self._u_list: list[int] = []
         self._synced = 0
-        self._lex_edges: list[Edge] = []
-        self._lex = 0
+        self._lex: LexCursor | None = None
         self._rounds = 0
         self._checked_bias = False
 
@@ -230,7 +229,7 @@ class D2Breaker:
                     deg[v] += 1
                 self._target = min(range(state.n), key=lambda x: (deg[x], x))
                 self.flags.append("d2-breaker-no-untouched-vertex")
-            self._lex_edges = all_edges(state.n)
+            self._lex = LexCursor(state.n)
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
         picked: set[Edge] = set()
@@ -266,11 +265,7 @@ class D2Breaker:
                 if not edges:
                     self._completed.append(x)
                     del self._boxes[x]
-            while self._lex < len(self._lex_edges) and len(picks) < count:
-                e = self._lex_edges[self._lex]
-                self._lex += 1
-                if e in state.unclaimed and e not in picked:
-                    picks.append(e)
+            picks += self._lex.take(state.unclaimed, count - len(picks), picked)
         return picks
 
     def _freeze_boxes(self, state: GameState, picked: set[Edge]) -> None:
@@ -543,8 +538,7 @@ class D2Maker:
         self._t_trace: list[tuple[int, int, float]] = []
         self._p2_pairs: list[_ConnectPair] | None = None
         self._p2_even_game4 = True
-        self._lex_edges = all_edges(n)
-        self._lex = 0
+        self._lex = LexCursor(n)
         self._note = {
             "phase1_rounds": self.phase1_rounds,
             "total_rounds": self.total_rounds,
@@ -607,14 +601,6 @@ class D2Maker:
         return total
 
     # -- claim rules ---------------------------------------------------------
-
-    def _free_claim(self, state: GameState, picked: set[Edge]) -> Edge | None:
-        while self._lex < len(self._lex_edges):
-            e = self._lex_edges[self._lex]
-            self._lex += 1
-            if e in state.unclaimed and e not in picked:
-                return e
-        return None
 
     def _connect_claim(self, pairs: list[_ConnectPair]) -> Edge | None:
         """Cheapest leg of the fewest-middles unconnected pair.
@@ -690,7 +676,7 @@ class D2Maker:
         while len(picks) < count:
             e = self._connect_claim(self._g4_pairs)
             if e is None:
-                e = self._free_claim(state, picked)
+                e = self._lex.next_free(state.unclaimed, picked)
             if e is None:
                 break
             self._take(e, picks, picked)
@@ -753,7 +739,7 @@ class D2Maker:
             else:
                 self._p2_even_game4 = True
         while len(picks) < count:
-            e = self._free_claim(state, picked)
+            e = self._lex.next_free(state.unclaimed, picked)
             if e is None:
                 break
             self._take(e, picks, picked)

@@ -28,8 +28,8 @@ from .game_core import (
     Edge,
     GameState,
     InvalidParameters,
+    LexCursor,
     Player,
-    all_edges,
     mk_edge,
 )
 
@@ -225,17 +225,8 @@ class DdMaker:
             }
         ]
         self._round = 0
-        self._lex_edges = all_edges(n)
-        self._lex = 0
+        self._lex = LexCursor(n)
         self._checked_bias = False
-
-    def _free_claim(self, state: GameState, picked: set[Edge]) -> Edge | None:
-        while self._lex < len(self._lex_edges):
-            e = self._lex_edges[self._lex]
-            self._lex += 1
-            if e in state.unclaimed and e not in picked:
-                return e
-        return None
 
     def select(self, state: GameState) -> list[Edge]:
         self._round += 1
@@ -257,12 +248,7 @@ class DdMaker:
                 if e not in picked:
                     picks.append(e)
                     picked.add(e)
-        while len(picks) < count:
-            e = self._free_claim(state, picked)
-            if e is None:
-                break
-            picks.append(e)
-            picked.add(e)
+        picks += self._lex.take(state.unclaimed, count - len(picks), picked)
         return picks
 
 
@@ -366,8 +352,7 @@ class DdBreakerA1:
         self.anchor: tuple[int, int] | None = None
         self._madj: list[set[int]] = [set() for _ in range(n)]
         self._synced = 0
-        self._lex_edges = all_edges(n)
-        self._lex = 0
+        self._lex = LexCursor(n)
         self._max_blocking = 0
         self._note: dict = {
             "total_bias": total,
@@ -472,14 +457,6 @@ class DdBreakerA1:
             self.flags.append("dd-breaker-a1-blocking-budget-exceeded")
         return out
 
-    def _free_claim(self, state: GameState, picked: set[Edge]) -> Edge | None:
-        while self._lex < len(self._lex_edges):
-            e = self._lex_edges[self._lex]
-            self._lex += 1
-            if e in state.unclaimed and e not in picked:
-                return e
-        return None
-
     def select(self, state: GameState) -> list[Edge]:
         if not self._checked_bias:
             self._checked_bias = True
@@ -534,12 +511,7 @@ class DdBreakerA1:
             for e in self._cap.select_turn(room, exclude=tuple(picked)):
                 picks.append(e)
                 picked.add(e)
-        while len(picks) < count:
-            e = self._free_claim(state, picked)
-            if e is None:
-                break
-            picks.append(e)
-            picked.add(e)
+        picks += self._lex.take(state.unclaimed, count - len(picks), picked)
         return picks
 
 

@@ -6,11 +6,19 @@ over all vertex permutations) and optional sound cutoffs: Maker has already
 won once his graph has diameter <= d, and Breaker has already won once some
 pair cannot be connected within d even using every unclaimed edge.
 
-verify_one_sided() pins one side to a scripted strategy and branches over
-every opposing play.  Strategies verified this way must be snapshot-pure:
-select(state) may depend only on the passed state (including its move log),
-never on retained instance state, because the verifier re-enters earlier
-positions after backtracking.
+verify_final_property() is the one board verifier: a DFS that pins one side
+to a scripted strategy, branches over every opposing play, and undoes each
+claim on the way back.  A caller's prune may settle a node early; the final
+predicate judges the full board.  verify_one_sided() is that DFS with the
+two diameter cutoffs as its prune.  Strategies verified this way must be
+snapshot-pure: select(state) may depend only on the passed state (including
+its move log), never on retained instance state, because the verifier
+re-enters earlier positions after backtracking.
+
+solve() and verify_family_one_sided() keep their own searches.  solve() is
+two-sided and memoises on canonical keys; the family verifier memoises on
+masks of positions.  Neither has the board verifier's snapshots and move
+log, so folding them in would make the DFS branch on its caller.
 """
 
 from __future__ import annotations
@@ -255,89 +263,14 @@ def _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move) -> GameSt
     )
 
 
-def verify_one_sided(
-    n: int,
-    a: int,
-    b: int,
-    d: int,
-    scripted: Strategy,
-    side: Player,
-    first: Player = Player.MAKER,
-    edge_cap: int = DEFAULT_VERIFY_EDGE_CAP,
-) -> bool:
-    """True iff the scripted side achieves its diameter goal against every opposing play.
-
-    Goal: diameter(maker graph) <= d at exhaustion when side is Maker,
-    diameter > d when side is Breaker.  The scripted strategy must be
-    snapshot-pure (see module docstring).  An illegal scripted claim raises.
-    """
+def _board_edges(n: int, edge_cap: int) -> list[tuple[int, int]]:
     total_edges = edge_count(n)
     if total_edges > edge_cap:
         raise OverCapError(
-            f"verify_one_sided capped at {edge_cap} edges, K_{n} has {total_edges}",
+            f"board verifier capped at {edge_cap} edges, K_{n} has {total_edges}",
             count=total_edges,
         )
-    edges = all_edges(n)
-    index = {e: i for i, e in enumerate(edges)}
-    full = (1 << total_edges) - 1
-    maker: set = set()
-    breaker: set = set()
-    unclaimed = set(edges)
-    log: list = []
-
-    def masks() -> tuple[int, int]:
-        mm = sum(1 << index[e] for e in maker)
-        bm = sum(1 << index[e] for e in breaker)
-        return mm, bm
-
-    def outcome_now() -> bool | None:
-        mm, bm = masks()
-        if _diameter_within(n, mm, edges, d):
-            return side is Player.MAKER
-        if not _diameter_within(n, full & ~bm, edges, d):
-            return side is Player.BREAKER
-        if not unclaimed:
-            return side is Player.BREAKER  # diameter check above already failed
-        return None
-
-    def dfs(to_move: Player) -> bool:
-        decided = outcome_now()
-        if decided is not None:
-            return decided
-        count = min(a if to_move is Player.MAKER else b, len(unclaimed))
-        own = maker if to_move is Player.MAKER else breaker
-        if to_move is side:
-            snap = _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move)
-            picks = [mk_edge(*e) for e in scripted.select(snap)]
-            if len(picks) != count or len(set(picks)) != count:
-                raise GameError(f"scripted {side.value} returned a bad claim {picks}")
-            for e in picks:
-                if e not in unclaimed:
-                    raise GameError(f"scripted {side.value} claimed unavailable edge {e}")
-                unclaimed.discard(e)
-                own.add(e)
-                log.append((to_move, e))
-            ok = dfs(to_move.other())
-            for e in picks:
-                own.discard(e)
-                unclaimed.add(e)
-                log.pop()
-            return ok
-        for combo in combinations(sorted(unclaimed), count):
-            for e in combo:
-                unclaimed.discard(e)
-                own.add(e)
-                log.append((to_move, e))
-            ok = dfs(to_move.other())
-            for e in combo:
-                own.discard(e)
-                unclaimed.add(e)
-                log.pop()
-            if not ok:
-                return False
-        return True
-
-    return dfs(first)
+    return all_edges(n)
 
 
 def verify_final_property(
@@ -351,23 +284,32 @@ def verify_final_property(
     first: Player = Player.MAKER,
     edge_cap: int = DEFAULT_VERIFY_EDGE_CAP,
 ) -> bool:
-    """Like verify_one_sided but with an arbitrary goal for the scripted side.
+    """True iff the scripted side wins against every opposing play, with an arbitrary goal.
 
     final_predicate(state) is evaluated at board exhaustion.  prune, if
     given, receives (maker_edges, breaker_edges, unclaimed, move_log) before
     each node is expanded and may return True/False to settle the subtree
     early, or None to continue.  All structures passed to prune are live and
-    must not be mutated.
+    must not be mutated.  The scripted strategy must be snapshot-pure (see
+    module docstring).  An illegal scripted claim raises.
     """
-    total_edges = edge_count(n)
-    if total_edges > edge_cap:
-        raise OverCapError(
-            f"verify_final_property capped at {edge_cap} edges", count=total_edges
-        )
     maker: set = set()
     breaker: set = set()
-    unclaimed = set(all_edges(n))
+    unclaimed = set(_board_edges(n, edge_cap))
     log: list = []
+
+    def play(to_move: Player, picks) -> bool:
+        own = maker if to_move is Player.MAKER else breaker
+        for e in picks:
+            unclaimed.discard(e)
+            own.add(e)
+            log.append((to_move, e))
+        ok = dfs(to_move.other())
+        for e in picks:
+            own.discard(e)
+            unclaimed.add(e)
+            log.pop()
+        return ok
 
     def dfs(to_move: Player) -> bool:
         if prune is not None:
@@ -378,39 +320,55 @@ def verify_final_property(
             snap = _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move)
             return bool(final_predicate(snap))
         count = min(a if to_move is Player.MAKER else b, len(unclaimed))
-        own = maker if to_move is Player.MAKER else breaker
-        if to_move is side:
-            snap = _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move)
-            picks = [mk_edge(*e) for e in scripted.select(snap)]
-            if len(picks) != count or len(set(picks)) != count:
-                raise GameError(f"scripted {side.value} returned a bad claim {picks}")
-            for e in picks:
-                if e not in unclaimed:
-                    raise GameError(f"scripted {side.value} claimed unavailable edge {e}")
-                unclaimed.discard(e)
-                own.add(e)
-                log.append((to_move, e))
-            ok = dfs(to_move.other())
-            for e in picks:
-                own.discard(e)
-                unclaimed.add(e)
-                log.pop()
-            return ok
-        for combo in combinations(sorted(unclaimed), count):
-            for e in combo:
-                unclaimed.discard(e)
-                own.add(e)
-                log.append((to_move, e))
-            ok = dfs(to_move.other())
-            for e in combo:
-                own.discard(e)
-                unclaimed.add(e)
-                log.pop()
-            if not ok:
-                return False
-        return True
+        if to_move is not side:
+            return all(play(to_move, combo) for combo in combinations(sorted(unclaimed), count))
+        snap = _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move)
+        picks = [mk_edge(*e) for e in scripted.select(snap)]
+        if len(picks) != count or len(set(picks)) != count:
+            raise GameError(f"scripted {side.value} returned a bad claim {picks}")
+        for e in picks:
+            if e not in unclaimed:
+                raise GameError(f"scripted {side.value} claimed unavailable edge {e}")
+        return play(to_move, picks)
 
     return dfs(first)
+
+
+def verify_one_sided(
+    n: int,
+    a: int,
+    b: int,
+    d: int,
+    scripted: Strategy,
+    side: Player,
+    first: Player = Player.MAKER,
+    edge_cap: int = DEFAULT_VERIFY_EDGE_CAP,
+) -> bool:
+    """True iff the scripted side achieves its diameter goal against every opposing play.
+
+    Goal: diameter(maker graph) <= d at exhaustion when side is Maker,
+    diameter > d when side is Breaker.  This is verify_final_property with
+    solve()'s two cutoffs as the prune.  On a full board the complement of
+    Breaker's graph is Maker's graph, so the cutoffs settle every leaf and
+    the final predicate is never reached.
+    """
+    edges = _board_edges(n, edge_cap)
+    index = {e: i for i, e in enumerate(edges)}
+    full = (1 << len(edges)) - 1
+
+    def prune(maker, breaker, unclaimed, log) -> bool | None:
+        if _diameter_within(n, sum(1 << index[e] for e in maker), edges, d):
+            return side is Player.MAKER
+        if not _diameter_within(n, full & ~sum(1 << index[e] for e in breaker), edges, d):
+            return side is Player.BREAKER
+        return None
+
+    def unreachable(snap: GameState) -> bool:
+        raise AssertionError("the diameter cutoffs settle every full board")
+
+    return verify_final_property(
+        n, a, b, scripted, side, unreachable, prune=prune, first=first, edge_cap=edge_cap
+    )
 
 
 # --- one-sided verification on families -------------------------------------

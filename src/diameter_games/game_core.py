@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Container, Iterable, Protocol
 
 from .graph_metrics import Graph, degree_profile, diameter
 
@@ -61,6 +61,40 @@ def mk_edge(u: int, v: int) -> Edge:
 def all_edges(n: int) -> list[Edge]:
     """Every edge of K_n in lexicographic order; this order is the global tie-break of last resort."""
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+class LexCursor:
+    """The lowest unclaimed edges of K_n, found by a cursor over all_edges(n).
+
+    The cursor only moves forward: an edge behind it was claimed, or taken
+    by its owner, when the cursor passed it.  That holds while the board
+    only gains claims, so the owner calls reset() whenever it may be shown
+    an earlier position.
+    """
+
+    __slots__ = ("edges", "pos")
+
+    def __init__(self, n: int):
+        self.edges = all_edges(n)
+        self.pos = 0
+
+    def reset(self) -> None:
+        self.pos = 0
+
+    def take(self, unclaimed: Container[Edge], count: int, skip: Container[Edge] = ()) -> list[Edge]:
+        """Up to `count` edges from the cursor on that are unclaimed and not in `skip`."""
+        edges = self.edges
+        picks: list[Edge] = []
+        while self.pos < len(edges) and len(picks) < count:
+            e = edges[self.pos]
+            self.pos += 1
+            if e in unclaimed and e not in skip:
+                picks.append(e)
+        return picks
+
+    def next_free(self, unclaimed: Container[Edge], skip: Container[Edge] = ()) -> Edge | None:
+        picks = self.take(unclaimed, 1, skip)
+        return picks[0] if picks else None
 
 
 def edge_count(n: int) -> int:

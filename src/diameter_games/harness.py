@@ -261,12 +261,19 @@ def make_strategy(strategy_id: str, cfg: ExperimentConfig, rng: random.Random, o
 
 def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):
     """Round-boundary assertions: board bookkeeping, and potential
-    monotonicity when the maker is the degree-weight player."""
+    monotonicity when the maker is the degree-weight player.
+
+    The potential is sampled at the end of Breaker's latest turn, whoever
+    moved first: the degree-game argument bounds it over a Maker turn
+    followed by a Breaker turn, and with Breaker first a round of run_match
+    ends after a Maker turn instead.
+    """
     total = edge_count(cfg.n)
     tracker: DegreeWeightState | None = None
     if isinstance(maker, MinDegStrategy):
         tracker = DegreeWeightState(maker.params, maker.role)
     prev: list[float | None] = [None]
+    synced = [0]
 
     def observe(state) -> None:
         onboard = (
@@ -279,11 +286,17 @@ def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):
         if len(state.move_log) and (state.maker_edges & state.breaker_edges):
             raise InvariantViolation("an edge is owned by both players")
         if tracker is not None:
-            tracker.sync(state)
+            log = state.move_log
+            cut = len(log)
+            while cut and log[cut - 1][0] is Player.MAKER:
+                cut -= 1
+            for player, edge in log[synced[0] : cut]:
+                tracker.observe(player, edge)
+            synced[0] = cut
             t_now = tracker.potential()
             if prev[0] is not None and t_now > prev[0] * (1.0 + 1e-9):
                 sink.append(
-                    f"harness:mindeg-potential-increased turn={len(state.move_log)} "
+                    f"harness:mindeg-potential-increased turn={cut} "
                     f"from={prev[0]!r} to={t_now!r}"
                 )
             prev[0] = t_now

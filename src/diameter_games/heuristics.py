@@ -6,6 +6,14 @@ state synced incrementally from the move log (degrees, adjacency, an
 unclaimed-edge pool), so a turn costs roughly what it claims instead of a
 rescan of the whole board.  Instances are per-match; if the log under one
 ever rewinds, it rebuilds from the snapshot.
+
+Lex cursors (game_core.LexCursor) follow a stricter rule: LowestEdgeStrategy
+and FloodingBreaker restart theirs unless the log is longer than at their
+previous select().  Forward play always lengthens the log.  In an exhaustive
+verifier's DFS, the first scripted turn of a sibling branch is no deeper than
+the scripted turn before it, so a deeper call lies below the previous one:
+its log extends that log, and every edge behind the cursor is still claimed.
+Both strategies are therefore snapshot-pure under the verifiers.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import random
 
 import numpy as np
 
-from .game_core import Edge, GameState, Player, all_edges, mk_edge
+from .game_core import Edge, GameState, LexCursor, Player, mk_edge
 
 
 class RandomStrategy:
@@ -68,23 +76,16 @@ class LowestEdgeStrategy:
     name = "lowest-edge"
 
     def __init__(self) -> None:
-        self._edges: list[Edge] = []
-        self._lex = 0
+        self._lex: LexCursor | None = None
         self._log_len = -1
 
     def select(self, state: GameState) -> list[Edge]:
-        if self._log_len < 0 or len(state.move_log) < self._log_len:
-            self._edges = all_edges(state.n)
-            self._lex = 0
+        if self._lex is None:
+            self._lex = LexCursor(state.n)
+        elif len(state.move_log) <= self._log_len:
+            self._lex.reset()
         self._log_len = len(state.move_log)
-        count = state.required_claim_count(state.to_move)
-        picks: list[Edge] = []
-        while self._lex < len(self._edges) and len(picks) < count:
-            e = self._edges[self._lex]
-            self._lex += 1
-            if e in state.unclaimed:
-                picks.append(e)
-        return picks
+        return self._lex.take(state.unclaimed, state.required_claim_count(state.to_move))
 
 
 class DegreeGreedyStrategy:
@@ -173,8 +174,7 @@ class PathGreedyStrategy:
         self._synced = 0
         self._scan_from = 0
         self._all_close = False
-        self._lex_edges: list[Edge] = []
-        self._lex = 0
+        self._lex: LexCursor | None = None
 
     def _rebuild(self, state: GameState) -> None:
         n = state.n
@@ -188,8 +188,7 @@ class PathGreedyStrategy:
             self._opp[u, v] = self._opp[v, u] = True
         self._scan_from = 0
         self._all_close = False
-        self._lex_edges = all_edges(n)
-        self._lex = 0
+        self._lex = LexCursor(n)
 
     def _sync(self, state: GameState) -> None:
         if self._side is None:
@@ -262,12 +261,7 @@ class PathGreedyStrategy:
             if target:
                 pick = self._route_edge(state, picked, *target)
             if pick is None:
-                while self._lex < len(self._lex_edges):
-                    e = self._lex_edges[self._lex]
-                    self._lex += 1
-                    if e in state.unclaimed and e not in picked:
-                        pick = e
-                        break
+                pick = self._lex.next_free(state.unclaimed, picked)
             if pick is None:
                 break
             picks.append(pick)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from diameter_games import (
+    FloodingBreaker,
     GameError,
+    LowestEdgeStrategy,
     OverCapError,
     PairingBreaker,
     Player,
@@ -14,6 +16,7 @@ from diameter_games import (
     canonical_key,
     esb_breaker_select,
     family_from_sets,
+    mindeg_breaker_select,
     new_game,
     solve,
     verify_family_one_sided,
@@ -94,17 +97,32 @@ class TestCanonicalKey:
 
 
 class PureLexStrategy:
-    """Snapshot-pure lowest-edge player, usable inside the DFS verifiers.
-
-    The shipped lowest-edge strategy keeps a cursor for forward match play
-    and is deliberately not snapshot-pure, so the verifiers get this one.
-    """
+    """Lowest-edge player with no retained state: the reference that the
+    shipped cursor-based LowestEdgeStrategy is checked against below."""
 
     name = "pure-lex"
 
     def select(self, state):
         count = state.required_claim_count(state.to_move)
         return sorted(state.unclaimed)[:count]
+
+
+class Differential:
+    """Scripted side that plays `fast` and asserts it agrees with the pure
+    `reference` rule at every node the verifier shows it."""
+
+    name = "differential"
+
+    def __init__(self, fast, reference):
+        self.fast = fast
+        self.reference = reference
+        self.calls = 0
+
+    def select(self, state):
+        self.calls += 1
+        picks = self.fast.select(state)
+        assert picks == self.reference(state), f"log {state.move_log}"
+        return picks
 
 
 class TestVerifyOneSided:
@@ -118,6 +136,31 @@ class TestVerifyOneSided:
     def test_edge_cap(self):
         with pytest.raises(OverCapError):
             verify_one_sided(8, 1, 1, 2, PairingBreaker(), Player.BREAKER)
+
+    def test_shipped_lowest_edge_is_refuted_not_crashed(self):
+        # Its cursor used to survive backtracking to a sibling of equal
+        # depth, and it then ran out of edges: GameError "bad claim []".
+        assert not verify_one_sided(5, 1, 1, 2, LowestEdgeStrategy(), Player.BREAKER)
+
+    @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    def test_lowest_edge_cursor_matches_pure_rule(self, side, first):
+        # A weak side is refuted within a few nodes, so the always-true goal
+        # of the same DFS also walks every node and every backtrack.
+        script = Differential(LowestEdgeStrategy(), PureLexStrategy().select)
+        assert not verify_one_sided(5, 1, 1, 2, script, side, first=first)
+        assert verify_final_property(5, 1, 1, script, side, lambda snap: True, first=first)
+        assert script.calls > 1000
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    def test_flooding_cursor_matches_pure_rule(self, a, b, first):
+        script = Differential(FloodingBreaker(), mindeg_breaker_select)
+        verify_one_sided(5, a, b, 2, script, Player.BREAKER, first=first)
+        assert verify_final_property(
+            5, a, b, script, Player.BREAKER, lambda snap: True, first=first
+        )
+        assert script.calls > 100
 
 
 class TestVerifyFinalProperty:

@@ -29,6 +29,7 @@ from diameter_games import (
     run_match,
     transcript_from_jsonl,
 )
+from diameter_games.game_core import LexCursor
 
 
 def test_mk_edge_orders_endpoints():
@@ -40,6 +41,17 @@ def test_all_edges_is_lexicographic():
     edges = all_edges(4)
     assert edges == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert edges == sorted(edges)
+
+
+def test_lex_cursor_takes_lowest_free_edges_once():
+    cursor = LexCursor(4)
+    unclaimed = set(all_edges(4)) - {(0, 2)}
+    assert cursor.take(unclaimed, 2) == [(0, 1), (0, 3)]
+    assert cursor.next_free(unclaimed, skip={(1, 2)}) == (1, 3)
+    assert cursor.take(unclaimed, 5) == [(2, 3)]
+    assert cursor.next_free(unclaimed) is None
+    cursor.reset()
+    assert cursor.take(unclaimed, 1) == [(0, 1)]
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 3), (6, 15), (10, 45)])

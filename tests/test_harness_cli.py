@@ -170,6 +170,29 @@ class TestRunExperiment:
         results = run_experiment(cfg)
         assert summarize(results)["violations"] == 0
 
+    @pytest.mark.parametrize("first", ["maker", "breaker"])
+    @pytest.mark.parametrize("breaker", ["flooding-breaker", "random"])
+    def test_mindeg_potential_clean_whoever_opens(self, first, breaker):
+        """The degree-game potential cannot rise over a Maker-then-Breaker
+        round.  With Breaker first, sampling at run_match round ends (after
+        Maker turns) reported 25 false increases against flooding-breaker
+        and 4 against random on these games."""
+        cfg = small_config(
+            n=60,
+            a=2,
+            b=1,
+            maker="mindeg-maker",
+            breaker=breaker,
+            seeds=[0, 1, 2, 3, 4],
+            repetitions=1,
+            property_id="mindeg>0",
+            early_stop=False,
+            assert_invariants=True,
+            first=first,
+        )
+        results = run_experiment(cfg)
+        assert [r.transcript.violations for r in results] == [[]] * 5
+
 
 class TestOutputs:
     def test_csv_layout(self, tmp_path):
