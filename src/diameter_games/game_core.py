@@ -10,11 +10,12 @@ bit-exactly from their line-delimited JSON form.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Container, Iterable, Protocol
 
-from .graph_metrics import Graph, degree_profile, diameter
+from .graph_metrics import Graph, ball, degree_profile
 
 Edge = tuple[int, int]
 
@@ -108,6 +109,12 @@ class GameState:
     Strategies receive this object read-only each time they are asked to
     move.  `move_log` lists every single claim in order, one (player, edge)
     entry per edge, so any auxiliary bookkeeping can be rebuilt from it.
+
+    The state also keeps one derived index, Maker's sorted neighbour lists,
+    which maker_graph reads.  It is no constructor argument: it is built
+    from `maker_edges` on first use, so a copy() or a state built from its
+    fields gets its own, and apply_claim extends it once it exists.  Like
+    every other bookkeeping, it follows from `move_log` alone.
     """
 
     n: int
@@ -119,6 +126,7 @@ class GameState:
     unclaimed: set[Edge] = field(default_factory=set)
     to_move: Player = Player.MAKER
     move_log: list[tuple[Player, Edge]] = field(default_factory=list)
+    _maker_adj: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def bias_of(self, player: Player) -> int:
         return self.a if player is Player.MAKER else self.b
@@ -135,6 +143,18 @@ class GameState:
 
     def is_exhausted(self) -> bool:
         return not self.unclaimed
+
+    def _maker_adjacency(self) -> list[list[int]]:
+        """Maker's neighbours of each vertex, sorted; live, so read-only."""
+        if self._maker_adj is None:
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.maker_edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            for nbrs in adj:
+                nbrs.sort()
+            self._maker_adj = adj
+        return self._maker_adj
 
     def copy(self) -> "GameState":
         return GameState(
@@ -176,27 +196,33 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         )
     if len(set(edges)) != len(edges):
         raise AlreadyClaimed(f"duplicate edge in claim {edges}")
-    own = state.maker_edges if player is Player.MAKER else state.breaker_edges
+    if player is Player.MAKER:
+        own, other, adj = state.maker_edges, state.breaker_edges, state._maker_adj
+    else:
+        own, other, adj = state.breaker_edges, state.maker_edges, None
     for edge in edges:
         if edge != mk_edge(*edge):
             raise InvalidParameters(f"edge {edge} is not canonical")
         if edge not in state.unclaimed:
             raise AlreadyClaimed(f"edge {edge} is not available")
+        # Ownership stays disjoint by construction; guard the invariant anyway.
+        assert edge not in other
         state.unclaimed.discard(edge)
         own.add(edge)
+        if adj is not None:
+            u, v = edge
+            insort(adj[u], v)
+            insort(adj[v], u)
         state.move_log.append((player, edge))
-        # Ownership stays disjoint by construction; guard the invariant anyway.
-        assert not (state.maker_edges & state.breaker_edges)
     state.to_move = player.other()
     return state
 
 
 def maker_graph(state: GameState) -> Graph:
-    return Graph(state.n, frozenset(state.maker_edges))
-
-
-def breaker_graph(state: GameState) -> Graph:
-    return Graph(state.n, frozenset(state.breaker_edges))
+    """Maker's graph at this position; later claims do not change it."""
+    return Graph.from_sorted_adjacency(
+        state.n, frozenset(state.maker_edges), state._maker_adjacency()
+    )
 
 
 class Strategy(Protocol):
@@ -220,7 +246,9 @@ def diameter_at_most(d: int) -> Callable[[Graph], bool]:
     def prop(g: Graph) -> bool:
         if g.n < 2:
             return True
-        return diameter(g) <= d
+        # diameter(g) <= d iff every radius-d ball is all of g (see
+        # graph_metrics.diameter), so stop at the first ball that is not.
+        return d >= 0 and all(len(ball(g, v, d)) == g.n for v in range(g.n))
 
     prop.property_id = f"diameter<={d}"  # type: ignore[attr-defined]
     return prop
@@ -364,12 +392,6 @@ def replay_transcript(tr: Transcript, target_property: Callable[[Graph], bool]) 
     for rec in tr.claims:
         apply_claim(state, rec.player, rec.edges)
     return state, bool(target_property(maker_graph(state)))
-
-
-PROPERTY_FACTORIES = {
-    "diameter": diameter_at_most,
-    "mindeg": min_degree_exceeds,
-}
 
 
 def property_from_id(property_id: str) -> Callable[[Graph], bool]:

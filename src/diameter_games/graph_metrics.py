@@ -40,6 +40,21 @@ class Graph:
             adj[v].sort()
         object.__setattr__(self, "_adj", adj)
 
+    @classmethod
+    def from_sorted_adjacency(
+        cls, n: int, edges: frozenset[tuple[int, int]], adj: list[list[int]]
+    ) -> "Graph":
+        """Trusted constructor: `edges` canonical and `adj[v]` v's sorted neighbours.
+
+        Nothing is checked or sorted.  The neighbour lists are copied, so the
+        caller may go on extending its own without changing this graph.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_adj", dict(enumerate(map(list, adj))))
+        return g
+
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
 

@@ -3,17 +3,17 @@
 These are deliberately simple adversaries: strong enough to punish broken
 strategies, cheap enough to run thousands of matches.  Each keeps a little
 state synced incrementally from the move log (degrees, adjacency, an
-unclaimed-edge pool), so a turn costs roughly what it claims instead of a
-rescan of the whole board.  Instances are per-match; if the log under one
-ever rewinds, it rebuilds from the snapshot.
+unclaimed-edge pool, a game_core.LexCursor), so a turn costs roughly what it
+claims instead of a rescan of the whole board.
 
-Lex cursors (game_core.LexCursor) follow a stricter rule: LowestEdgeStrategy
-and FloodingBreaker restart theirs unless the log is longer than at their
-previous select().  Forward play always lengthens the log.  In an exhaustive
-verifier's DFS, the first scripted turn of a sibling branch is no deeper than
-the scripted turn before it, so a deeper call lies below the previous one:
-its log extends that log, and every edge behind the cursor is still claimed.
-Both strategies are therefore snapshot-pure under the verifiers.
+One rule guards that state, here and in FloodingBreaker: it is rebuilt from
+the snapshot unless the log is longer than at the previous select().
+Forward play always lengthens the log.  In an exhaustive verifier's DFS, the
+first scripted turn of a sibling branch is no deeper than the scripted turn
+before it, so a deeper call lies below the previous one: its log extends
+that log, and what was synced from it still holds.  The deterministic
+strategies are therefore snapshot-pure under the verifiers; RandomStrategy
+stays legal there, though its draws depend on its generator's history.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class RandomStrategy:
             self._pos[last] = i
 
     def _sync(self, state: GameState) -> None:
-        if self._synced < 0 or self._synced > len(state.move_log):
+        if self._synced < 0 or self._synced >= len(state.move_log):
             self._pool = sorted(state.unclaimed)
             self._pos = {e: i for i, e in enumerate(self._pool)}
         else:
@@ -121,7 +121,7 @@ class DegreeGreedyStrategy:
     def _sync(self, state: GameState) -> None:
         if self._side is None:
             self._side = state.to_move
-        if self._open is None or self._synced > len(state.move_log):
+        if self._open is None or self._synced >= len(state.move_log):
             self._rebuild(state)
         else:
             for player, (u, v) in state.move_log[self._synced :]:
@@ -193,7 +193,7 @@ class PathGreedyStrategy:
     def _sync(self, state: GameState) -> None:
         if self._side is None:
             self._side = state.to_move
-        if self._own is None or self._synced > len(state.move_log):
+        if self._own is None or self._synced >= len(state.move_log):
             self._rebuild(state)
         else:
             for player, (u, v) in state.move_log[self._synced :]:
@@ -288,7 +288,7 @@ class EsbDegreeBreaker:
 
     def _sync(self, state: GameState) -> None:
         n = state.n
-        if self._claimed is None or self._synced > len(state.move_log):
+        if self._claimed is None or self._synced >= len(state.move_log):
             self._open_deg = np.zeros(n, dtype=np.int64)
             self._claimed = np.ones((n, n), dtype=bool)
             for u, v in state.unclaimed:

@@ -1,16 +1,21 @@
 """Exhaustive solver and one-sided verifiers on small boards."""
 
 import json
+import random
 
 import pytest
 
 from diameter_games import (
+    DegreeGreedyStrategy,
+    EsbDegreeBreaker,
     FloodingBreaker,
     GameError,
     LowestEdgeStrategy,
     OverCapError,
     PairingBreaker,
+    PathGreedyStrategy,
     Player,
+    RandomStrategy,
     apply_claim,
     box_maker_select,
     canonical_key,
@@ -161,6 +166,31 @@ class TestVerifyOneSided:
             5, a, b, script, Player.BREAKER, lambda snap: True, first=first
         )
         assert script.calls > 100
+
+    @pytest.mark.parametrize(
+        "make,side",
+        [
+            (DegreeGreedyStrategy, Player.MAKER),
+            (DegreeGreedyStrategy, Player.BREAKER),
+            (lambda: PathGreedyStrategy(2), Player.MAKER),
+            (lambda: PathGreedyStrategy(2), Player.BREAKER),
+            (EsbDegreeBreaker, Player.BREAKER),
+        ],
+        ids=["degree-maker", "degree-breaker", "path-maker", "path-breaker", "esb-breaker"],
+    )
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    def test_synced_heuristic_matches_pure_rule(self, make, side, first):
+        # A fresh instance builds everything from the snapshot it is shown.
+        script = Differential(make(), lambda snap: make().select(snap))
+        assert verify_final_property(5, 1, 1, script, side, lambda snap: True, first=first)
+        assert script.calls > 1000
+
+    @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
+    def test_random_side_stays_legal_under_backtracking(self, side):
+        # Its pool used to keep the previous sibling's claims out and let
+        # edges claimed on this branch back in.
+        side_strategy = RandomStrategy(random.Random(0))
+        assert verify_final_property(5, 1, 1, side_strategy, side, lambda snap: True)
 
 
 class TestVerifyFinalProperty:

@@ -1,14 +1,17 @@
 """Core state machine: claims, turn order, transcripts, replay."""
 
 import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diameter_games import (
     AlreadyClaimed,
     GameError,
+    GameState,
+    Graph,
     InvalidParameters,
     Player,
     RandomStrategy,
@@ -17,8 +20,10 @@ from diameter_games import (
     WrongTurn,
     all_edges,
     apply_claim,
+    diameter,
     diameter_at_most,
     edge_count,
+    graph_from_edges,
     maker_graph,
     min_degree_exceeds,
     mk_edge,
@@ -135,6 +140,13 @@ class TestApplyClaim:
             (Player.MAKER, (2, 3)),
         ]
 
+    @pytest.mark.skipif(not __debug__, reason="assert statements are stripped under -O")
+    def test_disjointness_guard_fires_on_corrupted_board(self):
+        state = new_game(4, 1, 1)
+        state.breaker_edges.add((0, 1))  # owned by Breaker, yet still unclaimed
+        with pytest.raises(AssertionError):
+            apply_claim(state, Player.MAKER, [(0, 1)])
+
 
 def test_copy_is_independent(fresh_game):
     state = fresh_game(4)
@@ -142,6 +154,96 @@ def test_copy_is_independent(fresh_game):
     apply_claim(state, Player.MAKER, [(0, 1)])
     assert (0, 1) in clone.unclaimed
     assert clone.to_move is Player.MAKER
+
+
+def assert_is_reference_maker_graph(g, state):
+    """g equals the validated Graph of state's Maker edges, neighbour lists included."""
+    ref = Graph(state.n, frozenset(state.maker_edges))
+    assert g.n == ref.n and g.edges == ref.edges
+    assert [g.neighbors(v) for v in range(ref.n)] == [ref.neighbors(v) for v in range(ref.n)]
+
+
+def play_random_turn(state, maker, breaker):
+    side = state.to_move
+    strategy = maker if side is Player.MAKER else breaker
+    apply_claim(state, side, strategy.select(state))
+
+
+class TestMakerGraph:
+    @pytest.mark.parametrize("n,a,b", [(6, 1, 1), (9, 2, 3), (12, 3, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_validated_graph_through_play(self, n, a, b, seed):
+        rng = random.Random(seed)
+        state = new_game(n, a, b)
+        maker, breaker = RandomStrategy(rng), RandomStrategy(rng)
+        assert_is_reference_maker_graph(maker_graph(state), state)
+        while not state.is_exhausted():
+            play_random_turn(state, maker, breaker)
+            assert_is_reference_maker_graph(maker_graph(state), state)
+            assert_is_reference_maker_graph(maker_graph(state.copy()), state)
+
+    @pytest.mark.parametrize("first_look", [0, 3, 8])
+    def test_index_first_built_mid_game_keeps_up(self, first_look):
+        rng = random.Random(first_look)
+        state = new_game(8, 2, 1)
+        maker, breaker = RandomStrategy(rng), RandomStrategy(rng)
+        for _ in range(first_look):
+            play_random_turn(state, maker, breaker)
+        clone = state.copy()
+        assert_is_reference_maker_graph(maker_graph(state), state)
+        while not state.is_exhausted():
+            play_random_turn(state, maker, breaker)
+            apply_claim(clone, clone.to_move, [e for _, e in state.move_log[len(clone.move_log) :]])
+            assert_is_reference_maker_graph(maker_graph(state), state)
+            assert_is_reference_maker_graph(maker_graph(clone), clone)
+
+    def test_directly_constructed_state(self):
+        maker = {(0, 3), (1, 2), (0, 1), (3, 4)}
+        breaker = {(0, 2), (2, 4)}
+        state = GameState(
+            n=5,
+            a=1,
+            b=1,
+            first=Player.MAKER,
+            maker_edges=set(maker),
+            breaker_edges=set(breaker),
+            unclaimed=set(all_edges(5)) - maker - breaker,
+        )
+        assert_is_reference_maker_graph(maker_graph(state), state)
+        apply_claim(state, Player.MAKER, [(1, 4)])
+        assert_is_reference_maker_graph(maker_graph(state), state)
+
+    def test_earlier_graph_is_unchanged_by_later_claims(self):
+        state = new_game(5, 1, 1)
+        apply_claim(state, Player.MAKER, [(0, 2)])
+        before = maker_graph(state)
+        apply_claim(state, Player.BREAKER, [(1, 3)])
+        apply_claim(state, Player.MAKER, [(0, 1)])
+        apply_claim(state, Player.BREAKER, [(3, 4)])
+        apply_claim(state, Player.MAKER, [(2, 4)])
+        assert before.edges == {(0, 2)}
+        assert [before.neighbors(v) for v in range(5)] == [[2], [], [0], [], []]
+        assert maker_graph(state).neighbors(0) == [1, 2]
+
+
+@st.composite
+def graphs_up_to_9(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pool = all_edges(n)
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return graph_from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_up_to_9(), st.integers(min_value=1, max_value=4))
+@example(graph_from_edges(0, []), 1)
+@example(graph_from_edges(1, []), 2)
+@example(graph_from_edges(4, [(0, 1), (2, 3)]), 4)
+@example(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
+@example(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4)
+def test_diameter_at_most_matches_full_diameter(g, d):
+    expected = g.n < 2 or diameter(g) <= d
+    assert diameter_at_most(d)(g) == expected
 
 
 class TestProperties:
