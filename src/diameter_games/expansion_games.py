@@ -19,18 +19,30 @@ Families are materialized explicitly, so construction is capped; the pair
 count is checked before any enumeration.  When r == s the unordered pair
 {R, S} is generated once, halving the raw ordered count; the closed-form
 start value uses the generated count so cross-checks compare like with like.
+
+ExpMaker's layout (family, edge index, member and incidence tuples) depends
+only on (n, r, s), so it is built once and shared, read-only, through a cache
+that holds the most recent layout; each instance keeps only its own alive
+flags and unclaimed counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .game_core import Edge, GameState, InvalidParameters, Player, all_edges
 from .potential_engine import FamilyTooLarge, WinningSetFamily
 
 DEFAULT_FAMILY_CAP = 2_000_000
+# Layouts kept alive by the cache.  Callers use one (n, r, s) many times in a
+# row (each exhaustive cell, each subgame's ExpMaker), and an instance holds
+# its own layout, so one is enough.  D2Maker's family may hold up to
+# DEFAULT_FAMILY_CAP hyperedges, so the cache keeps no more than that one.
+_LAYOUT_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,15 @@ def exp_family_count(n: int, r: int, s: int) -> int:
     return raw // 2 if r == s else raw
 
 
+def _checked_count(n: int, r: int, s: int, cap: int) -> int:
+    if r < 1 or s < 1 or r + s > n:
+        raise InvalidParameters(f"bad family parameters n={n}, r={r}, s={s}")
+    count = exp_family_count(n, r, s)
+    if count > cap:
+        raise FamilyTooLarge(count, cap)
+    return count
+
+
 def exp_family(n: int, r: int, s: int, cap: int = DEFAULT_FAMILY_CAP) -> WinningSetFamily:
     """The expansion hypergraph over edge positions (lexicographic edge index).
 
@@ -86,11 +107,12 @@ def exp_family(n: int, r: int, s: int, cap: int = DEFAULT_FAMILY_CAP) -> Winning
     between R and S.  The pair count is checked against `cap` before
     enumeration.
     """
-    if r < 1 or s < 1 or r + s > n:
-        raise InvalidParameters(f"bad family parameters n={n}, r={r}, s={s}")
-    count = exp_family_count(n, r, s)
-    if count > cap:
-        raise FamilyTooLarge(count, cap)
+    _checked_count(n, r, s, cap)
+    return _enumerate_family(n, r, s)
+
+
+def _enumerate_family(n: int, r: int, s: int) -> WinningSetFamily:
+    """exp_family without the parameter and cap checks; callers check first."""
     index = {e: i for i, e in enumerate(all_edges(n))}
     sets = []
     vertices = range(n)
@@ -104,7 +126,7 @@ def exp_family(n: int, r: int, s: int, cap: int = DEFAULT_FAMILY_CAP) -> Winning
                 index[(u, v) if u < v else (v, u)] for u in rset for v in sset
             )
             sets.append(hyper)
-    assert len(sets) == count
+    assert len(sets) == exp_family_count(n, r, s)
     return WinningSetFamily(n * (n - 1) // 2, tuple(sets))
 
 
@@ -119,6 +141,38 @@ def exp_start_value_closed_form(n: int, r: int, s: int, a: int, b: float) -> flo
     return math.exp(log_value)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The (n, r, s)-only part of an ExpMaker, shared read-only between instances."""
+
+    family: WinningSetFamily
+    edges: tuple[Edge, ...]
+    edge_index: Mapping[Edge, int]  # Edge -> position
+    members: tuple[tuple[int, ...], ...]  # hyperedge -> sorted positions
+    incident: tuple[tuple[int, ...], ...]  # position -> hyperedges, ascending
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(n: int, r: int, s: int) -> _Layout:
+    """Enumerate and index the family; the caller has run _checked_count."""
+    family = _enumerate_family(n, r, s)
+    edges = tuple(all_edges(n))
+    members = tuple(tuple(sorted(h)) for h in family.sets)
+    incident: list = [[] for _ in edges]
+    for h, positions in enumerate(members):
+        for pos in positions:
+            incident[pos].append(h)
+    for pos, hs in enumerate(incident):
+        incident[pos] = tuple(hs)  # in place: each list is freed as its tuple is built
+    return _Layout(
+        family=family,
+        edges=edges,
+        edge_index={e: i for i, e in enumerate(edges)},
+        members=members,
+        incident=tuple(incident),
+    )
+
+
 class ExpMaker:
     """Maker for one expansion game, playing greedy swapped-role potential.
 
@@ -127,7 +181,9 @@ class ExpMaker:
     (1 + maker_bias)^(-unclaimed/virtual_b).  Opponent claims shrink
     `unclaimed` and so raise the weight; Maker claims kill hyperedges.  Ties
     break toward the lowest edge index.  Incidence bookkeeping is synced
-    from the move log, so the instance never double-counts.
+    from the move log, so the instance never double-counts.  The family and
+    incidence come from the shared per-(n, r, s) layout; `cap` is checked
+    against the pair count before that layout is looked up.
     """
 
     def __init__(
@@ -150,16 +206,15 @@ class ExpMaker:
         self.maker_bias = maker_bias
         self.virtual_b = float(virtual_b)
         self.name = name
-        self.family = exp_family(n, r, s, cap=cap)
-        self.edges = all_edges(n)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        self._members: list[list[int]] = [sorted(h) for h in self.family.sets]
-        self._incident: list[list[int]] = [[] for _ in range(len(self.edges))]
-        for h, members in enumerate(self._members):
-            for pos in members:
-                self._incident[pos].append(h)
+        _checked_count(n, r, s, cap)
+        layout = _layout(n, r, s)
+        self.family = layout.family
+        self.edges = layout.edges
+        self._edge_index = layout.edge_index
+        self._members = layout.members
+        self._incident = layout.incident
         self.alive = [True] * len(self._members)
-        self.unclaimed_count = [len(m) for m in self._members]
+        self.unclaimed_count = [r * s] * len(self._members)
         self._synced = 0
         self._log_base = math.log(1 + maker_bias)
 
@@ -223,7 +278,14 @@ class ExpMaker:
 
 
 def exp_maker_select(state: GameState, params: ExpansionParams, virtual_b: float | None = None) -> list[Edge]:
-    """One expansion-Maker turn built from scratch (for desk checks; match play should hold an ExpMaker)."""
+    """One expansion-Maker turn from a fresh ExpMaker synced to the whole log.
+
+    The family and incidence come from the cached layout of the last (n, r, s),
+    so a run of calls on one (n, r, s) costs a sync and a select each, not an
+    enumeration; the cache holds one layout, so a call on another (n, r, s)
+    re-enumerates.  Match play should still hold an ExpMaker, which syncs only
+    the new moves.
+    """
     maker = ExpMaker(
         params.n,
         params.r,

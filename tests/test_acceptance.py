@@ -305,12 +305,6 @@ def _check_flood_cap(n, a, b, bound):
         side = _side_to_move(n, a, b, log)
         return _flood_race(at_target, open_edges, side, a, b) <= bound
 
-    def final_predicate(snap):
-        target = _flood_target_from_log(n, a, snap.move_log)
-        if target is None or target == -1:
-            return True
-        return sum(1 for e in snap.maker_edges if target in e) <= bound
-
     def script(state):
         try:
             return mindeg_breaker_select(state)
@@ -324,8 +318,45 @@ def _check_flood_cap(n, a, b, bound):
         b,
         _Scripted(script, name="flooding-script"),
         Player.BREAKER,
-        final_predicate,
+        _flood_final_predicate(n, a, bound),
         prune=prune,
+    )
+
+
+def _flood_final_predicate(n, a, bound):
+    def final_predicate(snap):
+        target = _flood_target_from_log(n, a, snap.move_log)
+        if target is None or target == -1:
+            return True
+        return sum(1 for e in snap.maker_edges if target in e) <= bound
+
+    return final_predicate
+
+
+def _check_flooding_breaker_cap(n, a, b, bound):
+    """The shipped FloodingBreaker against every Maker line.
+
+    Unlike _check_flood_cap, the prune assumes nothing about how the race
+    goes: it settles a node only once the target's degree is over the bound
+    or can no longer get there, so the real Breaker is played out everywhere
+    else.
+    """
+
+    def prune(maker, breaker, unclaimed, log):
+        target = _flood_target_from_log(n, a, log)
+        if target is None:
+            return None
+        if target == -1:
+            return True
+        at_target = sum(1 for e in maker if target in e)
+        if at_target > bound:
+            return False
+        if at_target + sum(1 for e in unclaimed if target in e) <= bound:
+            return True
+        return None
+
+    return verify_final_property(
+        n, a, b, FloodingBreaker(), Player.BREAKER, _flood_final_predicate(n, a, bound), prune=prune
     )
 
 
@@ -349,6 +380,18 @@ def test_criterion_06_flooding_degree_cap(n, a, b):
     if bound >= 1:
         assert not _check_flood_cap(n, a, b, bound - 1), (
             f"no Maker line reaches target degree {bound} at ({n},{a},{b}); the cap is loose"
+        )
+
+
+@pytest.mark.parametrize("n,a,b", _C6_CELLS)
+def test_criterion_06_shipped_flooding_breaker_holds_cap(n, a, b):
+    bound = flood_degree_bound(n, a, b)
+    assert _check_flooding_breaker_cap(n, a, b, bound), (
+        f"FloodingBreaker lets some Maker line past target degree {bound} at ({n},{a},{b})"
+    )
+    if bound >= 1:
+        assert not _check_flooding_breaker_cap(n, a, b, bound - 1), (
+            f"FloodingBreaker holds every Maker line to {bound - 1} at ({n},{a},{b}); the cap is loose"
         )
 
 

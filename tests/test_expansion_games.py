@@ -25,7 +25,9 @@ from diameter_games import (
     new_game,
     run_match,
 )
-from diameter_games.expansion_games import exp_family_count
+from diameter_games.exact_solver import verify_final_property
+from diameter_games.expansion_games import _layout, exp_family_count
+from diameter_games.graph_metrics import graph_from_edges
 
 
 class TestCondition:
@@ -176,6 +178,114 @@ class TestExpMaker:
             early_stop=False,
         )
         assert has_expansion(maker_graph(state), r, s)
+
+
+def _picks_through_seeded_game(makers, n, a, b, seed):
+    """Each maker's select() at every Maker turn of one random game, asked in turn."""
+    state = new_game(n, a, b)
+    rng = random.Random(seed)
+    picks = [[] for _ in makers]
+    while state.unclaimed:
+        player = state.to_move
+        if player is Player.MAKER:
+            for maker, out in zip(makers, picks):
+                out.append(maker.select(state))
+        count = state.required_claim_count(player)
+        apply_claim(state, player, rng.sample(sorted(state.unclaimed), count))
+    return picks
+
+
+def _reference_exp_pick(state, family, virtual_b):
+    """exp_maker_select's greedy, recomputed from the ownership sets on an enumerated family."""
+    edges = all_edges(state.n)
+    maker = {i for i, e in enumerate(edges) if e in state.maker_edges}
+    breaker = {i for i, e in enumerate(edges) if e in state.breaker_edges}
+    log_base = math.log(1 + state.a)
+    weights = [
+        0.0 if h & maker else math.exp(-len(h - breaker) / virtual_b * log_base)
+        for h in family.sets
+    ]
+    picked: list[int] = []
+    for _ in range(state.required_claim_count(Player.MAKER)):
+        score: dict[int, float] = {}
+        for h, w in zip(family.sets, weights):
+            if w == 0.0 or not h.isdisjoint(picked):
+                continue
+            for pos in h:
+                if edges[pos] in state.unclaimed:
+                    score[pos] = score.get(pos, 0.0) + w
+        if score:
+            picked.append(min(score, key=lambda pos: (-score[pos], pos)))
+            continue
+        free = [i for i, e in enumerate(edges) if e in state.unclaimed and i not in picked]
+        if not free:
+            break
+        picked.append(free[0])
+    return [edges[pos] for pos in picked]
+
+
+class _Scripted:
+    name = "scripted"
+
+    def __init__(self, select_fn):
+        self.select = select_fn
+
+
+class TestSharedLayout:
+    """ExpMakers on one (n, r, s) share a cached layout and nothing else."""
+
+    def test_interleaved_makers_pick_as_when_alone(self):
+        n, r, s, a, b = 7, 2, 3, 2, 2
+        biases = [(1, 0.25), (4, 40.0)]
+
+        def maker(maker_bias, virtual_b):
+            return ExpMaker(n, r, s, maker_bias=maker_bias, virtual_b=virtual_b)
+
+        for seed in range(3):
+            alone = []
+            for bias in biases:
+                _layout.cache_clear()
+                alone += _picks_through_seeded_game([maker(*bias)], n, a, b, seed)
+            _layout.cache_clear()
+            together = _picks_through_seeded_game([maker(*bias) for bias in biases], n, a, b, seed)
+            assert together == alone, seed
+            assert together[0] != together[1]  # the biases do steer the picks apart
+
+    def test_small_cap_raises_after_cache_is_filled(self):
+        n, r, s = 6, 2, 2
+        count = exp_family_count(n, r, s)
+        ExpMaker(n, r, s, maker_bias=1, virtual_b=1.0)
+        with pytest.raises(FamilyTooLarge) as exc:
+            ExpMaker(n, r, s, maker_bias=1, virtual_b=1.0, cap=count - 1)
+        assert exc.value.count == count
+        ExpMaker(n, r, s, maker_bias=1, virtual_b=1.0, cap=count)
+
+    @pytest.mark.parametrize("n,r,s,a,b", [(6, 2, 4, 3, 3), (6, 3, 3, 1, 1)])
+    def test_one_shot_helper_matches_reference_on_every_node(self, n, r, s, a, b):
+        """A criterion-07 cell, with the scripted Maker checked wherever the verifier asks it."""
+        params = exp_condition(n, r, s, a, b)
+        family = exp_family(n, r, s)
+        calls = 0
+
+        def script(state):
+            nonlocal calls
+            calls += 1
+            pick = exp_maker_select(state, params)
+            assert pick == _reference_exp_pick(state, family, b)
+            return pick
+
+        def predicate(snap):
+            return has_expansion(graph_from_edges(n, snap.maker_edges), r, s)
+
+        def prune(maker, breaker, unclaimed, log):
+            if has_expansion(graph_from_edges(n, maker), r, s):
+                return True
+            if not has_expansion(graph_from_edges(n, maker | unclaimed), r, s):
+                return False
+            return None
+
+        assert verify_final_property(n, a, b, _Scripted(script), Player.MAKER, predicate, prune=prune)
+        assert calls > 100
 
 
 @settings(max_examples=40, deadline=None)

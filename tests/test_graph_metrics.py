@@ -1,10 +1,11 @@
 """Graph primitives, cross-checked against networkx where it has an answer."""
 
 import math
+from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diameter_games import (
@@ -125,22 +126,19 @@ class TestExpansion:
             has_expansion(complete_graph(4), 3, 2)
 
     def test_brute_force_agreement(self):
-        from itertools import combinations
-
         g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
         for r, s in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-            expected = True
-            for rset in combinations(range(6), r):
-                rest = [v for v in range(6) if v not in rset]
-                for sset in combinations(rest, s):
-                    touching = any(
-                        (min(u, v), max(u, v)) in g.edges
-                        for u in rset
-                        for v in sset
-                    )
-                    if not touching:
-                        expected = False
-            assert has_expansion(g, r, s) == expected, (r, s)
+            assert has_expansion(g, r, s) == _expansion_by_pairs(g, r, s), (r, s)
+
+
+def _expansion_by_pairs(g, r, s):
+    """Reference: enumerate every disjoint (R, S) pair and look for a crossing edge."""
+    for rset in combinations(range(g.n), r):
+        rest = [v for v in range(g.n) if v not in rset]
+        for sset in combinations(rest, s):
+            if not any((min(u, v), max(u, v)) in g.edges for u in rset for v in sset):
+                return False
+    return True
 
 
 @st.composite
@@ -149,6 +147,21 @@ def random_graphs(draw):
     pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool))) if pool else []
     return graph_from_edges(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs())
+@example(graph_from_edges(9, []))
+@example(complete_graph(9))
+@example(graph_from_edges(9, [(0, i) for i in range(1, 9)]))
+@example(graph_from_edges(4, [(0, 1), (2, 3)]))
+@example(complete_graph(2))
+@example(graph_from_edges(2, []))
+def test_has_expansion_matches_pair_enumeration(g):
+    """Every (r, s) with r + s <= n, so S may be all of R's complement."""
+    for r in range(1, g.n):
+        for s in range(1, g.n - r + 1):
+            assert has_expansion(g, r, s) == _expansion_by_pairs(g, r, s), (r, s)
 
 
 @settings(max_examples=120, deadline=None)
