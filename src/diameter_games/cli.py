@@ -18,7 +18,7 @@ import os
 import sys
 
 from .degree_games import mindeg_params
-from .diameter2 import PairingBreaker, d2_breaker_params, d2_maker_params
+from .diameter2 import D2_BREAKER_EPS, PairingBreaker, d2_breaker_params, d2_maker_params
 from .diameter_d import claim2_check, dd_params
 from .exact_solver import (
     DEFAULT_EDGE_CAP,
@@ -247,7 +247,7 @@ def build_parser() -> _Parser:
     q.add_argument("--b", type=float, default=None)
     q = par_sub.add_parser("d2-breaker")
     q.add_argument("--n", type=_intish, required=True)
-    q.add_argument("--eps", type=float, default=0.1)
+    q.add_argument("--eps", type=float, default=D2_BREAKER_EPS)
     q = par_sub.add_parser("dd")
     q.add_argument("--n", type=_intish, required=True)
     q.add_argument("--d", type=_intish, required=True)

@@ -41,6 +41,7 @@ from .game_core import (
     GameState,
     InvalidParameters,
     LexCursor,
+    LogCursor,
     Player,
     StrategyInapplicable,
 )
@@ -119,21 +120,24 @@ class DegreeWeightState:
     """Incrementally maintained log-weights for one degree game.
 
     The state is synced from a GameState's move log, so it never
-    double-counts claims and survives empty-state restarts.  `role` is the
-    side whose degrees are "self" in the weight formula.
+    double-counts claims; on a log that did not grow it starts over from
+    the empty board and replays the log (game_core.LogCursor), so a rewound
+    log gives the same weights, bit for bit, as a fresh instance.  `role` is
+    the side whose degrees are "self" in the weight formula.
     """
 
     def __init__(self, params: MinDegParams, role: Player = Player.MAKER):
         self.params = params
         self.role = role
-        n = params.n
+        self._log = LogCursor()
+        self._reset()
+
+    def _reset(self) -> None:
+        n = self.params.n
         self.deg_self = np.zeros(n, dtype=np.int64)
         self.deg_opp = np.zeros(n, dtype=np.int64)
         self.claimed = np.zeros((n, n), dtype=bool)
         np.fill_diagonal(self.claimed, True)
-        self.log_w = np.empty(n, dtype=np.float64)
-        self._synced = 0
-        self._since_recompute = 0
         self.recompute()
 
     def recompute(self) -> None:
@@ -162,12 +166,12 @@ class DegreeWeightState:
             self.recompute()
 
     def sync(self, state: GameState) -> None:
-        log = state.move_log
-        if self._synced > len(log):
-            raise InvalidParameters("weight state is ahead of the game log")
-        for player, edge in log[self._synced :]:
+        new = self._log.new_claims(state)
+        if new is None:
+            self._reset()
+            new = state.move_log
+        for player, edge in new:
             self.observe(player, edge)
-        self._synced = len(log)
 
     def potential(self) -> float:
         """T = sum of vertex weights, via logsumexp."""
@@ -321,28 +325,22 @@ class FloodingBreaker:
     mindeg_breaker_select: identical picks on any position reached by forward
     play or by an exhaustive verifier, without rescanning the unclaimed set
     every turn.  The pure function stays as the reference implementation.
-    The target and both cursors restart unless the log is longer than at the
-    previous call (see the heuristics module for why that rule is sound).
+    The target and both cursors restart under game_core.LogCursor's rule.
     """
 
     name = "flooding-breaker"
 
     def __init__(self) -> None:
-        self._target: int | None = None
+        self._target = 0
         self._ring = 0
         self._lex: LexCursor | None = None
-        self._log_len = -1
+        self._log = LogCursor()
 
     def select(self, state: GameState) -> list[Edge]:
-        if self._lex is None:
-            self._lex = LexCursor(state.n)
-        elif len(state.move_log) <= self._log_len:
-            self._target = None
-        self._log_len = len(state.move_log)
-        if self._target is None:
+        if self._log.new_claims(state) is None:
             self._target = flood_target(state)
             self._ring = 0
-            self._lex.reset()
+            self._lex = LexCursor(state.n)
         t = self._target
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []

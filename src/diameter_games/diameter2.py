@@ -33,6 +33,7 @@ from .game_core import (
     GameState,
     InvalidParameters,
     LexCursor,
+    LogCursor,
     Player,
     StrategyInapplicable,
     edge_count,
@@ -138,6 +139,8 @@ class D2SimpleMaker:
 
 # --- saturating Breaker with a box-game finish ------------------------------
 
+D2_BREAKER_EPS = 0.1  # default slack in the bias ceil((2+eps) sqrt(n / ln n))
+
 
 @dataclass(frozen=True)
 class D2BreakerParams:
@@ -188,12 +191,13 @@ class D2Breaker:
     smallest-first (ties to the lower x, edges in lex order); a box dies
     when Maker claims inside it.  The exact harmonic criterion is evaluated
     when the boxes freeze and flagged if it fails; leftover claims go to
-    the lowest unclaimed edge.
+    the lowest unclaimed edge.  Phase and boxes are history, so a log that
+    did not grow since the previous turn is refused (game_core.LogCursor).
     """
 
     name = "d2-breaker"
 
-    def __init__(self, n: int, eps: float = 0.1):
+    def __init__(self, n: int, eps: float = D2_BREAKER_EPS):
         self.params = d2_breaker_params(n, eps)
         self.flags: list[str] = []
         self.violations: list[str] = []
@@ -208,12 +212,13 @@ class D2Breaker:
         self._dead: set[int] = set()
         self._completed: list[int] = []
         self._u_list: list[int] = []
-        self._synced = 0
+        self._log = LogCursor()
         self._lex: LexCursor | None = None
         self._rounds = 0
         self._checked_bias = False
 
     def select(self, state: GameState) -> list[Edge]:
+        new = self._log.require_growth(state)
         self._rounds += 1
         if not self._checked_bias:
             self._checked_bias = True
@@ -249,7 +254,7 @@ class D2Breaker:
                 self._freeze_boxes(state, picked)
                 self._phase = 2
         if self._phase == 2:
-            self._sync_boxes(state)
+            self._sync_boxes(new)
             while len(picks) < count:
                 box = self._smallest_box()
                 if box is None:
@@ -270,16 +275,14 @@ class D2Breaker:
 
     def _freeze_boxes(self, state: GameState, picked: set[Edge]) -> None:
         t = self._target
-        maker_adj: list[set[int]] = [set() for _ in range(state.n)]
-        for u, v in state.maker_edges:
-            maker_adj[u].add(v)
-            maker_adj[v].add(u)
-        self._u_list = sorted(maker_adj[t])
+        maker_adj = state.maker_adjacency()
+        self._u_list = list(maker_adj[t])
+        u_set = set(self._u_list)
         pre_completed = 0
         for x in range(state.n):
-            if x == t or x in maker_adj[t]:
+            if x == t or x in u_set:
                 continue
-            if any(u in maker_adj[x] for u in self._u_list):
+            if not u_set.isdisjoint(maker_adj[x]):
                 continue  # already two steps from the target through some u_i
             box = {
                 mk_edge(x, u)
@@ -313,8 +316,8 @@ class D2Breaker:
             }
         )
 
-    def _sync_boxes(self, state: GameState) -> None:
-        for player, edge in state.move_log[self._synced :]:
+    def _sync_boxes(self, new_claims: list[tuple[Player, Edge]]) -> None:
+        for player, edge in new_claims:
             x = self._edge_box.get(edge)
             if x is None or x not in self._boxes:
                 continue
@@ -327,7 +330,6 @@ class D2Breaker:
                 if not box:
                     self._completed.append(x)
                     del self._boxes[x]
-        self._synced = len(state.move_log)
 
     def _smallest_box(self) -> tuple[int, set[Edge]] | None:
         best: tuple[int, int] | None = None
@@ -472,7 +474,9 @@ class D2Maker:
     recorded as a violation.  High vertices stop accruing when Phase I
     ends.  Phase II repairs the remaining broken pairs directly on odd
     rounds (cheapest leg of the fewest-middles pair) and alternates game 4
-    with free moves on even rounds.
+    with free moves on even rounds.  Phases, high vertices and the game-4
+    trace are history, so a log that did not grow since the previous turn
+    is refused (game_core.LogCursor).
     """
 
     name = "d2-maker"
@@ -533,7 +537,7 @@ class D2Maker:
         self._high_set: set[int] = set()
         self._g4_pairs: list[_ConnectPair] = []
         self._high_frozen = False
-        self._synced = 0
+        self._log = LogCursor()
         self._round = 0
         self._t_trace: list[tuple[int, int, float]] = []
         self._p2_pairs: list[_ConnectPair] | None = None
@@ -554,11 +558,8 @@ class D2Maker:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _sync(self, state: GameState) -> None:
-        log = state.move_log
-        if self._synced > len(log):
-            raise InvalidParameters("game log rewound under a composite strategy")
-        for player, (u, v) in log[self._synced :]:
+    def _sync(self, new_claims: list[tuple[Player, Edge]]) -> None:
+        for player, (u, v) in new_claims:
             if player is Player.MAKER:
                 self._madj[u, v] = self._madj[v, u] = True
             else:
@@ -569,7 +570,6 @@ class D2Maker:
                     for x in sorted((u, v)):
                         if self._bdeg[x] >= self.high_threshold and x not in self._high_set:
                             self._on_high(x)
-        self._synced = len(log)
 
     def _on_high(self, x: int) -> None:
         for prev in self._high:
@@ -698,10 +698,11 @@ class D2Maker:
     # -- the turn ------------------------------------------------------------
 
     def select(self, state: GameState) -> list[Edge]:
+        new = self._log.require_growth(state)
         self._round += 1
         if self._round == 1 and (state.a != 2 or state.b != self.b_game):
             self.flags.append("d2-maker-bias-mismatch")
-        self._sync(state)
+        self._sync(new)
         if self._round > self.phase1_rounds:
             self._high_frozen = True  # the sync above drained Phase I's log
         self._g1.sync(state)

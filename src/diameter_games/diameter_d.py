@@ -29,9 +29,11 @@ from .game_core import (
     GameState,
     InvalidParameters,
     LexCursor,
+    LogCursor,
     Player,
     mk_edge,
 )
+from .graph_metrics import bfs_levels
 
 __all__ = [
     "DdParams",
@@ -148,6 +150,10 @@ class DdMaker:
     sense at very large n; small-n play should pass an explicit
     schedule.  Expansion families grow like n^(r + s), so anything but
     tiny r_sizes trips the family cap, and that error propagates.
+
+    The round, and with it the subgame, follows from the number of Maker
+    turns in the log, so the subgames' own bookkeeping keeps
+    game_core.LogCursor's rule.
     """
 
     def __init__(
@@ -224,18 +230,20 @@ class DdMaker:
                 "effective_opponent_bias": eff_b,
             }
         ]
-        self._round = 0
         self._lex = LexCursor(n)
+        self._log = LogCursor()
         self._checked_bias = False
 
     def select(self, state: GameState) -> list[Edge]:
-        self._round += 1
         if not self._checked_bias:
             self._checked_bias = True
             if state.a != 1 or state.b != self.game_b:
                 self.flags.append("dd-maker-bias-mismatch")
+        if self._log.new_claims(state) is None:
+            self._lex.reset()
         count = state.required_claim_count(Player.MAKER)
-        game = (self._round - 1) % self.half + 1
+        # Every Maker turn but a truncated last one claims exactly a edges.
+        game = len(state.maker_edges) // state.a % self.half + 1
         picks: list[Edge] = []
         picked: set[Edge] = set()
         if game == 1:
@@ -255,9 +263,11 @@ class DdMaker:
 # ---------------------------------------------------------------------------
 # Breaker, Maker bias 1
 
+A1_MULTIPLIER = 4.0  # default ratio of the total bias to the capping share
+
 
 def dd_breaker_a1_biases(
-    n: int, d: int, multiplier: float = 4.0
+    n: int, d: int, multiplier: float = A1_MULTIPLIER
 ) -> tuple[int, int]:
     """(total bias, capping share) for the anchored bias-1 Breaker.
 
@@ -273,20 +283,26 @@ def dd_breaker_a1_biases(
     return math.ceil(multiplier * base), math.ceil(base)
 
 
-def _bfs_dist(adj: list[set[int]] | list[list[int]], src: int, n: int) -> list[int]:
-    inf = n + 1
-    dist = [inf] * n
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if dist[y] == inf:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
+def _distances(adj: list[list[int]], src: int, n: int) -> list[int]:
+    """BFS distances from src, with the finite n + 1 for unreachable vertices.
+
+    _blocking_claims subtracts distances; with INFINITE, two unreachable
+    endpoints would give inf - inf = NaN and fall into another case.
+    """
+    dist = [n + 1] * n
+    for x, k in bfs_levels(adj, src).items():
+        dist[x] = k
     return dist
+
+
+def _spheres(adj: list[list[int]], src: int, depth: int) -> list[list[int]]:
+    """The vertices at distance exactly 0, 1, ..., depth from src, each sorted."""
+    spheres: list[list[int]] = [[] for _ in range(depth + 1)]
+    for x, k in bfs_levels(adj, src, depth).items():
+        spheres[k].append(x)
+    for ring in spheres:
+        ring.sort()
+    return spheres
 
 
 def a1_blocking_invariant(state: GameState, u: int, v: int, d: int) -> bool:
@@ -297,12 +313,9 @@ def a1_blocking_invariant(state: GameState, u: int, v: int, d: int) -> bool:
     and dist(u,q) + dist(v,p) >= d, and it forces dist(u, v) > d: a
     shorter u..v walk would contain a crossing edge.
     """
-    adj: list[list[int]] = [[] for _ in range(state.n)]
-    for p, q in state.maker_edges:
-        adj[p].append(q)
-        adj[q].append(p)
-    du = _bfs_dist(adj, u, state.n)
-    dv = _bfs_dist(adj, v, state.n)
+    adj = state.maker_adjacency()
+    du = _distances(adj, u, state.n)
+    dv = _distances(adj, v, state.n)
     for p, q in state.maker_edges:
         if du[p] + dv[q] <= d - 1 or du[q] + dv[p] <= d - 1:
             return False
@@ -328,6 +341,10 @@ class DdBreakerA1:
     block_budget(max_degree, d) bounds how many survive.  After the
     answer comes a fixed share of degree-capping claims (which keeps
     the budget bound small) and lex-lowest filler for the rest.
+
+    Distances are read off the board's Maker adjacency, and the anchor
+    depends only on Maker's opening edge, so both follow from the log; the
+    capping engine and the filler keep game_core.LogCursor's rule.
     """
 
     def __init__(
@@ -335,7 +352,7 @@ class DdBreakerA1:
         n: int,
         d: int,
         b1: int | None = None,
-        multiplier: float = 4.0,
+        multiplier: float = A1_MULTIPLIER,
         name: str = "dd-breaker-a1",
     ) -> None:
         total, cap_share = dd_breaker_a1_biases(n, d, multiplier)
@@ -350,9 +367,8 @@ class DdBreakerA1:
         self.violations: list[str] = []
         self._cap = DegreeWeightState(mindeg_params(n, self.b1, 1), Player.BREAKER)
         self.anchor: tuple[int, int] | None = None
-        self._madj: list[set[int]] = [set() for _ in range(n)]
-        self._synced = 0
         self._lex = LexCursor(n)
+        self._log = LogCursor()
         self._max_blocking = 0
         self._note: dict = {
             "total_bias": total,
@@ -363,36 +379,15 @@ class DdBreakerA1:
         self.annotations = [self._note]
         self._checked_bias = False
 
-    def _sync(self, state: GameState) -> None:
-        if len(state.move_log) < self._synced:
-            raise InvalidParameters("move log rewound under a live strategy")
-        for player, (p, q) in state.move_log[self._synced :]:
-            if player is Player.MAKER:
-                self._madj[p].add(q)
-                self._madj[q].add(p)
-        self._synced = len(state.move_log)
-
-    def _layers(self, src: int, depth: int) -> list[list[int]]:
-        layers = [[src]]
-        seen = {src}
-        for _ in range(depth):
-            nxt: list[int] = []
-            for x in layers[-1]:
-                for y in self._madj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            layers.append(sorted(nxt))
-        return layers
-
     def _blocking_claims(
         self, state: GameState, last_edge: Edge, budget: int
     ) -> list[Edge]:
         u, v = self.anchor  # type: ignore[misc]
         n = self.n
         d = self.d
-        du = _bfs_dist(self._madj, u, n)
-        dv = _bfs_dist(self._madj, v, n)
+        adj = state.maker_adjacency()
+        du = _distances(adj, u, n)
+        dv = _distances(adj, v, n)
         p, q = last_edge
         a_diff = du[p] - du[q]
         b_diff = dv[p] - dv[q]
@@ -431,7 +426,7 @@ class DdBreakerA1:
         seen: set[Edge] = set()
         overflow = False
         for centre, bdist, radius in jobs:
-            spheres = self._layers(centre, radius)
+            spheres = _spheres(adj, centre, radius)
             for k in range(radius + 1):
                 ring = spheres[k]
                 if not ring:
@@ -464,27 +459,16 @@ class DdBreakerA1:
                 self.flags.append("dd-breaker-a1-maker-bias-not-one")
             if state.b != self.bias:
                 self.flags.append("dd-breaker-a1-bias-mismatch")
-        self._sync(state)
+        if self._log.new_claims(state) is None:
+            self._lex.reset()
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
         picked: set[Edge] = set()
 
-        if self.anchor is None:
-            opener = state.move_log[0][1] if state.move_log else (-1, -1)
-            pair: tuple[int, int] | None = None
-            for x in range(self.n):
-                if x in opener:
-                    continue
-                for y in range(x + 1, self.n):
-                    if y in opener:
-                        continue
-                    pair = (x, y)
-                    break
-                if pair is not None:
-                    break
-            if pair is None:
-                raise InvalidParameters("no vertex pair clear of the opening edge")
-            self.anchor = pair
+        log = state.move_log
+        opener = log[0][1] if log and log[0][0] is Player.MAKER else ()
+        self.anchor = pair = tuple(x for x in range(self.n) if x not in opener)[:2]
+        if all(player is Player.MAKER for player, _ in log):
             self._note["anchor"] = list(pair)
             e = mk_edge(*pair)
             if e in state.unclaimed:

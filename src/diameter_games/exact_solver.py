@@ -12,8 +12,9 @@ claim on the way back.  A caller's prune may settle a node early; the final
 predicate judges the full board.  verify_one_sided() is that DFS with the
 two diameter cutoffs as its prune.  Strategies verified this way must be
 snapshot-pure: select(state) may depend only on the passed state (including
-its move log), never on retained instance state, because the verifier
-re-enters earlier positions after backtracking.
+its move log), because the verifier re-enters earlier positions after
+backtracking.  Retained state is fine when it follows game_core.LogCursor's
+rule: rebuild unless the log grew since the previous select().
 
 solve() and verify_family_one_sided() keep their own searches.  solve() is
 two-sided and memoises on canonical keys; the family verifier memoises on
@@ -103,7 +104,11 @@ def canonical_key(state: GameState, claims_remaining: int | None = None):
 
 
 def _diameter_within(n: int, mask: int, edges: list[tuple[int, int]], d: int) -> bool:
-    """True iff the mask's graph on n vertices has diameter <= d (BFS per vertex)."""
+    """True iff the mask's graph on n vertices has diameter <= d (BFS per vertex).
+
+    Kept beside graph_metrics.bfs_levels: solve() runs it on bitmasks at
+    every node, so it tracks visited vertices as bits, with no level map.
+    """
     adj = [[] for _ in range(n)]
     m = mask
     while m:
@@ -290,8 +295,10 @@ def verify_final_property(
     given, receives (maker_edges, breaker_edges, unclaimed, move_log) before
     each node is expanded and may return True/False to settle the subtree
     early, or None to continue.  All structures passed to prune are live and
-    must not be mutated.  The scripted strategy must be snapshot-pure (see
-    module docstring).  An illegal scripted claim raises.
+    must not be mutated.  The scripted strategy must be snapshot-pure: what
+    it keeps between calls follows game_core.LogCursor's rule, rebuilt
+    unless the log grew since its previous select().  An illegal scripted
+    claim raises, and so does a strategy that refuses a log that did not grow.
     """
     maker: set = set()
     breaker: set = set()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .game_core import Edge, GameState, InvalidParameters, Player, all_edges
+from .game_core import Edge, GameState, InvalidParameters, LogCursor, Player, all_edges
 from .potential_engine import FamilyTooLarge, WinningSetFamily
 
 DEFAULT_FAMILY_CAP = 2_000_000
@@ -181,7 +181,8 @@ class ExpMaker:
     (1 + maker_bias)^(-unclaimed/virtual_b).  Opponent claims shrink
     `unclaimed` and so raise the weight; Maker claims kill hyperedges.  Ties
     break toward the lowest edge index.  Incidence bookkeeping is synced
-    from the move log, so the instance never double-counts.  The family and
+    from the move log, so the instance never double-counts, and it starts
+    over on a log that did not grow (game_core.LogCursor).  The family and
     incidence come from the shared per-(n, r, s) layout; `cap` is checked
     against the pair count before that layout is looked up.
     """
@@ -213,10 +214,10 @@ class ExpMaker:
         self._edge_index = layout.edge_index
         self._members = layout.members
         self._incident = layout.incident
-        self.alive = [True] * len(self._members)
-        self.unclaimed_count = [r * s] * len(self._members)
-        self._synced = 0
+        self._log = LogCursor()
         self._log_base = math.log(1 + maker_bias)
+        self.alive: list[bool] = []  # both filled by the first sync
+        self.unclaimed_count: list[int] = []
 
     def _observe(self, player: Player, edge: Edge) -> None:
         pos = self._edge_index[edge]
@@ -227,12 +228,13 @@ class ExpMaker:
                 self.unclaimed_count[h] -= 1
 
     def sync(self, state: GameState) -> None:
-        log = state.move_log
-        if self._synced > len(log):
-            raise InvalidParameters("expansion state is ahead of the game log")
-        for player, edge in log[self._synced :]:
+        new = self._log.new_claims(state)
+        if new is None:
+            self.alive = [True] * len(self._members)
+            self.unclaimed_count = [self.r * self.s] * len(self._members)
+            new = state.move_log
+        for player, edge in new:
             self._observe(player, edge)
-        self._synced = len(log)
 
     def _weight(self, h: int, extra_dead) -> float:
         if not self.alive[h] or h in extra_dead:

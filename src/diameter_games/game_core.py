@@ -98,6 +98,41 @@ class LexCursor:
         return picks[0] if picks else None
 
 
+class LogCursor:
+    """The one rule for state a strategy keeps between turns: rebuild it from
+    the snapshot unless the move log grew since the previous select().
+
+    Forward play always lengthens the log, so it never rebuilds.  In an
+    exhaustive verifier's DFS, the first scripted turn of a sibling branch
+    is no deeper than the scripted turn before it, so a deeper call lies
+    below the previous one: its log extends that log, and what was read
+    from it still holds.  Strategies that follow the rule are therefore
+    snapshot-pure under the verifiers.  A subgame engine consulted on some
+    turns only keeps this while which turns follows from the log.  State
+    that is real history (phase switches, frozen boxes) cannot be rebuilt;
+    its owner calls require_growth() and refuses a log that did not grow.
+    """
+
+    __slots__ = ("seen",)
+
+    def __init__(self) -> None:
+        self.seen = -1  # log length at the previous call; -1 before the first
+
+    def new_claims(self, state: GameState) -> list[tuple[Player, Edge]] | None:
+        """Claims logged since the previous call; None means rebuild (first call, or no growth)."""
+        log = state.move_log
+        seen, self.seen = self.seen, len(log)
+        return log[seen:] if 0 <= seen < len(log) else None
+
+    def require_growth(self, state: GameState) -> list[tuple[Player, Edge]]:
+        """new_claims, but the whole log on the first call and StrategyInapplicable for no growth."""
+        first = self.seen < 0
+        new = self.new_claims(state)
+        if new is None and not first:
+            raise StrategyInapplicable("the game log did not grow since this strategy's previous turn")
+        return state.move_log[:] if new is None else new
+
+
 def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -111,10 +146,11 @@ class GameState:
     entry per edge, so any auxiliary bookkeeping can be rebuilt from it.
 
     The state also keeps one derived index, Maker's sorted neighbour lists,
-    which maker_graph reads.  It is no constructor argument: it is built
-    from `maker_edges` on first use, so a copy() or a state built from its
-    fields gets its own, and apply_claim extends it once it exists.  Like
-    every other bookkeeping, it follows from `move_log` alone.
+    which maker_graph and the strategies read through maker_adjacency().
+    It is no constructor argument: it is built from `maker_edges` on first
+    use, so a copy() or a state built from its fields gets its own, and
+    apply_claim extends it once it exists.  Like every other bookkeeping,
+    it follows from `move_log` alone.
     """
 
     n: int
@@ -144,7 +180,7 @@ class GameState:
     def is_exhausted(self) -> bool:
         return not self.unclaimed
 
-    def _maker_adjacency(self) -> list[list[int]]:
+    def maker_adjacency(self) -> list[list[int]]:
         """Maker's neighbours of each vertex, sorted; live, so read-only."""
         if self._maker_adj is None:
             adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -221,7 +257,7 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
 def maker_graph(state: GameState) -> Graph:
     """Maker's graph at this position; later claims do not change it."""
     return Graph.from_sorted_adjacency(
-        state.n, frozenset(state.maker_edges), state._maker_adjacency()
+        state.n, frozenset(state.maker_edges), state.maker_adjacency()
     )
 
 

@@ -8,6 +8,7 @@ INFINITE (math.inf), a distinguished non-integer value: comparisons such as
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -64,8 +65,11 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, canon)
 
 
-def _bfs_levels(g: Graph, source: int, limit: float = INFINITE) -> dict[int, int]:
-    """Level map of the BFS tree rooted at source, truncated at depth `limit`."""
+def bfs_levels(adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], source: int, limit: float = INFINITE) -> dict[int, int]:
+    """Level map of the BFS tree rooted at source, truncated at depth `limit`.
+
+    adj[v] lists v's neighbours: a Graph's, or GameState.maker_adjacency().
+    """
     seen = {source: 0}
     frontier = [source]
     depth = 0
@@ -73,7 +77,7 @@ def _bfs_levels(g: Graph, source: int, limit: float = INFINITE) -> dict[int, int
         depth += 1
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if w not in seen:
                     seen[w] = depth
                     nxt.append(w)
@@ -87,7 +91,7 @@ def dist(g: Graph, u: int, v: int) -> int | float:
         raise InvalidGraph(f"vertices ({u}, {v}) out of range for n={g.n}")
     if u == v:
         return 0
-    levels = _bfs_levels(g, u)
+    levels = bfs_levels(g._adj, u)
     return levels.get(v, INFINITE)
 
 
@@ -97,12 +101,12 @@ def ball(g: Graph, v: int, radius: int | float) -> frozenset[int]:
         raise InvalidGraph(f"vertex {v} out of range for n={g.n}")
     if radius < 0:
         raise InvalidGraph(f"radius must be nonnegative, got {radius}")
-    return frozenset(_bfs_levels(g, v, limit=radius))
+    return frozenset(bfs_levels(g._adj, v, limit=radius))
 
 
 def sphere(g: Graph, v: int, radius: int) -> frozenset[int]:
     """Vertices at distance exactly `radius` from v."""
-    levels = _bfs_levels(g, v, limit=radius)
+    levels = bfs_levels(g._adj, v, limit=radius)
     return frozenset(w for w, d in levels.items() if d == radius)
 
 
@@ -116,7 +120,7 @@ def diameter(g: Graph) -> int | float:
         raise InvalidGraph("diameter needs at least two vertices")
     worst = 0
     for v in range(g.n):
-        levels = _bfs_levels(g, v)
+        levels = bfs_levels(g._adj, v)
         if len(levels) < g.n:
             return INFINITE
         ecc = max(levels.values())

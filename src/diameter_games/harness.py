@@ -15,25 +15,21 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .degree_games import (
     DegreeWeightState,
     FloodingBreaker,
     MinDegStrategy,
 )
-from .diameter2 import (
-    D2Breaker,
-    D2Maker,
-    D2SimpleMaker,
-    PairingBreaker,
-    d2_breaker_params,
-)
-from .diameter_d import DdBreakerA1, DdBreakerA2, DdMaker, dd_breaker_a1_biases, dd_breaker_a2_bias
+from .diameter2 import D2Breaker, D2Maker, D2SimpleMaker, PairingBreaker
+from .diameter_d import DdBreakerA1, DdBreakerA2, DdMaker
 from .game_core import (
     InvalidParameters,
     Player,
@@ -68,45 +64,41 @@ __all__ = [
 
 CSV_COLUMNS = ["match_index", "seed", "winner", "rounds", "flags", "violations"]
 
-STRATEGY_IDS = (
-    "random",
-    "lowest-edge",
-    "degree-greedy",
-    "path-greedy",
-    "esb-degree-breaker",
-    "mindeg-maker",
-    "flooding-breaker",
-    "pairing-breaker",
-    "d2-simple-maker",
-    "d2-maker",
-    "d2-breaker",
-    "dd-maker",
-    "dd-breaker-a1",
-    "dd-breaker-a2",
-)
 
-_STOCHASTIC_IDS = ("random",)
+class _Registered(NamedTuple):
+    """One strategy id.
 
-_CONFIG_KEYS = {
-    "name",
-    "n",
-    "a",
-    "b",
-    "d",
-    "maker",
-    "breaker",
-    "seeds",
-    "repetitions",
-    "property_id",
-    "early_stop",
-    "max_rounds",
-    "csv_path",
-    "transcripts_path",
-    "assert_invariants",
-    "maker_options",
-    "breaker_options",
-    "first",
+    `args` gives the positional constructor arguments from the config, and
+    pops an option that overrides one (path-greedy's `d`); the remaining
+    options are keyword arguments.  `bias` reads the Breaker bias off a
+    built instance, for ids that carry their own bias formula.  `takes_rng`
+    ids get the match RNG as their first argument.
+    """
+
+    cls: type
+    args: Callable[[ExperimentConfig, dict], tuple] = lambda cfg, opts: ()
+    bias: Callable[[object], int] | None = None
+    takes_rng: bool = False
+
+
+_REGISTRY: dict[str, _Registered] = {
+    "random": _Registered(RandomStrategy, takes_rng=True),
+    "lowest-edge": _Registered(LowestEdgeStrategy),
+    "degree-greedy": _Registered(DegreeGreedyStrategy),
+    "path-greedy": _Registered(PathGreedyStrategy, lambda cfg, opts: (opts.pop("d", cfg.d),)),
+    "esb-degree-breaker": _Registered(EsbDegreeBreaker),
+    "mindeg-maker": _Registered(MinDegStrategy, lambda cfg, opts: (cfg.n, cfg.a, cfg.effective_b())),
+    "flooding-breaker": _Registered(FloodingBreaker),
+    "pairing-breaker": _Registered(PairingBreaker),
+    "d2-simple-maker": _Registered(D2SimpleMaker, lambda cfg, opts: (cfg.n, cfg.a, cfg.effective_b())),
+    "d2-maker": _Registered(D2Maker, lambda cfg, opts: (cfg.n, cfg.effective_b())),
+    "d2-breaker": _Registered(D2Breaker, lambda cfg, opts: (cfg.n,), bias=lambda s: s.params.b),
+    "dd-maker": _Registered(DdMaker, lambda cfg, opts: (cfg.n, cfg.d, cfg.effective_b())),
+    "dd-breaker-a1": _Registered(DdBreakerA1, lambda cfg, opts: (cfg.n, cfg.d), bias=lambda s: s.bias),
+    "dd-breaker-a2": _Registered(DdBreakerA2, lambda cfg, opts: (cfg.n, cfg.d), bias=lambda s: s.bias),
 }
+
+STRATEGY_IDS = tuple(_REGISTRY)
 
 
 class InvariantViolation(AssertionError):
@@ -144,7 +136,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidParameters(f"unknown config keys: {sorted(unknown)}")
         missing = {"name", "n", "maker", "breaker"} - set(data)
@@ -160,9 +152,9 @@ class ExperimentConfig:
             return cls.from_json(json.load(fh))
 
     def validate(self) -> None:
-        if self.maker not in STRATEGY_IDS:
+        if self.maker not in _REGISTRY:
             raise InvalidParameters(f"unknown maker id {self.maker!r}")
-        if self.breaker not in STRATEGY_IDS:
+        if self.breaker not in _REGISTRY:
             raise InvalidParameters(f"unknown breaker id {self.breaker!r}")
         if self.n < 2:
             raise InvalidParameters(f"need n >= 2, got {self.n}")
@@ -176,7 +168,7 @@ class ExperimentConfig:
             isinstance(s, int) for s in self.seeds
         ):
             raise InvalidParameters("seeds must be a list of integers")
-        stochastic = self.maker in _STOCHASTIC_IDS or self.breaker in _STOCHASTIC_IDS
+        stochastic = _REGISTRY[self.maker].takes_rng or _REGISTRY[self.breaker].takes_rng
         if stochastic and not self.seeds:
             raise InvalidParameters("stochastic strategies need a non-empty seed list")
         if not self.seeds:
@@ -185,6 +177,8 @@ class ExperimentConfig:
             raise InvalidParameters(f"first must be maker or breaker, got {self.first!r}")
         property_from_id(self.resolved_property_id())
         self.effective_b()
+        _bind(self.maker, self, None, self.maker_options)
+        _bind(self.breaker, self, None, self.breaker_options)
 
     def resolved_property_id(self) -> str:
         return self.property_id or f"diameter<={self.d}"
@@ -193,17 +187,12 @@ class ExperimentConfig:
         """The Breaker bias, deriving it from the breaker id when unset."""
         if self.b is not None:
             return self.b
-        if self.breaker == "d2-breaker":
-            eps = self.breaker_options.get("eps", 0.1)
-            return d2_breaker_params(self.n, eps).b
-        if self.breaker == "dd-breaker-a1":
-            mult = self.breaker_options.get("multiplier", 4.0)
-            return dd_breaker_a1_biases(self.n, self.d, mult)[0]
-        if self.breaker == "dd-breaker-a2":
-            return dd_breaker_a2_bias(self.n, self.d)
-        raise InvalidParameters(
-            f"b must be given; {self.breaker!r} has no bias formula"
-        )
+        bias = _REGISTRY[self.breaker].bias
+        if bias is None:
+            raise InvalidParameters(
+                f"b must be given; {self.breaker!r} has no bias formula"
+            )
+        return bias(make_strategy(self.breaker, self, None, self.breaker_options))
 
 
 @dataclass
@@ -219,44 +208,29 @@ def match_seed(experiment_seed: int, repetition: int) -> int:
     return int(digest[:16], 16)
 
 
+def _bind(strategy_id: str, cfg: ExperimentConfig, rng: random.Random | None, options: dict | None):
+    """The registered class and its constructor arguments; InvalidParameters
+    for an unknown id or options the constructor does not take."""
+    entry = _REGISTRY.get(strategy_id)
+    if entry is None:
+        raise InvalidParameters(f"unknown strategy id {strategy_id!r}")
+    opts = dict(options or {})
+    args = ((rng,) if entry.takes_rng else ()) + entry.args(cfg, opts)
+    try:
+        inspect.signature(entry.cls).bind(*args, **opts)
+    except TypeError as exc:
+        raise InvalidParameters(f"bad options for {strategy_id}: {exc}") from None
+    return entry.cls, args, opts
+
+
 def make_strategy(strategy_id: str, cfg: ExperimentConfig, rng: random.Random, options: dict | None = None):
     """Build one registered strategy for the given experiment.
 
-    Options are constructor keyword arguments; ids without parameters
-    reject any (a loud config typo beats a silent one).
+    Options are constructor keyword arguments; options a constructor does
+    not take are rejected (a loud config typo beats a silent one).
     """
-    opts = dict(options or {})
-    if strategy_id == "random":
-        return RandomStrategy(rng, **opts)
-    if strategy_id == "lowest-edge":
-        return LowestEdgeStrategy(**opts)
-    if strategy_id == "degree-greedy":
-        return DegreeGreedyStrategy(**opts)
-    if strategy_id == "path-greedy":
-        return PathGreedyStrategy(opts.pop("d", cfg.d), **opts)
-    if strategy_id == "esb-degree-breaker":
-        return EsbDegreeBreaker(**opts)
-    if strategy_id == "mindeg-maker":
-        return MinDegStrategy(cfg.n, cfg.a, cfg.effective_b(), **opts)
-    if strategy_id == "flooding-breaker":
-        return FloodingBreaker(**opts)
-    if strategy_id == "pairing-breaker":
-        if opts:
-            raise InvalidParameters("pairing-breaker takes no options")
-        return PairingBreaker()
-    if strategy_id == "d2-simple-maker":
-        return D2SimpleMaker(cfg.n, cfg.a, cfg.effective_b(), **opts)
-    if strategy_id == "d2-maker":
-        return D2Maker(cfg.n, cfg.effective_b(), **opts)
-    if strategy_id == "d2-breaker":
-        return D2Breaker(cfg.n, **opts)
-    if strategy_id == "dd-maker":
-        return DdMaker(cfg.n, cfg.d, cfg.effective_b(), **opts)
-    if strategy_id == "dd-breaker-a1":
-        return DdBreakerA1(cfg.n, cfg.d, **opts)
-    if strategy_id == "dd-breaker-a2":
-        return DdBreakerA2(cfg.n, cfg.d, **opts)
-    raise InvalidParameters(f"unknown strategy id {strategy_id!r}")
+    cls, args, opts = _bind(strategy_id, cfg, rng, options)
+    return cls(*args, **opts)
 
 
 def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):

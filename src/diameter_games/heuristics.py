@@ -4,16 +4,10 @@ These are deliberately simple adversaries: strong enough to punish broken
 strategies, cheap enough to run thousands of matches.  Each keeps a little
 state synced incrementally from the move log (degrees, adjacency, an
 unclaimed-edge pool, a game_core.LexCursor), so a turn costs roughly what it
-claims instead of a rescan of the whole board.
-
-One rule guards that state, here and in FloodingBreaker: it is rebuilt from
-the snapshot unless the log is longer than at the previous select().
-Forward play always lengthens the log.  In an exhaustive verifier's DFS, the
-first scripted turn of a sibling branch is no deeper than the scripted turn
-before it, so a deeper call lies below the previous one: its log extends
-that log, and what was synced from it still holds.  The deterministic
-strategies are therefore snapshot-pure under the verifiers; RandomStrategy
-stays legal there, though its draws depend on its generator's history.
+claims instead of a rescan of the whole board.  That state follows
+game_core.LogCursor's rule, so the deterministic strategies are
+snapshot-pure under the verifiers; RandomStrategy stays legal there, though
+its draws depend on its generator's history.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ import random
 
 import numpy as np
 
-from .game_core import Edge, GameState, LexCursor, Player, mk_edge
+from .game_core import Edge, GameState, LexCursor, LogCursor, Player, mk_edge
 
 
 class RandomStrategy:
@@ -39,7 +33,7 @@ class RandomStrategy:
         self.name = name
         self._pool: list[Edge] = []
         self._pos: dict[Edge, int] = {}
-        self._synced = -1
+        self._log = LogCursor()
 
     def _remove(self, edge: Edge) -> None:
         i = self._pos.pop(edge, None)
@@ -51,13 +45,13 @@ class RandomStrategy:
             self._pos[last] = i
 
     def _sync(self, state: GameState) -> None:
-        if self._synced < 0 or self._synced >= len(state.move_log):
+        new = self._log.new_claims(state)
+        if new is None:
             self._pool = sorted(state.unclaimed)
             self._pos = {e: i for i, e in enumerate(self._pool)}
         else:
-            for _, edge in state.move_log[self._synced :]:
+            for _, edge in new:
                 self._remove(edge)
-        self._synced = len(state.move_log)
 
     def select(self, state: GameState) -> list[Edge]:
         self._sync(state)
@@ -77,14 +71,11 @@ class LowestEdgeStrategy:
 
     def __init__(self) -> None:
         self._lex: LexCursor | None = None
-        self._log_len = -1
+        self._log = LogCursor()
 
     def select(self, state: GameState) -> list[Edge]:
-        if self._lex is None:
+        if self._log.new_claims(state) is None:
             self._lex = LexCursor(state.n)
-        elif len(state.move_log) <= self._log_len:
-            self._lex.reset()
-        self._log_len = len(state.move_log)
         return self._lex.take(state.unclaimed, state.required_claim_count(state.to_move))
 
 
@@ -104,7 +95,7 @@ class DegreeGreedyStrategy:
         self._side: Player | None = None
         self._deg: np.ndarray | None = None
         self._open: np.ndarray | None = None
-        self._synced = 0
+        self._log = LogCursor()
 
     def _rebuild(self, state: GameState) -> None:
         n = state.n
@@ -121,16 +112,16 @@ class DegreeGreedyStrategy:
     def _sync(self, state: GameState) -> None:
         if self._side is None:
             self._side = state.to_move
-        if self._open is None or self._synced >= len(state.move_log):
+        new = self._log.new_claims(state)
+        if new is None:
             self._rebuild(state)
-        else:
-            for player, (u, v) in state.move_log[self._synced :]:
-                self._open[u, v] = False
-                self._open[v, u] = False
-                if player is self._side:
-                    self._deg[u] += 1
-                    self._deg[v] += 1
-        self._synced = len(state.move_log)
+            return
+        for player, (u, v) in new:
+            self._open[u, v] = False
+            self._open[v, u] = False
+            if player is self._side:
+                self._deg[u] += 1
+                self._deg[v] += 1
 
     def select(self, state: GameState) -> list[Edge]:
         self._sync(state)
@@ -171,7 +162,7 @@ class PathGreedyStrategy:
         self._side: Player | None = None
         self._own: np.ndarray | None = None
         self._opp: np.ndarray | None = None
-        self._synced = 0
+        self._log = LogCursor()
         self._scan_from = 0
         self._all_close = False
         self._lex: LexCursor | None = None
@@ -193,13 +184,13 @@ class PathGreedyStrategy:
     def _sync(self, state: GameState) -> None:
         if self._side is None:
             self._side = state.to_move
-        if self._own is None or self._synced >= len(state.move_log):
+        new = self._log.new_claims(state)
+        if new is None:
             self._rebuild(state)
-        else:
-            for player, (u, v) in state.move_log[self._synced :]:
-                m = self._own if player is self._side else self._opp
-                m[u, v] = m[v, u] = True
-        self._synced = len(state.move_log)
+            return
+        for player, (u, v) in new:
+            m = self._own if player is self._side else self._opp
+            m[u, v] = m[v, u] = True
 
     def _far_pair(self, n: int) -> tuple[int, int] | None:
         if self._all_close:
@@ -284,11 +275,12 @@ class EsbDegreeBreaker:
     def __init__(self) -> None:
         self._open_deg: np.ndarray | None = None
         self._claimed: np.ndarray | None = None
-        self._synced = 0
+        self._log = LogCursor()
 
     def _sync(self, state: GameState) -> None:
         n = state.n
-        if self._claimed is None or self._synced >= len(state.move_log):
+        new = self._log.new_claims(state)
+        if new is None:
             self._open_deg = np.zeros(n, dtype=np.int64)
             self._claimed = np.ones((n, n), dtype=bool)
             for u, v in state.unclaimed:
@@ -297,12 +289,11 @@ class EsbDegreeBreaker:
                 self._claimed[u, v] = False
                 self._claimed[v, u] = False
         else:
-            for _, (u, v) in state.move_log[self._synced :]:
+            for _, (u, v) in new:
                 self._open_deg[u] -= 1
                 self._open_deg[v] -= 1
                 self._claimed[u, v] = True
                 self._claimed[v, u] = True
-        self._synced = len(state.move_log)
 
     def select(self, state: GameState) -> list[Edge]:
         self._sync(state)

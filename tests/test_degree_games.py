@@ -26,6 +26,7 @@ from diameter_games import (
     new_game,
     run_match,
 )
+from diameter_games.degree_games import RECOMPUTE_EVERY
 from diameter_games.graph_metrics import degree_profile
 
 
@@ -82,16 +83,39 @@ class TestWeightState:
         np.testing.assert_allclose(tracker.log_w, fresh.log_w, rtol=1e-9)
         assert tracker.potential() == pytest.approx(fresh.potential(), rel=1e-9)
 
-    def test_rewound_log_rejected(self):
+    def test_rewound_log_rebuilds_to_fresh(self):
         params = mindeg_params(6, 1, 1)
         state = new_game(6, 1, 1)
         tracker = DegreeWeightState(params, Player.MAKER)
         apply_claim(state, Player.MAKER, [(0, 1)])
+        apply_claim(state, Player.BREAKER, [(0, 2)])
         tracker.sync(state)
-        from diameter_games import InvalidParameters
+        rewound = new_game(6, 1, 1)
+        apply_claim(rewound, Player.MAKER, [(3, 4)])
+        tracker.sync(rewound)
+        fresh = DegreeWeightState(params, Player.MAKER)
+        fresh.sync(rewound)
+        np.testing.assert_array_equal(tracker.log_w, fresh.log_w)
+        np.testing.assert_array_equal(tracker.claimed, fresh.claimed)
+        assert tracker.select_turn(1) == fresh.select_turn(1)
 
-        with pytest.raises(InvalidParameters):
-            tracker.sync(new_game(6, 1, 1))
+    def test_rewind_past_recompute_cadence_is_bit_identical(self, rng):
+        n = 50
+        state = new_game(n, 1, 1)
+        while not state.is_exhausted():
+            apply_claim(state, state.to_move, [rng.choice(sorted(state.unclaimed))])
+        prefix = RECOMPUTE_EVERY + 76
+        assert prefix < len(state.move_log)
+        params = mindeg_params(n, 1, 1)
+        tracker = DegreeWeightState(params, Player.MAKER)
+        tracker.sync(state)
+        rewound = new_game(n, 1, 1)
+        for player, edge in state.move_log[:prefix]:
+            apply_claim(rewound, player, [edge])
+        tracker.sync(rewound)
+        fresh = DegreeWeightState(params, Player.MAKER)
+        fresh.sync(rewound)
+        np.testing.assert_array_equal(tracker.log_w, fresh.log_w)
 
     def test_select_prefers_low_self_degree(self):
         # After Maker saturates vertex 0, its weight drops; the next pick

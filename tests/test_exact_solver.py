@@ -6,21 +6,22 @@ import random
 import pytest
 
 from diameter_games import (
-    DegreeGreedyStrategy,
-    EsbDegreeBreaker,
+    STRATEGY_IDS,
+    ExperimentConfig,
     FloodingBreaker,
     GameError,
     LowestEdgeStrategy,
     OverCapError,
     PairingBreaker,
-    PathGreedyStrategy,
     Player,
     RandomStrategy,
+    StrategyInapplicable,
     apply_claim,
     box_maker_select,
     canonical_key,
     esb_breaker_select,
     family_from_sets,
+    make_strategy,
     mindeg_breaker_select,
     new_game,
     solve,
@@ -112,6 +113,18 @@ class PureLexStrategy:
         return sorted(state.unclaimed)[:count]
 
 
+_HEURISTIC_IDS = ("random", "lowest-edge", "degree-greedy", "path-greedy", "esb-degree-breaker")
+# Composites whose state is real history: they refuse a log that did not grow.
+_HISTORY_IDS = ("d2-maker", "d2-breaker")
+# Maker ids play Maker and Breaker ids Breaker; the heuristics play both sides.
+_REGISTRY_CASES = [
+    (sid, side)
+    for sid in STRATEGY_IDS
+    for side in (Player.MAKER, Player.BREAKER)
+    if sid in _HEURISTIC_IDS or ("breaker" in sid) == (side is Player.BREAKER)
+]
+
+
 class Differential:
     """Scripted side that plays `fast` and asserts it agrees with the pure
     `reference` rule at every node the verifier shows it."""
@@ -168,22 +181,44 @@ class TestVerifyOneSided:
         assert script.calls > 100
 
     @pytest.mark.parametrize(
-        "make,side",
-        [
-            (DegreeGreedyStrategy, Player.MAKER),
-            (DegreeGreedyStrategy, Player.BREAKER),
-            (lambda: PathGreedyStrategy(2), Player.MAKER),
-            (lambda: PathGreedyStrategy(2), Player.BREAKER),
-            (EsbDegreeBreaker, Player.BREAKER),
-        ],
-        ids=["degree-maker", "degree-breaker", "path-maker", "path-breaker", "esb-breaker"],
+        "sid,side",
+        _REGISTRY_CASES,
+        ids=[f"{sid}-as-{side.value}" for sid, side in _REGISTRY_CASES],
     )
     @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
-    def test_synced_heuristic_matches_pure_rule(self, make, side, first):
-        # A fresh instance builds everything from the snapshot it is shown.
-        script = Differential(make(), lambda snap: make().select(snap))
-        assert verify_final_property(5, 1, 1, script, side, lambda snap: True, first=first)
-        assert script.calls > 1000
+    def test_registered_strategy_is_snapshot_pure(self, sid, side, first):
+        cfg = ExperimentConfig.from_json(
+            dict(
+                name="registry",
+                n=5,
+                a=1,
+                b=1,
+                d=3 if sid.startswith("dd-") else 2,
+                maker=sid if side is Player.MAKER else "lowest-edge",
+                breaker=sid if side is Player.BREAKER else "lowest-edge",
+                maker_options={"r_sizes": [1, 2]} if sid == "dd-maker" else {},
+            )
+        )
+        opts = cfg.maker_options if side is Player.MAKER else cfg.breaker_options
+
+        def build():
+            return make_strategy(sid, cfg, random.Random(0), opts)
+
+        def verify(script):
+            return verify_final_property(5, 1, 1, script, side, lambda snap: True, first=first)
+
+        if sid == "random":
+            # Its draws depend on the generator's history; it only stays legal.
+            assert verify(build())
+        elif sid in _HISTORY_IDS:
+            with pytest.raises(StrategyInapplicable) as info:
+                verify(build())
+            assert info.type is StrategyInapplicable
+        else:
+            # A fresh instance builds everything from the snapshot it is shown.
+            script = Differential(build(), lambda snap: build().select(snap))
+            assert verify(script)
+            assert script.calls > 1000
 
     @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
     def test_random_side_stays_legal_under_backtracking(self, side):

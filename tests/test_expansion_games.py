@@ -146,13 +146,20 @@ class TestExpMaker:
         assert rebuilt.alive == maker.alive
         assert rebuilt.unclaimed_count == maker.unclaimed_count
 
-    def test_rewound_log_rejected(self):
-        maker = ExpMaker(5, 1, 1, maker_bias=1, virtual_b=1.0)
+    def test_rewound_log_rebuilds_to_fresh(self):
+        maker = ExpMaker(5, 1, 2, maker_bias=1, virtual_b=1.0)
         state = new_game(5, 1, 1)
         apply_claim(state, Player.MAKER, [(0, 1)])
+        apply_claim(state, Player.BREAKER, [(2, 3)])
         maker.sync(state)
-        with pytest.raises(InvalidParameters):
-            maker.sync(new_game(5, 1, 1))
+        rewound = new_game(5, 1, 1)
+        apply_claim(rewound, Player.MAKER, [(1, 4)])
+        maker.sync(rewound)
+        fresh = ExpMaker(5, 1, 2, maker_bias=1, virtual_b=1.0)
+        fresh.sync(rewound)
+        assert maker.alive == fresh.alive
+        assert maker.unclaimed_count == fresh.unclaimed_count
+        assert maker.select(rewound) == fresh.select(rewound)
 
     def test_one_shot_helper_matches_fresh_instance(self):
         params = exp_condition(6, 2, 2, 2, 1)

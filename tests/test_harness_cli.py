@@ -26,6 +26,21 @@ from diameter_games import (
 from diameter_games.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+TRANSCRIPT_DIR = CONFIG_DIR.parent / "transcripts"
+
+
+def _shipped_by_config() -> dict[str, list[Path]]:
+    """Shipped transcripts grouped by the config whose name they carry:
+    `<name>-<match index:03d>.jsonl`."""
+    names = {ExperimentConfig.from_file(p).name: p.name for p in sorted(CONFIG_DIR.glob("*.json"))}
+    groups: dict[str, list[Path]] = {}
+    for path in sorted(TRANSCRIPT_DIR.glob("*.jsonl")):
+        name = path.stem.rsplit("-", 1)[0]
+        groups.setdefault(names.get(name, f"<no config named {name}>"), []).append(path)
+    return groups
+
+
+_SHIPPED = _shipped_by_config()
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -133,6 +148,34 @@ class TestMakeStrategy:
         cfg = small_config()
         with pytest.raises((InvalidParameters, TypeError)):
             make_strategy("pairing-breaker", cfg, random.Random(0), {"x": 1})
+        with pytest.raises(InvalidParameters):
+            small_config(breaker="lowest-edge", breaker_options={"x": 1})
+
+    @pytest.mark.parametrize("sid", STRATEGY_IDS)
+    def test_config_rejects_unknown_option_for_every_id(self, sid):
+        with pytest.raises(InvalidParameters):
+            small_config(maker=sid, maker_options={"no_such_option": 1})
+
+    def test_cli_reports_bad_option_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(
+            name="bad-option", n=5, a=1, b=1, maker="random",
+            breaker="lowest-edge", breaker_options={"x": 1},
+        )))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestShippedTranscripts:
+    def test_every_transcript_has_a_config(self):
+        assert _SHIPPED and all(name.endswith(".json") for name in _SHIPPED)
+
+    @pytest.mark.parametrize("config", sorted(_SHIPPED))
+    def test_config_regenerates_transcripts_byte_for_byte(self, config):
+        results = run_experiment(ExperimentConfig.from_file(CONFIG_DIR / config))
+        for path in _SHIPPED[config]:
+            index = int(path.stem.rsplit("-", 1)[1])
+            assert results[index].transcript.to_jsonl() == path.read_text(), path.name
 
 
 class TestRunExperiment:
