@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -72,7 +73,7 @@ def _intish(text: str) -> int:
         return int(text)
     except ValueError:
         value = float(text)
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         return int(value)
 

@@ -123,7 +123,10 @@ class DegreeWeightState:
     double-counts claims; on a log that did not grow it starts over from
     the empty board and replays the log (game_core.LogCursor), so a rewound
     log gives the same weights, bit for bit, as a fresh instance.  `role` is
-    the side whose degrees are "self" in the weight formula.
+    the side whose degrees are "self" in the weight formula.  The degree
+    counters duplicate the board's on purpose: the periodic recompute reads
+    them mid-replay, so the weights drift the same way on every replay;
+    which edges are open comes from the board.
     """
 
     def __init__(self, params: MinDegParams, role: Player = Player.MAKER):
@@ -136,8 +139,6 @@ class DegreeWeightState:
         n = self.params.n
         self.deg_self = np.zeros(n, dtype=np.int64)
         self.deg_opp = np.zeros(n, dtype=np.int64)
-        self.claimed = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(self.claimed, True)
         self.recompute()
 
     def recompute(self) -> None:
@@ -159,8 +160,6 @@ class DegreeWeightState:
             self.deg_opp[v] += 1
             self.log_w[u] += self.params.log1p_l1
             self.log_w[v] += self.params.log1p_l1
-        self.claimed[u, v] = True
-        self.claimed[v, u] = True
         self._since_recompute += 1
         if self._since_recompute >= RECOMPUTE_EVERY:
             self.recompute()
@@ -182,8 +181,9 @@ class DegreeWeightState:
         m = float(self.log_w.max())
         return m + math.log(float(np.exp(self.log_w - m).sum()))
 
-    def select_turn(self, count: int, exclude: tuple[Edge, ...] = ()) -> list[Edge]:
-        """Greedily pick `count` max-weight unclaimed edges, updating weights between picks.
+    def select_turn(self, state: GameState, count: int, exclude: tuple[Edge, ...] = ()) -> list[Edge]:
+        """Greedily pick `count` max-weight unclaimed edges of `state`, which
+        the weights must be synced to, updating weights between picks.
 
         Does not mutate the persistent state: the turn's own claims reach it
         later through sync().  Ties break lexicographically (the row-major
@@ -193,7 +193,7 @@ class DegreeWeightState:
         lw = self.log_w
         w = np.exp(lw - lw.max())
         fade = math.exp(self.params.log1m_l2)
-        blocked = self.claimed.copy()
+        blocked = ~state.board_index().open
         for u, v in exclude:
             blocked[u, v] = True
             blocked[v, u] = True
@@ -216,13 +216,13 @@ class DegreeWeightState:
 
 
 def mindeg_maker_select(
-    state: GameState, params: MinDegParams, weights: DegreeWeightState, count: int | None = None
+    state: GameState, weights: DegreeWeightState, count: int | None = None
 ) -> list[Edge]:
     """One degree-game turn for the weight state's role player."""
     weights.sync(state)
     if count is None:
         count = state.required_claim_count(weights.role)
-    return weights.select_turn(count)
+    return weights.select_turn(state, count)
 
 
 def mindeg_potential(state: GameState, params: MinDegParams, role: Player = Player.MAKER) -> float:
@@ -258,7 +258,7 @@ class MinDegStrategy:
             self.flags.append("mindeg-vacuous")
 
     def select(self, state: GameState) -> list[Edge]:
-        return mindeg_maker_select(state, self.params, self.weights)
+        return mindeg_maker_select(state, self.weights)
 
 
 # --- flooding Breaker (degree capping by saturation) ------------------------
@@ -310,12 +310,7 @@ def mindeg_breaker_select(state: GameState) -> list[Edge]:
             picks.append(e)
             if len(picks) == count:
                 return picks
-    for e in sorted(state.unclaimed):
-        if e not in picks:
-            picks.append(e)
-            if len(picks) == count:
-                break
-    return picks
+    return picks + LexCursor(state.n).take(state.unclaimed, count - len(picks), picks)
 
 
 class FloodingBreaker:

@@ -93,12 +93,9 @@ def pairing_breaker_select(state: GameState) -> list[Edge]:
                 partner = mk_edge(y if x == v else x, u)
         if partner is not None and partner in state.unclaimed:
             picks.append(partner)
-    for e in sorted(state.unclaimed):
-        if len(picks) >= count:
-            break
-        if e not in picks:
-            picks.append(e)
-    return picks[:count]
+    if len(picks) < count:
+        picks += LexCursor(state.n).take(state.unclaimed, count - len(picks), picks)
+    return picks
 
 
 class PairingBreaker:
@@ -228,11 +225,7 @@ class D2Breaker:
             try:
                 self._target = flood_target(state)
             except StrategyInapplicable:
-                deg = [0] * state.n
-                for u, v in state.maker_edges:
-                    deg[u] += 1
-                    deg[v] += 1
-                self._target = min(range(state.n), key=lambda x: (deg[x], x))
+                self._target = int(np.argmin(state.board_index().deg[Player.MAKER]))
                 self.flags.append("d2-breaker-no-untouched-vertex")
             self._lex = LexCursor(state.n)
         count = state.required_claim_count(Player.BREAKER)
@@ -476,7 +469,11 @@ class D2Maker:
     rounds (cheapest leg of the fewest-middles pair) and alternates game 4
     with free moves on even rounds.  Phases, high vertices and the game-4
     trace are history, so a log that did not grow since the previous turn
-    is refused (game_core.LogCursor).
+    is refused (game_core.LogCursor).  So are the ownership matrices and
+    Breaker degrees it keeps beside GameState.board_index(): a pair's middles
+    are frozen at the Breaker claim that makes a vertex high, partway
+    through a turn's replay, and Maker's matrix takes each pick as it is
+    made.  Game 2 reads the board's open edges.
     """
 
     name = "d2-maker"
@@ -649,7 +646,7 @@ class D2Maker:
         for x in order:
             if len(picks) >= count:
                 break
-            row = ~self._g1.claimed[x]
+            row = state.board_index().open[x]
             if not row.any():
                 continue
             ys = sorted(
@@ -712,7 +709,7 @@ class D2Maker:
         if self._round <= self.phase1_rounds:
             game = (self._round - 1) % 4 + 1
             if game == 1:
-                for e in self._g1.select_turn(count, exclude=tuple(picked)):
+                for e in self._g1.select_turn(state, count, exclude=tuple(picked)):
                     self._take(e, picks, picked)
             elif game == 2:
                 self._claim_game2(state, picks, picked, count)

@@ -248,7 +248,7 @@ class DdMaker:
         picked: set[Edge] = set()
         if game == 1:
             self._g1.sync(state)
-            for e in self._g1.select_turn(count):
+            for e in self._g1.select_turn(state, count):
                 picks.append(e)
                 picked.add(e)
         else:
@@ -492,7 +492,7 @@ class DdBreakerA1:
         self._cap.sync(state)
         room = min(self.b1, count - len(picks))
         if room > 0:
-            for e in self._cap.select_turn(room, exclude=tuple(picked)):
+            for e in self._cap.select_turn(state, room, exclude=tuple(picked)):
                 picks.append(e)
                 picked.add(e)
         picks += self._lex.take(state.unclaimed, count - len(picks), picked)
@@ -541,9 +541,7 @@ class DdBreakerA2:
             if state.a < 2:
                 self.flags.append("dd-breaker-a2-maker-bias-below-two")
         self._engine.sync(state)
-        return self._engine.select_turn(
-            state.required_claim_count(Player.BREAKER)
-        )
+        return self._engine.select_turn(state, state.required_claim_count(Player.BREAKER))
 
 
 # ---------------------------------------------------------------------------

@@ -432,8 +432,8 @@ def verify_family_one_sided(
                 raise GameError(f"scripted family {side.value} returned bad claim {picks}")
             add = 0
             for p in picks:
-                if (mm | bm) >> p & 1 or not 0 <= p < u:
-                    raise GameError(f"scripted family {side.value} claimed taken position {p}")
+                if not 0 <= p < u or (mm | bm) >> p & 1:
+                    raise GameError(f"scripted family {side.value} claimed taken or unknown position {p}")
                 add |= 1 << p
             if to_move is Player.MAKER:
                 result = dfs(mm | add, bm, to_move.other())

@@ -264,9 +264,9 @@ class ExpMaker:
                         best_pos, best_w = pos, score[pos]
             if best_pos < 0:
                 # Every hyperedge is dead or untouchable; spend on lowest unclaimed.
-                for edge in sorted(state.unclaimed):
-                    if self._edge_index[edge] not in picked_pos:
-                        best_pos = self._edge_index[edge]
+                for pos, edge in enumerate(self.edges):
+                    if pos not in picked_pos and edge in state.unclaimed:
+                        best_pos = pos
                         break
                 if best_pos < 0:
                     break

@@ -10,10 +10,13 @@ bit-exactly from their line-delimited JSON form.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Container, Iterable, Protocol
+
+import numpy as np
 
 from .graph_metrics import Graph, ball, degree_profile
 
@@ -145,12 +148,16 @@ class GameState:
     move.  `move_log` lists every single claim in order, one (player, edge)
     entry per edge, so any auxiliary bookkeeping can be rebuilt from it.
 
-    The state also keeps one derived index, Maker's sorted neighbour lists,
-    which maker_graph and the strategies read through maker_adjacency().
-    It is no constructor argument: it is built from `maker_edges` on first
-    use, so a copy() or a state built from its fields gets its own, and
-    apply_claim extends it once it exists.  Like every other bookkeeping,
-    it follows from `move_log` alone.
+    The state also keeps two derived indexes, each built from the edge sets
+    on first read and extended by apply_claim once it exists:
+    maker_adjacency(), Maker's sorted neighbour lists, which maker_graph
+    reads; and board_index(), the numpy BoardIndex of open edges, ownership
+    and degrees that the degree-based strategies read.  They stay apart so
+    that a match whose strategies read neither array pays no numpy upkeep.
+    Neither is a constructor argument, so a copy() or a state built from its
+    fields starts without them.  Both are live views of this board, and
+    read-only: a reader that needs to change one copies it first.  Like
+    every other bookkeeping, they follow from `move_log` alone.
     """
 
     n: int
@@ -163,6 +170,7 @@ class GameState:
     to_move: Player = Player.MAKER
     move_log: list[tuple[Player, Edge]] = field(default_factory=list)
     _maker_adj: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
+    _board: BoardIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def bias_of(self, player: Player) -> int:
         return self.a if player is Player.MAKER else self.b
@@ -192,6 +200,12 @@ class GameState:
             self._maker_adj = adj
         return self._maker_adj
 
+    def board_index(self) -> BoardIndex:
+        """Open edges, ownership and degrees as numpy arrays; live, so read-only."""
+        if self._board is None:
+            self._board = BoardIndex(self)
+        return self._board
+
     def copy(self) -> "GameState":
         return GameState(
             n=self.n,
@@ -204,6 +218,51 @@ class GameState:
             to_move=self.to_move,
             move_log=list(self.move_log),
         )
+
+
+def _edge_buffer(n: int, edges: Iterable[Edge]) -> bytearray:
+    """The n x n 0/1 matrix of `edges`, both orientations, row-major, one byte a cell."""
+    m = np.zeros((n, n), dtype=bool)
+    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    m[ends[:, 0], ends[:, 1]] = True
+    m[ends[:, 1], ends[:, 0]] = True
+    return bytearray(m.tobytes())
+
+
+def _read_only(buffer, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    view = np.frombuffer(buffer, dtype=dtype).reshape(shape)
+    view.flags.writeable = False
+    return view
+
+
+class BoardIndex:
+    """One GameState's open edges, ownership and degrees.
+
+    `open` is the n x n matrix of unclaimed edges, `owned[p]` player p's
+    n x n ownership matrix and `deg[p]` its degree vector; the matrices are
+    symmetric with a False diagonal.  Each is a read-only numpy view of a
+    Python buffer (a bytearray per matrix, an int64 array per vector) that
+    apply_claim updates in place, six stores per claim: a buffer store costs
+    a fraction of a numpy cell write, and a claim is the hot path.
+    """
+
+    __slots__ = ("open", "owned", "deg", "_writes")
+
+    def __init__(self, state: GameState):
+        n = state.n
+        open_cells = _edge_buffer(n, state.unclaimed)
+        self.open = _read_only(open_cells, bool, (n, n))
+        self.owned: dict[Player, np.ndarray] = {}
+        self.deg: dict[Player, np.ndarray] = {}
+        writes = []
+        for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):
+            own_cells = _edge_buffer(n, edges)
+            self.owned[player] = _read_only(own_cells, bool, (n, n))
+            deg = array("q", self.owned[player].sum(axis=1).tolist())
+            self.deg[player] = _read_only(deg, np.int64, (n,))
+            writes.append((n, open_cells, own_cells, deg))
+        # What apply_claim writes for a claim by `player`: _writes[player is Player.BREAKER].
+        self._writes = tuple(writes)
 
 
 def new_game(n: int, a: int, b: int, first: Player = Player.MAKER) -> GameState:
@@ -236,6 +295,9 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         own, other, adj = state.maker_edges, state.breaker_edges, state._maker_adj
     else:
         own, other, adj = state.breaker_edges, state.maker_edges, None
+    board = state._board
+    if board is not None:
+        n, open_cells, own_cells, deg = board._writes[player is Player.BREAKER]
     for edge in edges:
         if edge != mk_edge(*edge):
             raise InvalidParameters(f"edge {edge} is not canonical")
@@ -245,10 +307,16 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         assert edge not in other
         state.unclaimed.discard(edge)
         own.add(edge)
+        u, v = edge
         if adj is not None:
-            u, v = edge
             insort(adj[u], v)
             insort(adj[v], u)
+        if board is not None:
+            i, j = u * n + v, v * n + u
+            open_cells[i] = open_cells[j] = 0
+            own_cells[i] = own_cells[j] = 1
+            deg[u] += 1
+            deg[v] += 1
         state.move_log.append((player, edge))
     state.to_move = player.other()
     return state

@@ -1,11 +1,11 @@
 """Deterministic-given-seed opponents for experiments and stress tests.
 
 These are deliberately simple adversaries: strong enough to punish broken
-strategies, cheap enough to run thousands of matches.  Each keeps a little
-state synced incrementally from the move log (degrees, adjacency, an
-unclaimed-edge pool, a game_core.LexCursor), so a turn costs roughly what it
-claims instead of a rescan of the whole board.  That state follows
-game_core.LogCursor's rule, so the deterministic strategies are
+strategies, cheap enough to run thousands of matches.  Degrees, ownership
+and open edges come from the board (GameState.board_index()), so the
+degree-based players keep no copy of them; what a strategy does keep (an
+unclaimed-edge pool, a scan cursor, a game_core.LexCursor) follows
+game_core.LogCursor's rule.  The deterministic strategies are therefore
 snapshot-pure under the verifiers; RandomStrategy stays legal there, though
 its draws depend on its generator's history.
 """
@@ -91,54 +91,25 @@ class DegreeGreedyStrategy:
 
     _BIG = 1 << 40
 
-    def __init__(self) -> None:
-        self._side: Player | None = None
-        self._deg: np.ndarray | None = None
-        self._open: np.ndarray | None = None
-        self._log = LogCursor()
-
-    def _rebuild(self, state: GameState) -> None:
-        n = state.n
-        own = state.maker_edges if self._side is Player.MAKER else state.breaker_edges
-        self._deg = np.zeros(n, dtype=np.int64)
-        for u, v in own:
-            self._deg[u] += 1
-            self._deg[v] += 1
-        self._open = np.zeros((n, n), dtype=bool)
-        for u, v in state.unclaimed:
-            self._open[u, v] = True
-            self._open[v, u] = True
-
-    def _sync(self, state: GameState) -> None:
-        if self._side is None:
-            self._side = state.to_move
-        new = self._log.new_claims(state)
-        if new is None:
-            self._rebuild(state)
-            return
-        for player, (u, v) in new:
-            self._open[u, v] = False
-            self._open[v, u] = False
-            if player is self._side:
-                self._deg[u] += 1
-                self._deg[v] += 1
-
     def select(self, state: GameState) -> list[Edge]:
-        self._sync(state)
+        board = state.board_index()
         count = state.required_claim_count(state.to_move)
-        deg = self._deg.copy()  # the turn's own picks reach _deg later, via the log
+        deg = board.deg[state.to_move].copy()
+        open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
+        open_ = board.open.copy()  # all three take the turn's own picks
         picks: list[Edge] = []
         for _ in range(count):
-            has = self._open.any(axis=1)
+            has = open_deg > 0
             if not has.any():
                 break
             vertex = int(np.argmin(np.where(has, deg, self._BIG)))
-            mate = int(np.argmin(np.where(self._open[vertex], deg, self._BIG)))
+            mate = int(np.argmin(np.where(open_[vertex], deg, self._BIG)))
             picks.append(mk_edge(vertex, mate))
-            self._open[vertex, mate] = False
-            self._open[mate, vertex] = False
-            deg[vertex] += 1
-            deg[mate] += 1
+            open_[vertex, mate] = False
+            open_[mate, vertex] = False
+            for x in (vertex, mate):
+                deg[x] += 1
+                open_deg[x] -= 1
         return picks
 
 
@@ -159,49 +130,22 @@ class PathGreedyStrategy:
     def __init__(self, d: int, name: str = "path-greedy"):
         self.d = d
         self.name = name
-        self._side: Player | None = None
-        self._own: np.ndarray | None = None
-        self._opp: np.ndarray | None = None
         self._log = LogCursor()
         self._scan_from = 0
         self._all_close = False
         self._lex: LexCursor | None = None
 
-    def _rebuild(self, state: GameState) -> None:
-        n = state.n
-        own = state.maker_edges if self._side is Player.MAKER else state.breaker_edges
-        opp = state.breaker_edges if self._side is Player.MAKER else state.maker_edges
-        self._own = np.zeros((n, n), dtype=bool)
-        self._opp = np.zeros((n, n), dtype=bool)
-        for u, v in own:
-            self._own[u, v] = self._own[v, u] = True
-        for u, v in opp:
-            self._opp[u, v] = self._opp[v, u] = True
-        self._scan_from = 0
-        self._all_close = False
-        self._lex = LexCursor(n)
-
-    def _sync(self, state: GameState) -> None:
-        if self._side is None:
-            self._side = state.to_move
-        new = self._log.new_claims(state)
-        if new is None:
-            self._rebuild(state)
-            return
-        for player, (u, v) in new:
-            m = self._own if player is self._side else self._opp
-            m[u, v] = m[v, u] = True
-
-    def _far_pair(self, n: int) -> tuple[int, int] | None:
+    def _far_pair(self, own: np.ndarray) -> tuple[int, int] | None:
         if self._all_close:
             return None
+        n = len(own)
         while self._scan_from < n:
             u = self._scan_from
             visited = np.zeros(n, dtype=bool)
             visited[u] = True
             frontier = visited.copy()
             for _ in range(self.d):
-                new = self._own[frontier].any(axis=0) & ~visited
+                new = own[frontier].any(axis=0) & ~visited
                 if not new.any():
                     break
                 visited |= new
@@ -215,8 +159,8 @@ class PathGreedyStrategy:
 
     def _route_edge(self, state: GameState, picks: set[Edge], u: int, v: int) -> Edge | None:
         n = state.n
-        usable = ~self._opp
-        np.fill_diagonal(usable, False)
+        board = state.board_index()
+        usable = board.open | board.owned[state.to_move]
         parent = np.full(n, -1, dtype=np.int64)
         parent[u] = u
         reached = np.zeros(n, dtype=bool)
@@ -242,13 +186,17 @@ class PathGreedyStrategy:
         return pick
 
     def select(self, state: GameState) -> list[Edge]:
-        self._sync(state)
+        if self._log.new_claims(state) is None:
+            self._scan_from = 0
+            self._all_close = False
+            self._lex = LexCursor(state.n)
+        own = state.board_index().owned[state.to_move].copy()  # takes the turn's own picks
         count = state.required_claim_count(state.to_move)
         picks: list[Edge] = []
         picked: set[Edge] = set()
         for _ in range(count):
             pick = None
-            target = self._far_pair(state.n)
+            target = self._far_pair(own)
             if target:
                 pick = self._route_edge(state, picked, *target)
             if pick is None:
@@ -257,8 +205,8 @@ class PathGreedyStrategy:
                 break
             picks.append(pick)
             picked.add(pick)
-            self._own[pick[0], pick[1]] = True  # idempotent under the later sync
-            self._own[pick[1], pick[0]] = True
+            own[pick[0], pick[1]] = True
+            own[pick[1], pick[0]] = True
         return picks
 
 
@@ -272,35 +220,12 @@ class EsbDegreeBreaker:
 
     name = "esb-degree-breaker"
 
-    def __init__(self) -> None:
-        self._open_deg: np.ndarray | None = None
-        self._claimed: np.ndarray | None = None
-        self._log = LogCursor()
-
-    def _sync(self, state: GameState) -> None:
-        n = state.n
-        new = self._log.new_claims(state)
-        if new is None:
-            self._open_deg = np.zeros(n, dtype=np.int64)
-            self._claimed = np.ones((n, n), dtype=bool)
-            for u, v in state.unclaimed:
-                self._open_deg[u] += 1
-                self._open_deg[v] += 1
-                self._claimed[u, v] = False
-                self._claimed[v, u] = False
-        else:
-            for _, (u, v) in new:
-                self._open_deg[u] -= 1
-                self._open_deg[v] -= 1
-                self._claimed[u, v] = True
-                self._claimed[v, u] = True
-
     def select(self, state: GameState) -> list[Edge]:
-        self._sync(state)
+        board = state.board_index()
         count = state.required_claim_count(Player.BREAKER)
         log_base = math.log(1 + state.b)
-        open_deg = self._open_deg.astype(np.float64)
-        claimed = self._claimed.copy()
+        open_deg = ((state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]).astype(np.float64)
+        claimed = ~board.open
         picks: list[Edge] = []
         for _ in range(count):
             w = np.exp(-open_deg / state.a * log_base)

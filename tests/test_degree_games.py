@@ -96,8 +96,9 @@ class TestWeightState:
         fresh = DegreeWeightState(params, Player.MAKER)
         fresh.sync(rewound)
         np.testing.assert_array_equal(tracker.log_w, fresh.log_w)
-        np.testing.assert_array_equal(tracker.claimed, fresh.claimed)
-        assert tracker.select_turn(1) == fresh.select_turn(1)
+        np.testing.assert_array_equal(tracker.deg_self, fresh.deg_self)
+        np.testing.assert_array_equal(tracker.deg_opp, fresh.deg_opp)
+        assert tracker.select_turn(rewound, 1) == fresh.select_turn(rewound, 1)
 
     def test_rewind_past_recompute_cadence_is_bit_identical(self, rng):
         n = 50
@@ -127,7 +128,7 @@ class TestWeightState:
             state.to_move = Player.MAKER  # keep feeding Maker turns
         tracker = DegreeWeightState(params, Player.MAKER)
         tracker.sync(state)
-        (u, v) = tracker.select_turn(1)[0]
+        (u, v) = tracker.select_turn(state, 1)[0]
         assert 0 not in (u, v)
 
     def test_select_prefers_opponent_pressured_vertices(self):
@@ -137,29 +138,30 @@ class TestWeightState:
         apply_claim(state, Player.BREAKER, [(4, 5)])
         tracker = DegreeWeightState(params, Player.MAKER)
         tracker.sync(state)
-        (u, v) = tracker.select_turn(1)[0]
+        (u, v) = tracker.select_turn(state, 1)[0]
         # Vertices 4 and 5 carry opponent degree, hence the largest weights;
         # the edge between them is gone, so exactly one endpoint shows up.
         assert len({u, v} & {4, 5}) == 1
 
     def test_lex_tie_break_on_fresh_board(self):
         tracker = DegreeWeightState(mindeg_params(8, 1, 1))
-        assert tracker.select_turn(1) == [(0, 1)]
-        assert tracker.select_turn(3) == [(0, 1), (2, 3), (4, 5)]
+        state = new_game(8, 1, 1)
+        assert tracker.select_turn(state, 1) == [(0, 1)]
+        assert tracker.select_turn(state, 3) == [(0, 1), (2, 3), (4, 5)]
 
     def test_exclude_masks_earlier_picks(self):
         tracker = DegreeWeightState(mindeg_params(8, 1, 1))
-        assert tracker.select_turn(1, exclude=((0, 1),))[0] != (0, 1)
+        assert tracker.select_turn(new_game(8, 1, 1), 1, exclude=((0, 1),))[0] != (0, 1)
 
     def test_select_does_not_mutate_state(self):
         tracker = DegreeWeightState(mindeg_params(8, 1, 1))
         before = tracker.log_w.copy()
-        tracker.select_turn(4)
+        tracker.select_turn(new_game(8, 1, 1), 4)
         np.testing.assert_array_equal(tracker.log_w, before)
 
     def test_select_truncates_at_board_end(self):
         tracker = DegreeWeightState(mindeg_params(3, 1, 1))
-        assert len(tracker.select_turn(10)) == 3
+        assert len(tracker.select_turn(new_game(3, 1, 1), 10)) == 3
 
 
 class TestPotentialDecay:
@@ -177,7 +179,7 @@ class TestPotentialDecay:
             if side is role:
                 tracker.sync(state)
                 apply_claim(state, side, tracker.select_turn(
-                    state.required_claim_count(side)))
+                    state, state.required_claim_count(side)))
             else:
                 pool = sorted(state.unclaimed)
                 apply_claim(state, side, rng.sample(

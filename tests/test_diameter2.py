@@ -179,6 +179,15 @@ class TestD2Breaker:
         assert breaker.violations == []
         assert tr.violations == []
 
+    def test_every_vertex_touched_floods_lowest_maker_degree(self):
+        """Maker's opening touches all six vertices, so there is no untouched
+        target; Breaker floods vertex 1, the lowest of Maker degree 1."""
+        state = new_game(6, 4, 4)
+        apply_claim(state, Player.MAKER, [(0, 1), (0, 2), (2, 3), (4, 5)])
+        breaker = D2Breaker(6)
+        assert breaker.select(state) == [(1, 2), (1, 3), (1, 4), (1, 5)]
+        assert "d2-breaker-no-untouched-vertex" in breaker.flags
+
 
 class TestMakerParams:
     def test_frozen_scale_boundary(self):

@@ -279,3 +279,11 @@ class TestVerifyFamily:
 
         with pytest.raises(GameError):
             verify_family_one_sided(fam, 2, 1, cheater, Player.MAKER)
+
+    @pytest.mark.parametrize("position", [-1, 3])
+    def test_position_outside_universe_raises_game_error(self, position):
+        """A negative position once raised ValueError from the shift in the
+        taken-position test, which ran before the range check."""
+        fam = family_from_sets(3, [(1, 2)])
+        with pytest.raises(GameError):
+            verify_family_one_sided(fam, 1, 1, lambda s: [position], Player.MAKER)

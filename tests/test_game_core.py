@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -163,41 +164,78 @@ def assert_is_reference_maker_graph(g, state):
     assert [g.neighbors(v) for v in range(ref.n)] == [ref.neighbors(v) for v in range(ref.n)]
 
 
+def check_maker_graph(state):
+    assert_is_reference_maker_graph(maker_graph(state), state)
+
+
+def check_board_index(state):
+    """state.board_index() equals one rebuilt from the three edge sets, and is read-only."""
+    n = state.n
+
+    def matrix(edges):
+        return np.array([[u != v and mk_edge(u, v) in edges for v in range(n)] for u in range(n)])
+
+    def degrees(edges):
+        return np.array([sum(v in e for e in edges) for v in range(n)])
+
+    index = state.board_index()
+    np.testing.assert_array_equal(index.open, matrix(state.unclaimed))
+    for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):
+        np.testing.assert_array_equal(index.owned[player], matrix(edges))
+        np.testing.assert_array_equal(index.deg[player], degrees(edges))
+    arrays = [index.open, *index.owned.values(), *index.deg.values()]
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def play_random_turn(state, maker, breaker):
     side = state.to_move
     strategy = maker if side is Player.MAKER else breaker
     apply_claim(state, side, strategy.select(state))
 
 
+DERIVED_INDEXES = pytest.mark.parametrize(
+    "check", [check_maker_graph, check_board_index], ids=["maker_graph", "board_index"]
+)
+
+
 class TestMakerGraph:
+    """The state's derived indexes, Maker's adjacency and the board index,
+    against references rebuilt from the edge sets."""
+
+    @DERIVED_INDEXES
     @pytest.mark.parametrize("n,a,b", [(6, 1, 1), (9, 2, 3), (12, 3, 1)])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_validated_graph_through_play(self, n, a, b, seed):
+    def test_matches_validated_graph_through_play(self, check, n, a, b, seed):
         rng = random.Random(seed)
         state = new_game(n, a, b)
         maker, breaker = RandomStrategy(rng), RandomStrategy(rng)
-        assert_is_reference_maker_graph(maker_graph(state), state)
+        check(state)
+        previous = state.copy()
         while not state.is_exhausted():
             play_random_turn(state, maker, breaker)
-            assert_is_reference_maker_graph(maker_graph(state), state)
-            assert_is_reference_maker_graph(maker_graph(state.copy()), state)
+            check(state)
+            check(previous)  # an earlier copy still describes its own board
+            previous = state.copy()
+            check(previous)
 
+    @DERIVED_INDEXES
     @pytest.mark.parametrize("first_look", [0, 3, 8])
-    def test_index_first_built_mid_game_keeps_up(self, first_look):
+    def test_index_first_built_mid_game_keeps_up(self, check, first_look):
         rng = random.Random(first_look)
         state = new_game(8, 2, 1)
         maker, breaker = RandomStrategy(rng), RandomStrategy(rng)
         for _ in range(first_look):
             play_random_turn(state, maker, breaker)
         clone = state.copy()
-        assert_is_reference_maker_graph(maker_graph(state), state)
+        check(state)
         while not state.is_exhausted():
             play_random_turn(state, maker, breaker)
             apply_claim(clone, clone.to_move, [e for _, e in state.move_log[len(clone.move_log) :]])
-            assert_is_reference_maker_graph(maker_graph(state), state)
-            assert_is_reference_maker_graph(maker_graph(clone), clone)
+            check(state)
+            check(clone)
 
-    def test_directly_constructed_state(self):
+    @DERIVED_INDEXES
+    def test_directly_constructed_state(self, check):
         maker = {(0, 3), (1, 2), (0, 1), (3, 4)}
         breaker = {(0, 2), (2, 4)}
         state = GameState(
@@ -209,9 +247,11 @@ class TestMakerGraph:
             breaker_edges=set(breaker),
             unclaimed=set(all_edges(5)) - maker - breaker,
         )
-        assert_is_reference_maker_graph(maker_graph(state), state)
+        check(state)
         apply_claim(state, Player.MAKER, [(1, 4)])
-        assert_is_reference_maker_graph(maker_graph(state), state)
+        check(state)
+        apply_claim(state, Player.BREAKER, [(2, 3)])
+        check(state)
 
     def test_earlier_graph_is_unchanged_by_later_claims(self):
         state = new_game(5, 1, 1)

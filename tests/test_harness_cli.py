@@ -310,6 +310,14 @@ class TestCli:
         assert blob["n"] == 10**6
         assert blob["cond3a_ok"] is False
 
+    def test_infinite_n_is_a_usage_error(self, capsys):
+        """1e400 parses to inf, and int(inf) raised OverflowError, which
+        argparse does not turn into a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "1e400"])
+        assert exc.value.code == 1
+        assert "is not an integer" in capsys.readouterr().err
+
     def test_verify_pairing(self, capsys):
         assert main(["verify", "pairing", "--n", "5"]) == 0
         blob = json.loads(capsys.readouterr().out)
