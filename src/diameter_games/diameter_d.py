@@ -38,6 +38,7 @@ from .graph_metrics import bfs_levels
 __all__ = [
     "DdParams",
     "dd_params",
+    "dd_ball_sizes",
     "DdMaker",
     "dd_breaker_a1_biases",
     "DdBreakerA1",
@@ -129,6 +130,30 @@ def dd_params(n: int, d: int, r1_constant: float = 6.0) -> DdParams:
     )
 
 
+def dd_ball_sizes(n: int, d: int, r_sizes: list[int] | None = None) -> list[int]:
+    """DdMaker's ball-size schedule: r_sizes, or ceil of dd_params' r_values.
+
+    InvalidParameters unless there is one size per growth stage, the
+    first is 1, none shrinks and the last stays below n.  The default
+    schedule fails these checks on boards far too small for it.
+    """
+    params = dd_params(n, d)
+    if r_sizes is None:
+        r_sizes = [math.ceil(rv) for rv in params.r_values]
+    if len(r_sizes) != params.half:
+        raise InvalidParameters(
+            f"need {params.half} ball sizes for d={d}, got {len(r_sizes)}"
+        )
+    if r_sizes[0] != 1:
+        raise InvalidParameters("the radius-0 ball is a single vertex")
+    for a, c in zip(r_sizes, r_sizes[1:]):
+        if c < a:
+            raise InvalidParameters(f"ball sizes must not shrink: {r_sizes}")
+    if r_sizes[-1] >= n:
+        raise InvalidParameters(f"ball sizes must stay below n: {r_sizes}")
+    return list(r_sizes)
+
+
 # ---------------------------------------------------------------------------
 # Maker
 
@@ -174,20 +199,7 @@ class DdMaker:
         self.name = name
         half = self.params.half
         self.half = half
-        if r_sizes is None:
-            r_sizes = [math.ceil(rv) for rv in self.params.r_values]
-        if len(r_sizes) != half:
-            raise InvalidParameters(
-                f"need {half} ball sizes for d={d}, got {len(r_sizes)}"
-            )
-        if r_sizes[0] != 1:
-            raise InvalidParameters("the radius-0 ball is a single vertex")
-        for a, c in zip(r_sizes, r_sizes[1:]):
-            if c < a:
-                raise InvalidParameters(f"ball sizes must not shrink: {r_sizes}")
-        if r_sizes[-1] >= n:
-            raise InvalidParameters(f"ball sizes must stay below n: {r_sizes}")
-        self.r_sizes = list(r_sizes)
+        self.r_sizes = r_sizes = dd_ball_sizes(n, d, r_sizes)
 
         self.flags: list[str] = []
         self.violations: list[str] = []

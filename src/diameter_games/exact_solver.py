@@ -1,10 +1,19 @@
 """Exhaustive solvers for small boards.
 
 solve() runs memoized minimax over full turns of an (a:b) diameter game on
-K_n, with optional symmetry reduction (canonical position keys minimized
-over all vertex permutations) and optional sound cutoffs: Maker has already
-won once his graph has diameter <= d, and Breaker has already won once some
-pair cannot be connected within d even using every unclaimed edge.
+K_n, with optional symmetry reduction and optional sound cutoffs.  The
+symmetry reduction keys the memo on a canonical form of the position:
+vertices are split into classes by Maker and Breaker degree, the classes
+are refined by the classes of each vertex's neighbours (McKay & Piperno,
+"Practical graph isomorphism II", 2014), and the key is the smallest pair
+of ownership masks over the relabellings that permute vertices only
+inside their class.  Isomorphic positions, and only those, share a key.
+Keys are capped at n <= 8, because a vertex-transitive position has a
+single class and then all n! relabellings are tried.  The cutoffs: Maker
+has already won once his graph has diameter <= d, and Breaker has already
+won once some pair cannot be connected within d even using every
+unclaimed edge.  Both are tested by growing balls on closed-neighbourhood
+bitmasks.
 
 verify_final_property() is the one board verifier: a DFS that pins one side
 to a scripted strategy, branches over every opposing play, and undoes each
@@ -28,7 +37,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .game_core import (
     GameError,
@@ -42,7 +51,7 @@ from .game_core import (
 )
 from .potential_engine import FamilyGameState, WinningSetFamily
 
-DEFAULT_EDGE_CAP = 15  # C(n,2) <= 15, i.e. n <= 6
+DEFAULT_EDGE_CAP = 21  # C(n,2) <= 21, i.e. n <= 7
 DEFAULT_VERIFY_EDGE_CAP = 21  # n <= 7
 DEFAULT_MEMO_CAP = 5_000_000
 CANONICAL_MAX_N = 8
@@ -54,86 +63,157 @@ class OverCapError(GameError):
         self.count = count
 
 
-@lru_cache(maxsize=16)
-def _perm_edge_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex permutation, the induced permutation of edge indices."""
-    edges = all_edges(n)
-    index = {e: i for i, e in enumerate(edges)}
-    tables = []
-    for perm in permutations(range(n)):
-        tables.append(tuple(index[mk_edge(perm[u], perm[v])] for u, v in edges))
-    return tuple(tables)
+@lru_cache(maxsize=CANONICAL_MAX_N)
+def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[u][v] is the mask bit of edge {u, v} in all_edges(n) order."""
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(all_edges(n)):
+        bits[u][v] = bits[v][u] = 1 << i
+    return tuple(map(tuple, bits))
 
 
-def _permute_mask(mask: int, table: tuple[int, ...]) -> int:
-    out = 0
+def _neighbour_masks(n: int, mask: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Each vertex's neighbours in the edge mask's graph, as a vertex bitmask."""
+    nbr = [0] * n
     while mask:
         low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
+        u, v = edges[low.bit_length() - 1]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
         mask ^= low
-    return out
+    return nbr
 
 
-def _canonical_masks(n: int, maker_mask: int, breaker_mask: int) -> tuple[int, int]:
-    best_m, best_b = maker_mask, breaker_mask
-    for table in _perm_edge_tables(n):
-        pm = _permute_mask(maker_mask, table)
+# _VERTICES[mask] lists the vertices of a vertex bitmask on n <= CANONICAL_MAX_N.
+_VERTICES = tuple(
+    tuple(v for v in range(CANONICAL_MAX_N) if mask >> v & 1) for mask in range(1 << CANONICAL_MAX_N)
+)
+
+
+def _refined_cells(mnbr: list[int], bnbr: list[int]) -> list[list[int]]:
+    """The ordered vertex partition of a position, finest that refinement reaches.
+
+    Vertices start coloured by (Maker degree, Breaker degree).  Each round
+    recolours a vertex by its colour and the sorted colours of its Maker
+    and of its Breaker neighbours, until the number of classes stops
+    growing.  A colour is the rank of its signature in sorted order, never
+    a vertex label, so an isomorphism of positions maps the i-th cell onto
+    the i-th cell.
+    """
+    n = len(mnbr)
+    mlist = [_VERTICES[m] for m in mnbr]
+    blist = [_VERTICES[b] for b in bnbr]
+    sigs = [(len(ms), len(bs)) for ms, bs in zip(mlist, blist)]
+    classes = 0
+    while True:
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+        colour = [rank[sig] for sig in sigs]
+        if classes == n:
+            break
+        sigs = [
+            (
+                colour[v],
+                tuple(sorted([colour[w] for w in mlist[v]])),
+                tuple(sorted([colour[w] for w in blist[v]])),
+            )
+            for v in range(n)
+        ]
+    cells: list[list[int]] = [[] for _ in range(classes)]
+    for v in range(n):
+        cells[colour[v]].append(v)
+    return cells
+
+
+def _canonical_from_neighbours(mnbr: list[int], bnbr: list[int]) -> tuple[int, int]:
+    """Minimum (Maker mask, Breaker mask) over the relabellings that send the
+    i-th refined cell onto the i-th block of labels.
+
+    Which labels each cell receives depends only on the position's
+    isomorphism class, so two positions share a key exactly when they are
+    isomorphic.  The relabellings are the product of the cells' factorials:
+    one for a discrete partition, n! when refinement splits nothing.
+    """
+    n = len(mnbr)
+    bits = _edge_bits(n)
+    cells = _refined_cells(mnbr, bnbr)
+    medges = [(u, w) for u in range(n) for w in _VERTICES[mnbr[u] >> u + 1 << u + 1]]
+    bedges = [(u, w) for u in range(n) for w in _VERTICES[bnbr[u] >> u + 1 << u + 1]]
+    label = [0] * n
+    best_m = best_b = 1 << n * (n - 1) // 2  # above every mask
+    for order in product(*(permutations(cell) for cell in cells)):
+        i = 0
+        for cell in order:
+            for v in cell:
+                label[v] = i
+                i += 1
+        pm = 0
+        for u, w in medges:
+            pm |= bits[label[u]][label[w]]
         if pm > best_m:
             continue
-        pb = _permute_mask(breaker_mask, table)
+        pb = 0
+        for u, w in bedges:
+            pb |= bits[label[u]][label[w]]
         if pm < best_m or pb < best_b:
             best_m, best_b = pm, pb
     return best_m, best_b
 
 
-def canonical_key(state: GameState, claims_remaining: int | None = None):
-    """Symmetry-reduced key for a position: minimal ownership encoding over all vertex relabelings.
+def _canonical_masks(n: int, maker_mask: int, breaker_mask: int) -> tuple[int, int]:
+    edges = all_edges(n)
+    return _canonical_from_neighbours(
+        _neighbour_masks(n, maker_mask, edges),
+        _neighbour_masks(n, breaker_mask, edges),
+    )
 
-    Two states mapping to the same key are the same game up to renaming
-    vertices.  Capped at n <= 8 (factorial cost in n).
+
+def canonical_key(state: GameState, claims_remaining: int | None = None):
+    """Symmetry-reduced key for a position: equal exactly for isomorphic positions.
+
+    The ownership masks are relabelled within the classes of a vertex
+    refinement by Maker and Breaker degrees (_refined_cells) and the
+    smallest pair is kept.  Capped at n <= 8: on a vertex-transitive
+    position refinement splits nothing and all n! relabellings are tried.
     """
     if state.n > CANONICAL_MAX_N:
         raise OverCapError(f"canonical_key capped at n={CANONICAL_MAX_N}", count=state.n)
-    index = {e: i for i, e in enumerate(all_edges(state.n))}
-    mm = sum(1 << index[e] for e in state.maker_edges)
-    bm = sum(1 << index[e] for e in state.breaker_edges)
+    bits = _edge_bits(state.n)
+    mm = sum(bits[u][v] for u, v in state.maker_edges)
+    bm = sum(bits[u][v] for u, v in state.breaker_edges)
     if claims_remaining is None:
         claims_remaining = state.required_claim_count(state.to_move)
     cm, cb = _canonical_masks(state.n, mm, bm)
     return (cm, cb, state.to_move.value, claims_remaining)
 
 
-def _diameter_within(n: int, mask: int, edges: list[tuple[int, int]], d: int) -> bool:
-    """True iff the mask's graph on n vertices has diameter <= d (BFS per vertex).
+def _diameter_within(closed: list[int], d: int) -> bool:
+    """True iff the graph has diameter <= d, i.e. every radius-d ball is
+    the whole vertex set.
 
-    Kept beside graph_metrics.bfs_levels: solve() runs it on bitmasks at
-    every node, so it tracks visited vertices as bits, with no level map.
+    closed[v] is v's closed neighbourhood as a vertex bitmask; a ball
+    grows by OR-ing the masks of its newest vertices.  Kept beside
+    graph_metrics.diameter because solve() and verify_one_sided() run it
+    at every node.
     """
-    adj = [[] for _ in range(n)]
-    m = mask
-    while m:
-        low = m & -m
-        u, v = edges[low.bit_length() - 1]
-        adj[u].append(v)
-        adj[v].append(u)
-        m ^= low
-    for src in range(n):
-        seen = 1 << src
-        count = 1
-        frontier = [src]
-        depth = 0
-        while frontier and depth < d:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    bit = 1 << w
-                    if not seen & bit:
-                        seen |= bit
-                        count += 1
-                        nxt.append(w)
-            frontier = nxt
-        if count < n:
+    everyone = (1 << len(closed)) - 1
+    for ball in closed:
+        frontier = ball
+        for _ in range(d - 1):
+            if ball == everyone:
+                break
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= closed[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & ~ball
+            if not frontier:
+                return False
+            ball |= grow
+        if ball != everyone:
             return False
     return True
 
@@ -190,8 +270,11 @@ def solve(
         raise OverCapError(
             f"solve capped at {edge_cap} edges, K_{n} has {total_edges}", count=total_edges
         )
+    if use_canonical and n > CANONICAL_MAX_N:
+        raise OverCapError(f"canonical keys capped at n={CANONICAL_MAX_N}", count=n)
     edges = all_edges(n)
     full = (1 << total_edges) - 1
+    everyone = (1 << n) - 1
     memo: dict = {}
     visited = 0
     start = time.perf_counter()
@@ -199,17 +282,19 @@ def solve(
     def search(maker_mask: int, breaker_mask: int, side: Player) -> bool:
         nonlocal visited
         visited += 1
+        mnbr = _neighbour_masks(n, maker_mask, edges)
+        bnbr = _neighbour_masks(n, breaker_mask, edges)
+        maker_closed = [m | 1 << v for v, m in enumerate(mnbr)]
         if use_cutoffs:
-            if _diameter_within(n, maker_mask, edges, d):
+            if _diameter_within(maker_closed, d):
                 return True
-            if not _diameter_within(n, full & ~breaker_mask, edges, d):
+            if not _diameter_within([everyone & ~m for m in bnbr], d):
                 return False
         claimed = maker_mask | breaker_mask
         if claimed == full:
-            return _diameter_within(n, maker_mask, edges, d)
+            return _diameter_within(maker_closed, d)
         if use_canonical:
-            cm, cb = _canonical_masks(n, maker_mask, breaker_mask)
-            key = (cm, cb, side)
+            key = (*_canonical_from_neighbours(mnbr, bnbr), side)
         else:
             key = (maker_mask, breaker_mask, side)
         hit = memo.get(key)
@@ -359,14 +444,20 @@ def verify_one_sided(
     Breaker's graph is Maker's graph, so the cutoffs settle every leaf and
     the final predicate is never reached.
     """
-    edges = _board_edges(n, edge_cap)
-    index = {e: i for i, e in enumerate(edges)}
-    full = (1 << len(edges)) - 1
+    everyone = (1 << n) - 1
 
     def prune(maker, breaker, unclaimed, log) -> bool | None:
-        if _diameter_within(n, sum(1 << index[e] for e in maker), edges, d):
+        closed = [1 << v for v in range(n)]
+        for u, v in maker:
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+        if _diameter_within(closed, d):
             return side is Player.MAKER
-        if not _diameter_within(n, full & ~sum(1 << index[e] for e in breaker), edges, d):
+        closed = [everyone] * n  # in the graph of every edge Breaker lacks
+        for u, v in breaker:
+            closed[u] &= ~(1 << v)
+            closed[v] &= ~(1 << u)
+        if not _diameter_within(closed, d):
             return side is Player.BREAKER
         return None
 

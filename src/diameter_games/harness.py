@@ -29,7 +29,7 @@ from .degree_games import (
     MinDegStrategy,
 )
 from .diameter2 import D2Breaker, D2Maker, D2SimpleMaker, PairingBreaker
-from .diameter_d import DdBreakerA1, DdBreakerA2, DdMaker
+from .diameter_d import DdBreakerA1, DdBreakerA2, DdMaker, dd_ball_sizes
 from .game_core import (
     InvalidParameters,
     Player,
@@ -72,13 +72,16 @@ class _Registered(NamedTuple):
     pops an option that overrides one (path-greedy's `d`); the remaining
     options are keyword arguments.  `bias` reads the Breaker bias off a
     built instance, for ids that carry their own bias formula.  `takes_rng`
-    ids get the match RNG as their first argument.
+    ids get the match RNG as their first argument.  `check` raises
+    InvalidParameters for a config the constructor would refuse although
+    its arguments bind, so that validation catches it before any match.
     """
 
     cls: type
     args: Callable[[ExperimentConfig, dict], tuple] = lambda cfg, opts: ()
     bias: Callable[[object], int] | None = None
     takes_rng: bool = False
+    check: Callable[[ExperimentConfig, dict], object] | None = None
 
 
 _REGISTRY: dict[str, _Registered] = {
@@ -93,7 +96,11 @@ _REGISTRY: dict[str, _Registered] = {
     "d2-simple-maker": _Registered(D2SimpleMaker, lambda cfg, opts: (cfg.n, cfg.a, cfg.effective_b())),
     "d2-maker": _Registered(D2Maker, lambda cfg, opts: (cfg.n, cfg.effective_b())),
     "d2-breaker": _Registered(D2Breaker, lambda cfg, opts: (cfg.n,), bias=lambda s: s.params.b),
-    "dd-maker": _Registered(DdMaker, lambda cfg, opts: (cfg.n, cfg.d, cfg.effective_b())),
+    "dd-maker": _Registered(
+        DdMaker,
+        lambda cfg, opts: (cfg.n, cfg.d, cfg.effective_b()),
+        check=lambda cfg, opts: dd_ball_sizes(cfg.n, cfg.d, opts.get("r_sizes")),
+    ),
     "dd-breaker-a1": _Registered(DdBreakerA1, lambda cfg, opts: (cfg.n, cfg.d), bias=lambda s: s.bias),
     "dd-breaker-a2": _Registered(DdBreakerA2, lambda cfg, opts: (cfg.n, cfg.d), bias=lambda s: s.bias),
 }
@@ -177,8 +184,11 @@ class ExperimentConfig:
             raise InvalidParameters(f"first must be maker or breaker, got {self.first!r}")
         property_from_id(self.resolved_property_id())
         self.effective_b()
-        _bind(self.maker, self, None, self.maker_options)
-        _bind(self.breaker, self, None, self.breaker_options)
+        for sid, options in ((self.maker, self.maker_options), (self.breaker, self.breaker_options)):
+            _, _, opts = _bind(sid, self, None, options)
+            check = _REGISTRY[sid].check
+            if check is not None:
+                check(self, opts)
 
     def resolved_property_id(self) -> str:
         return self.property_id or f"diameter<={self.d}"

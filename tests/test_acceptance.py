@@ -10,7 +10,6 @@ independent hand or oracle computation recorded in the module tests.
 
 import glob
 import math
-import os
 import random
 import time
 from itertools import combinations
@@ -111,10 +110,6 @@ def test_criterion_01_exact_values_small_boards():
     assert elapsed < 60.0, f"exact solves took {elapsed:.1f}s"
 
 
-@pytest.mark.skipif(
-    os.environ.get("DIAMETER_GAMES_N6") != "1",
-    reason="n=6 full solve is optional; set DIAMETER_GAMES_N6=1 to run it",
-)
 def test_criterion_01_optional_n6():
     assert solve(6, 1, 1, 2).winner is Player.BREAKER
 

@@ -2,8 +2,11 @@
 
 import json
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diameter_games import (
     STRATEGY_IDS,
@@ -16,11 +19,14 @@ from diameter_games import (
     Player,
     RandomStrategy,
     StrategyInapplicable,
+    all_edges,
     apply_claim,
     box_maker_select,
     canonical_key,
+    diameter,
     esb_breaker_select,
     family_from_sets,
+    graph_from_edges,
     make_strategy,
     mindeg_breaker_select,
     new_game,
@@ -29,6 +35,7 @@ from diameter_games import (
     verify_final_property,
     verify_one_sided,
 )
+from diameter_games.exact_solver import _canonical_masks, _diameter_within, _neighbour_masks
 
 
 class TestSolve:
@@ -77,6 +84,17 @@ class TestSolve:
         b = solve(4, 1, 2, d=2)
         assert a.winner is b.winner
 
+    def test_n7_is_within_the_default_cap(self):
+        fast = solve(7, 2, 1, d=3)
+        slow = solve(7, 2, 1, d=3, use_canonical=False)
+        assert fast.winner is slow.winner
+        assert fast.states_visited < slow.states_visited
+
+    def test_canonical_keys_capped_at_n8(self):
+        # Past n = 8 a key may cost n! relabellings; plain keys have no cap.
+        with pytest.raises(OverCapError):
+            solve(9, 1, 1, d=2, edge_cap=36)
+
 
 class TestCanonicalKey:
     def test_relabeling_invariance(self):
@@ -100,6 +118,135 @@ class TestCanonicalKey:
     def test_capped_at_factorial_blowup(self):
         with pytest.raises(OverCapError):
             canonical_key(new_game(9, 1, 1))
+
+
+def _relabel(n, mask, perm):
+    """The edge mask after renaming vertex v to perm[v]."""
+    edges = all_edges(n)
+    index = {e: i for i, e in enumerate(edges)}
+    out = 0
+    for i, (u, v) in enumerate(edges):
+        if mask >> i & 1:
+            out |= 1 << index[tuple(sorted((perm[u], perm[v])))]
+    return out
+
+
+def _reference_masks(n, maker_mask, breaker_mask):
+    """The smallest (Maker mask, Breaker mask) over all n! relabellings."""
+    return min(
+        (_relabel(n, maker_mask, perm), _relabel(n, breaker_mask, perm))
+        for perm in permutations(range(n))
+    )
+
+
+def _split(n, owners):
+    """Maker and Breaker masks from one owner per edge: 0 open, 1 Maker, 2 Breaker."""
+    maker = sum(1 << i for i, o in enumerate(owners) if o == 1)
+    breaker = sum(1 << i for i, o in enumerate(owners) if o == 2)
+    return maker, breaker
+
+
+@st.composite
+def _position_pairs(draw, n):
+    """A position and a second one: a relabelling of the first, with one
+    edge's owner changed half of the time."""
+    owners = draw(st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    perm = draw(st.permutations(range(n)))
+    moved = list(owners)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(owners) - 1))
+        moved[i] = (moved[i] + draw(st.integers(1, 2))) % 3
+    return _split(n, owners), tuple(_relabel(n, mask, perm) for mask in _split(n, moved))
+
+
+class TestRefinedKey:
+    """Refined keys against the n!-relabelling reference: equal exactly
+    when the reference keys are equal."""
+
+    def test_every_split_of_k4(self):
+        pairs = {}
+        for owners in product(range(3), repeat=6):
+            maker, breaker = _split(4, owners)
+            pairs[(maker, breaker)] = (
+                _canonical_masks(4, maker, breaker),
+                _reference_masks(4, maker, breaker),
+            )
+        # Equal refined keys exactly when equal reference keys: the two
+        # partitions of the 729 positions have the same classes.
+        refined = {r for r, _ in pairs.values()}
+        reference = {ref for _, ref in pairs.values()}
+        assert len(refined) == len(reference) == len(set(pairs.values()))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_splits_agree_with_reference(self, n, data):
+        (m1, b1), (m2, b2) = data.draw(_position_pairs(n))
+        same_refined = _canonical_masks(n, m1, b1) == _canonical_masks(n, m2, b2)
+        same_reference = _reference_masks(n, m1, b1) == _reference_masks(n, m2, b2)
+        assert same_refined == same_reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2), min_size=21, max_size=21),
+        st.permutations(range(7)),
+    )
+    def test_relabelling_invariance_at_n7(self, owners, perm):
+        maker, breaker = _split(7, owners)
+        key = _canonical_masks(7, maker, breaker)
+        assert key == _canonical_masks(7, _relabel(7, maker, perm), _relabel(7, breaker, perm))
+        # The key is itself a relabelling of the position.
+        assert [bin(m).count("1") for m in key] == [bin(maker).count("1"), bin(breaker).count("1")]
+
+    def test_vertex_transitive_position_at_n7(self):
+        # A Maker 7-cycle: refinement splits nothing, so all 7! relabellings run.
+        edges = all_edges(7)
+        cycle = sum(1 << edges.index(tuple(sorted((v, (v + 1) % 7)))) for v in range(7))
+        rotated = _relabel(7, cycle, [3, 1, 6, 0, 2, 5, 4])
+        assert _canonical_masks(7, cycle, 0) == _canonical_masks(7, rotated, 0)
+
+
+def _within(n, mask, d):
+    """_diameter_within on the graph of an edge mask in all_edges(n) order."""
+    nbr = _neighbour_masks(n, mask, all_edges(n))
+    return _diameter_within([m | 1 << v for v, m in enumerate(nbr)], d)
+
+
+def _reference_within(n, mask, d):
+    if n == 1:
+        return True  # a single vertex has diameter 0
+    edges = [e for i, e in enumerate(all_edges(n)) if mask >> i & 1]
+    return diameter(graph_from_edges(n, edges)) <= d
+
+
+class TestDiameterWithin:
+    """The closed-neighbourhood ball test against graph_metrics.diameter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    ), st.integers(1, 4))
+    def test_agrees_with_graph_metrics(self, graph, d):
+        n, mask = graph
+        assert _within(n, mask, d) == _reference_within(n, mask, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pinned_graphs(self, d):
+        assert _within(1, 0, d)
+        for n in range(2, 9):
+            edges = all_edges(n)
+            index = {e: i for i, e in enumerate(edges)}
+            path = sum(1 << index[(v, v + 1)] for v in range(n - 1))
+            complete = (1 << len(edges)) - 1
+            assert not _within(n, 0, d), f"empty K_{n}"
+            assert _within(n, complete, d), f"K_{n}"
+            assert _within(n, path, d) == (n - 1 <= d), f"P_{n}"
+            if n >= 4:
+                # Two disjoint cliques: disconnected at every d.
+                halves = sum(
+                    1 << i for i, (u, v) in enumerate(edges) if (u < n // 2) == (v < n // 2)
+                )
+                assert not _within(n, halves, d), f"split K_{n}"
 
 
 class PureLexStrategy:

@@ -94,6 +94,21 @@ class TestConfig:
         cfg = small_config(property_id="mindeg>2")
         assert cfg.resolved_property_id() == "mindeg>2"
 
+    def test_rejects_dd_maker_default_schedule_on_small_board(self, tmp_path):
+        """dd_params(60, 3) schedules ball sizes [1, -36].  The config used
+        to validate and the first match then raised "ball sizes must not
+        shrink"; validation now runs the constructor's own schedule check."""
+        path = tmp_path / "dd.json"
+        path.write_text(json.dumps(
+            {"name": "dd", "n": 60, "a": 1, "b": 2, "d": 3, "maker": "dd-maker", "breaker": "random"}
+        ))
+        with pytest.raises(InvalidParameters, match="must not shrink"):
+            ExperimentConfig.from_file(path)
+
+    def test_rejects_bad_dd_maker_schedule_option(self):
+        with pytest.raises(InvalidParameters, match="stay below n"):
+            small_config(maker="dd-maker", d=3, maker_options={"r_sizes": [1, 6]})
+
 
 class TestEffectiveB:
     def test_explicit_b_passes_through(self):
