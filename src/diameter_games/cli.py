@@ -24,7 +24,6 @@ from .diameter_d import claim2_check, dd_params
 from .exact_solver import (
     DEFAULT_EDGE_CAP,
     DEFAULT_MEMO_CAP,
-    DEFAULT_VERIFY_EDGE_CAP,
     OverCapError,
     solve,
     verify_family_one_sided,
@@ -268,7 +267,7 @@ def build_parser() -> _Parser:
     ver_sub = p_ver.add_subparsers(dest="target", required=True)
     q = ver_sub.add_parser("pairing")
     q.add_argument("--n", type=_intish, required=True)
-    q.add_argument("--edge-cap", type=_intish, default=DEFAULT_VERIFY_EDGE_CAP)
+    q.add_argument("--edge-cap", type=_intish, default=DEFAULT_EDGE_CAP)
     q = ver_sub.add_parser("esb")
     q.add_argument("--family", required=True)
     q.add_argument("--a", type=_intish, default=1)

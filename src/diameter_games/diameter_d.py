@@ -177,8 +177,10 @@ class DdMaker:
     tiny r_sizes trips the family cap, and that error propagates.
 
     The round, and with it the subgame, follows from the number of Maker
-    turns in the log, so the subgames' own bookkeeping keeps
-    game_core.LogCursor's rule.
+    turns in the log.  The expansion games keep no state and read the
+    board; the degree game keeps game_core.LogCursor's rule, which holds
+    although it is consulted on some turns only, because which turns
+    follows from the log.
     """
 
     def __init__(

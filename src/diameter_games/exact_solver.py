@@ -49,10 +49,10 @@ from .game_core import (
     edge_count,
     mk_edge,
 )
+from .graph_metrics import closed_masks
 from .potential_engine import FamilyGameState, WinningSetFamily
 
 DEFAULT_EDGE_CAP = 21  # C(n,2) <= 21, i.e. n <= 7
-DEFAULT_VERIFY_EDGE_CAP = 21  # n <= 7
 DEFAULT_MEMO_CAP = 5_000_000
 CANONICAL_MAX_N = 8
 
@@ -372,7 +372,7 @@ def verify_final_property(
     final_predicate,
     prune=None,
     first: Player = Player.MAKER,
-    edge_cap: int = DEFAULT_VERIFY_EDGE_CAP,
+    edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> bool:
     """True iff the scripted side wins against every opposing play, with an arbitrary goal.
 
@@ -434,7 +434,7 @@ def verify_one_sided(
     scripted: Strategy,
     side: Player,
     first: Player = Player.MAKER,
-    edge_cap: int = DEFAULT_VERIFY_EDGE_CAP,
+    edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> bool:
     """True iff the scripted side achieves its diameter goal against every opposing play.
 
@@ -447,10 +447,7 @@ def verify_one_sided(
     everyone = (1 << n) - 1
 
     def prune(maker, breaker, unclaimed, log) -> bool | None:
-        closed = [1 << v for v in range(n)]
-        for u, v in maker:
-            closed[u] |= 1 << v
-            closed[v] |= 1 << u
+        closed = closed_masks(n, maker)
         if _diameter_within(closed, d):
             return side is Player.MAKER
         closed = [everyone] * n  # in the graph of every edge Breaker lacks

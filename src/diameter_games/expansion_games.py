@@ -20,10 +20,13 @@ count is checked before any enumeration.  When r == s the unordered pair
 {R, S} is generated once, halving the raw ordered count; the closed-form
 start value uses the generated count so cross-checks compare like with like.
 
-ExpMaker's layout (family, edge index, member and incidence tuples) depends
-only on (n, r, s), so it is built once and shared, read-only, through a cache
-that holds the most recent layout; each instance keeps only its own alive
-flags and unclaimed counts.
+ExpMaker keeps no game state.  Each pick reads the board: a hyperedge
+survives while Maker holds none of its edges, and its free count is the
+number of its edges still unclaimed.  The greedy loop is the ESB Breaker's
+(potential_engine.greedy_potential_picks); only the weight differs.  The
+layout it reads (edge index, one edge mask per hyperedge, incidence tuples)
+depends only on (n, r, s), so it is built once and shared, read-only,
+through a cache that holds the most recent layout.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .game_core import Edge, GameState, InvalidParameters, LogCursor, Player, all_edges
-from .potential_engine import FamilyTooLarge, WinningSetFamily
+from .game_core import Edge, GameState, InvalidParameters, Player, all_edges
+from .potential_engine import FamilyTooLarge, WinningSetFamily, greedy_potential_picks
 
 DEFAULT_FAMILY_CAP = 2_000_000
-# Layouts kept alive by the cache.  Callers use one (n, r, s) many times in a
+# Layouts the cache holds.  Callers use one (n, r, s) many times in a
 # row (each exhaustive cell, each subgame's ExpMaker), and an instance holds
 # its own layout, so one is enough.  D2Maker's family may hold up to
 # DEFAULT_FAMILY_CAP hyperedges, so the cache keeps no more than that one.
@@ -108,13 +111,12 @@ def exp_family(n: int, r: int, s: int, cap: int = DEFAULT_FAMILY_CAP) -> Winning
     enumeration.
     """
     _checked_count(n, r, s, cap)
-    return _enumerate_family(n, r, s)
+    return WinningSetFamily(n * (n - 1) // 2, tuple(map(frozenset, _hyperedges(n, r, s))))
 
 
-def _enumerate_family(n: int, r: int, s: int) -> WinningSetFamily:
-    """exp_family without the parameter and cap checks; callers check first."""
+def _hyperedges(n: int, r: int, s: int):
+    """Each hyperedge's positions, in exp_family's order; callers check the count first."""
     index = {e: i for i, e in enumerate(all_edges(n))}
-    sets = []
     vertices = range(n)
     for rset in combinations(vertices, r):
         rmembers = set(rset)
@@ -122,12 +124,7 @@ def _enumerate_family(n: int, r: int, s: int) -> WinningSetFamily:
         for sset in combinations(rest, s):
             if r == s and sset < rset:
                 continue  # unordered {R, S}: keep one orientation
-            hyper = frozenset(
-                index[(u, v) if u < v else (v, u)] for u in rset for v in sset
-            )
-            sets.append(hyper)
-    assert len(sets) == exp_family_count(n, r, s)
-    return WinningSetFamily(n * (n - 1) // 2, tuple(sets))
+            yield [index[(u, v) if u < v else (v, u)] for u in rset for v in sset]
 
 
 def exp_start_value_closed_form(n: int, r: int, s: int, a: int, b: float) -> float:
@@ -143,47 +140,77 @@ def exp_start_value_closed_form(n: int, r: int, s: int, a: int, b: float) -> flo
 
 @dataclass(frozen=True)
 class _Layout:
-    """The (n, r, s)-only part of an ExpMaker, shared read-only between instances."""
+    """The (n, r, s)-only part of an expansion Maker, shared read-only between callers."""
 
-    family: WinningSetFamily
     edges: tuple[Edge, ...]
     edge_index: Mapping[Edge, int]  # Edge -> position
-    members: tuple[tuple[int, ...], ...]  # hyperedge -> sorted positions
+    masks: tuple[int, ...]  # hyperedge -> bitmask of its positions
     incident: tuple[tuple[int, ...], ...]  # position -> hyperedges, ascending
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(n: int, r: int, s: int) -> _Layout:
     """Enumerate and index the family; the caller has run _checked_count."""
-    family = _enumerate_family(n, r, s)
     edges = tuple(all_edges(n))
-    members = tuple(tuple(sorted(h)) for h in family.sets)
+    masks = []
     incident: list = [[] for _ in edges]
-    for h, positions in enumerate(members):
+    for h, positions in enumerate(_hyperedges(n, r, s)):
+        mask = 0
         for pos in positions:
+            mask |= 1 << pos
             incident[pos].append(h)
+        masks.append(mask)
     for pos, hs in enumerate(incident):
         incident[pos] = tuple(hs)  # in place: each list is freed as its tuple is built
     return _Layout(
-        family=family,
         edges=edges,
         edge_index={e: i for i, e in enumerate(edges)},
-        members=members,
+        masks=tuple(masks),
         incident=tuple(incident),
     )
+
+
+def _greedy_turn(layout: _Layout, state: GameState, count: int, maker_bias: int, virtual_b: float) -> list[Edge]:
+    """Up to `count` expansion-Maker claims, read off the board.
+
+    A hyperedge survives while Maker holds none of its edges and then weighs
+    (1 + maker_bias)^(-free/virtual_b), free being its edges still
+    unclaimed: one AND and one popcount per hyperedge.
+    """
+    index = layout.edge_index
+    maker = 0
+    for e in state.maker_edges:
+        maker |= 1 << index[e]
+    free = sorted(index[e] for e in state.unclaimed)
+    open_ = 0
+    for pos in free:
+        open_ |= 1 << pos
+    log_base = math.log(1 + maker_bias)
+    weights = [
+        0.0 if mask & maker else math.exp(-(mask & open_).bit_count() / virtual_b * log_base)
+        for mask in layout.masks
+    ]
+    return [layout.edges[pos] for pos in greedy_potential_picks(weights, layout.incident, free, count)]
+
+
+def _check_biases(maker_bias: int, virtual_b: float) -> None:
+    if maker_bias < 1 or virtual_b <= 0:
+        raise InvalidParameters(
+            f"need maker_bias >= 1 and virtual_b > 0, got {maker_bias}, {virtual_b}"
+        )
 
 
 class ExpMaker:
     """Maker for one expansion game, playing greedy swapped-role potential.
 
     Each claim takes the unclaimed edge of maximum total surviving-hyperedge
-    weight, where a hyperedge survives until Maker touches it and weighs
-    (1 + maker_bias)^(-unclaimed/virtual_b).  Opponent claims shrink
-    `unclaimed` and so raise the weight; Maker claims kill hyperedges.  Ties
-    break toward the lowest edge index.  Incidence bookkeeping is synced
-    from the move log, so the instance never double-counts, and it starts
-    over on a log that did not grow (game_core.LogCursor).  The family and
-    incidence come from the shared per-(n, r, s) layout; `cap` is checked
+    weight, where a hyperedge survives until Maker holds one of its edges
+    and weighs (1 + maker_bias)^(-unclaimed/virtual_b).  Opponent claims
+    shrink `unclaimed` and so raise the weight; Maker claims kill
+    hyperedges.  Ties break toward the lowest edge index.  The instance
+    keeps no game state: every pick is a function of the board it is shown,
+    so any log, rewound or not, gives the pick a fresh instance would.  The
+    layout comes from the shared per-(n, r, s) cache; `cap` is checked
     against the pair count before that layout is looked up.
     """
 
@@ -197,10 +224,7 @@ class ExpMaker:
         cap: int = DEFAULT_FAMILY_CAP,
         name: str = "exp-maker",
     ):
-        if maker_bias < 1 or virtual_b <= 0:
-            raise InvalidParameters(
-                f"need maker_bias >= 1 and virtual_b > 0, got {maker_bias}, {virtual_b}"
-            )
+        _check_biases(maker_bias, virtual_b)
         self.n = n
         self.r = r
         self.s = s
@@ -208,91 +232,24 @@ class ExpMaker:
         self.virtual_b = float(virtual_b)
         self.name = name
         _checked_count(n, r, s, cap)
-        layout = _layout(n, r, s)
-        self.family = layout.family
-        self.edges = layout.edges
-        self._edge_index = layout.edge_index
-        self._members = layout.members
-        self._incident = layout.incident
-        self._log = LogCursor()
-        self._log_base = math.log(1 + maker_bias)
-        self.alive: list[bool] = []  # both filled by the first sync
-        self.unclaimed_count: list[int] = []
-
-    def _observe(self, player: Player, edge: Edge) -> None:
-        pos = self._edge_index[edge]
-        for h in self._incident[pos]:
-            if player is Player.MAKER:
-                self.alive[h] = False
-            elif self.alive[h]:
-                self.unclaimed_count[h] -= 1
-
-    def sync(self, state: GameState) -> None:
-        new = self._log.new_claims(state)
-        if new is None:
-            self.alive = [True] * len(self._members)
-            self.unclaimed_count = [self.r * self.s] * len(self._members)
-            new = state.move_log
-        for player, edge in new:
-            self._observe(player, edge)
-
-    def _weight(self, h: int, extra_dead) -> float:
-        if not self.alive[h] or h in extra_dead:
-            return 0.0
-        return math.exp(-self.unclaimed_count[h] / self.virtual_b * self._log_base)
+        self._layout = _layout(n, r, s)
 
     def select_turn(self, state: GameState, count: int) -> list[Edge]:
-        self.sync(state)
-        picks: list[Edge] = []
-        picked_pos: set[int] = set()
-        extra_dead: set[int] = set()
-        for _ in range(count):
-            score: dict[int, float] = {}
-            for h in range(len(self._members)):
-                w = self._weight(h, extra_dead)
-                if w == 0.0:
-                    continue
-                for pos in self._members[h]:
-                    edge = self.edges[pos]
-                    if edge in state.unclaimed and pos not in picked_pos:
-                        score[pos] = score.get(pos, 0.0) + w
-            best_pos = -1
-            best_w = -1.0
-            if score:
-                for pos in sorted(score):
-                    if score[pos] > best_w:
-                        best_pos, best_w = pos, score[pos]
-            if best_pos < 0:
-                # Every hyperedge is dead or untouchable; spend on lowest unclaimed.
-                for pos, edge in enumerate(self.edges):
-                    if pos not in picked_pos and edge in state.unclaimed:
-                        best_pos = pos
-                        break
-                if best_pos < 0:
-                    break
-            picks.append(self.edges[best_pos])
-            picked_pos.add(best_pos)
-            extra_dead.update(self._incident[best_pos])
-        return picks
+        return _greedy_turn(self._layout, state, count, self.maker_bias, self.virtual_b)
 
     def select(self, state: GameState) -> list[Edge]:
         return self.select_turn(state, state.required_claim_count(Player.MAKER))
 
 
 def exp_maker_select(state: GameState, params: ExpansionParams, virtual_b: float | None = None) -> list[Edge]:
-    """One expansion-Maker turn from a fresh ExpMaker synced to the whole log.
+    """One expansion-Maker turn, the pick an ExpMaker(n, r, s, state.a, virtual_b) makes.
 
-    The family and incidence come from the cached layout of the last (n, r, s),
-    so a run of calls on one (n, r, s) costs a sync and a select each, not an
-    enumeration; the cache holds one layout, so a call on another (n, r, s)
-    re-enumerates.  Match play should still hold an ExpMaker, which syncs only
-    the new moves.
+    virtual_b defaults to params.b.  The layout comes from the cache of the
+    last (n, r, s), so a run of calls on one (n, r, s) costs a pick each, not
+    an enumeration; a call on another (n, r, s) re-enumerates.
     """
-    maker = ExpMaker(
-        params.n,
-        params.r,
-        params.s,
-        maker_bias=state.a,
-        virtual_b=params.b if virtual_b is None else virtual_b,
-    )
-    return maker.select(state)
+    virtual_b = float(params.b if virtual_b is None else virtual_b)
+    _check_biases(state.a, virtual_b)
+    _checked_count(params.n, params.r, params.s, DEFAULT_FAMILY_CAP)
+    layout = _layout(params.n, params.r, params.s)
+    return _greedy_turn(layout, state, state.required_claim_count(Player.MAKER), state.a, virtual_b)

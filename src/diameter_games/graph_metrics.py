@@ -146,24 +146,34 @@ def degree_profile(g: Graph) -> DegreeProfile:
 def has_expansion(g: Graph, r: int, s: int) -> bool:
     """True iff every pair of disjoint vertex sets (R, S) with |R|=r, |S|=s has an edge between them.
 
-    For a fixed R, a violating S exists exactly when at least s vertices lie
-    outside R with no edge into R.  With the closed-neighbourhood mask
-    N[v] = (1 << v) | OR(1 << w for w in neighbors(v)), that is when the
-    popcount of OR(N[v] for v in R) is at most n - s.  Enumerating R-sets
-    and OR-ing their masks costs O(C(n, r) * r) mask operations, with no
-    enumeration of S-sets.
+    Checks the sizes and runs expansion_of_closed on g's closed masks.
     """
     if r < 1 or s < 1:
         raise InvalidGraph(f"set sizes must be positive, got r={r}, s={s}")
     if r + s > g.n:
         raise InvalidGraph(f"r + s = {r + s} exceeds vertex count {g.n}")
-    closed = []
-    for v in range(g.n):
-        mask = 1 << v
-        for w in g.neighbors(v):
-            mask |= 1 << w
-        closed.append(mask)
-    limit = g.n - s
+    return expansion_of_closed(closed_masks(g.n, g.edges), r, s)
+
+
+def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Closed-neighbourhood vertex masks: entry v is (1 << v) | OR(1 << w for each edge vw)."""
+    closed = [1 << v for v in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    return closed
+
+
+def expansion_of_closed(closed: Sequence[int], r: int, s: int) -> bool:
+    """has_expansion on the closed masks of a graph on len(closed) vertices, sizes unchecked.
+
+    For a fixed R, a violating S exists exactly when at least s vertices lie
+    outside R with no edge into R, that is when the popcount of
+    OR(closed[v] for v in R) is at most n - s.  Enumerating R-sets and
+    OR-ing their masks costs O(C(n, r) * r) mask operations, with no
+    enumeration of S-sets.
+    """
+    limit = len(closed) - s
     for rmasks in combinations(closed, r):
         covered = 0
         for mask in rmasks:

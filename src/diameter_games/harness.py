@@ -112,6 +112,10 @@ class InvariantViolation(AssertionError):
     """A board-state assertion failed during an instrumented run."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """One matchup plus its seed plan and output paths.
@@ -163,18 +167,20 @@ class ExperimentConfig:
             raise InvalidParameters(f"unknown maker id {self.maker!r}")
         if self.breaker not in _REGISTRY:
             raise InvalidParameters(f"unknown breaker id {self.breaker!r}")
-        if self.n < 2:
-            raise InvalidParameters(f"need n >= 2, got {self.n}")
-        if self.a < 1:
-            raise InvalidParameters(f"need a >= 1, got {self.a}")
-        if self.b is not None and self.b < 1:
-            raise InvalidParameters(f"need b >= 1, got {self.b}")
-        if self.repetitions < 1:
-            raise InvalidParameters("need repetitions >= 1")
-        if not isinstance(self.seeds, list) or not all(
-            isinstance(s, int) for s in self.seeds
-        ):
+        least_values = {"n": 2, "a": 1, "b": 1, "d": 1, "repetitions": 1, "max_rounds": 1}
+        for key, least in least_values.items():
+            value = getattr(self, key)
+            if value is None and key in ("b", "max_rounds"):  # the two that may be unset
+                continue
+            if not _is_int(value):
+                raise InvalidParameters(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidParameters(f"need {key} >= {least}, got {value}")
+        if not isinstance(self.seeds, list) or not all(_is_int(s) for s in self.seeds):
             raise InvalidParameters("seeds must be a list of integers")
+        for key in ("early_stop", "assert_invariants"):
+            if not isinstance(getattr(self, key), bool):
+                raise InvalidParameters(f"{key} must be true or false, got {getattr(self, key)!r}")
         stochastic = _REGISTRY[self.maker].takes_rng or _REGISTRY[self.breaker].takes_rng
         if stochastic and not self.seeds:
             raise InvalidParameters("stochastic strategies need a non-empty seed list")

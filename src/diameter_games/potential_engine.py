@@ -3,12 +3,14 @@
 Two classical tools live here.  The Erdos-Selfridge-Beck threshold: in an
 (a:b) game where Maker needs to fully claim some set of the family, Breaker
 wins if sum over sets A of (1+b)^(1-|A|/a) is below 1, and the matching
-greedy Breaker claims positions of maximum surviving-set weight.  The box
-game: on a family of k pairwise disjoint r-sets, a Maker claiming `a`
-positions per turn against bias 1 wins if r <= (a-1)*H_{k-1}, and against
-bias 2 if r <= ((a-1)/2)*H_{k-1}, by always attacking a smallest surviving
-box.  (The smallest-surviving-box attack is the classical strategy; the
-bound statements themselves fix only the thresholds.)
+greedy Breaker claims positions of maximum surviving-set weight; its loop,
+greedy_potential_picks, also plays the expansion Maker, with the roles
+swapped (expansion_games.ExpMaker).  The box game: on a family of k
+pairwise disjoint r-sets, a Maker claiming `a` positions per turn against
+bias 1 wins if r <= (a-1)*H_{k-1}, and against bias 2 if
+r <= ((a-1)/2)*H_{k-1}, by always attacking a smallest surviving box.
+(The smallest-surviving-box attack is the classical strategy; the bound
+statements themselves fix only the thresholds.)
 """
 
 from __future__ import annotations
@@ -168,38 +170,49 @@ def esb_potential(state: FamilyGameState) -> float:
     return sum(_surviving_weight(aset, state) for aset in state.family.sets)
 
 
+def greedy_potential_picks(weights: list[float], incident, free: list[int], count: int) -> list[int]:
+    """Up to `count` greedy claims, each the free position of largest total surviving-set weight.
+
+    weights[i] is set i's weight, 0.0 once the set is dead; incident[p]
+    lists the sets holding position p in ascending order; free lists the
+    free positions in ascending order.  Each claim scores every free
+    position afresh, adding its sets' weights in set-index order, takes the
+    largest score with ties to the lowest position, and kills the sets it
+    hits by zeroing their weights in place.  Scores are never updated by
+    subtracting killed weights: that would change the float rounding and,
+    through ties, the picks.
+    """
+    free = list(free)
+    picks: list[int] = []
+    for _ in range(min(count, len(free))):
+        best, best_score = -1, -1.0
+        for p in free:
+            score = 0.0
+            for i in incident[p]:  # not sum(): from Python 3.12 it compensates, so it rounds differently
+                score += weights[i]
+            if score > best_score:
+                best, best_score = p, score
+        picks.append(best)
+        free.remove(best)
+        for i in incident[best]:
+            weights[i] = 0.0
+    return picks
+
+
 def esb_breaker_select(state: FamilyGameState) -> list[int]:
     """Greedy ESB Breaker turn: repeatedly claim the position of maximum total surviving weight.
 
-    Each claim maximizes the potential reduction; weights are recomputed
-    between the claims of one turn.  Ties and the all-weights-zero endgame
-    fall back to the lowest position index.
+    Sets weigh what _surviving_weight gives them.  Each claim maximizes the
+    potential reduction and kills the sets it hits (greedy_potential_picks);
+    the all-weights-zero endgame falls back to the lowest free position.
     """
+    incident: list[list[int]] = [[] for _ in range(state.family.universe_size)]
+    for i, aset in enumerate(state.family.sets):
+        for p in aset:
+            incident[p].append(i)
+    weights = [_surviving_weight(aset, state) for aset in state.family.sets]
     count = state.required_claim_count(Player.BREAKER)
-    picks: list[int] = []
-    maker, breaker = state.maker, set(state.breaker)
-    for _ in range(count):
-        taken = maker | breaker | set(picks)
-        best_pos, best_weight = -1, -1.0
-        weights: dict[int, float] = {}
-        for aset in state.family.sets:
-            if aset & breaker or aset & set(picks):
-                continue
-            unclaimed = len(aset) - len(aset & maker)
-            w = _power(1.0 + state.b, -unclaimed / state.a, len(aset))
-            for p in aset:
-                if p not in taken:
-                    weights[p] = weights.get(p, 0.0) + w
-        for p in range(state.family.universe_size):
-            if p in taken:
-                continue
-            w = weights.get(p, 0.0)
-            if w > best_weight:
-                best_pos, best_weight = p, w
-        if best_pos < 0:
-            break
-        picks.append(best_pos)
-    return picks
+    return greedy_potential_picks(weights, incident, state.unclaimed(), count)
 
 
 # --- box game ---------------------------------------------------------------

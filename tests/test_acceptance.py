@@ -64,10 +64,11 @@ from diameter_games.expansion_games import (
     exp_start_value_closed_form,
 )
 from diameter_games.graph_metrics import (
+    closed_masks,
     degree_profile,
     dist,
+    expansion_of_closed,
     graph_from_edges,
-    has_expansion,
 )
 from diameter_games.heuristics import (
     DegreeGreedyStrategy,
@@ -444,12 +445,12 @@ def test_criterion_07_exp_maker_beats_exhaustive_opponents():
         script = _Scripted(lambda st, p=params: exp_maker_select(st, p), name="exp-script")
 
         def predicate(snap, n=n, r=r, s=s):
-            return has_expansion(graph_from_edges(n, snap.maker_edges), r, s)
+            return expansion_of_closed(closed_masks(n, snap.maker_edges), r, s)
 
         def prune(maker, breaker, unclaimed, log, n=n, r=r, s=s):
-            if has_expansion(graph_from_edges(n, maker), r, s):
+            if expansion_of_closed(closed_masks(n, maker), r, s):
                 return True
-            if not has_expansion(graph_from_edges(n, maker | unclaimed), r, s):
+            if not expansion_of_closed(closed_masks(n, maker | unclaimed), r, s):
                 return False
             return None
 

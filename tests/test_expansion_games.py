@@ -27,7 +27,7 @@ from diameter_games import (
 )
 from diameter_games.exact_solver import verify_final_property
 from diameter_games.expansion_games import _layout, exp_family_count
-from diameter_games.graph_metrics import graph_from_edges
+from diameter_games.graph_metrics import closed_masks, expansion_of_closed
 
 
 class TestCondition:
@@ -132,33 +132,15 @@ class TestExpMaker:
         pick = maker.select(state)
         assert pick == [(1, 3)]
 
-    def test_sync_is_incremental(self):
-        maker = ExpMaker(5, 1, 2, maker_bias=1, virtual_b=1.0)
-        state = new_game(5, 1, 1)
-        apply_claim(state, Player.MAKER, [(0, 1)])
-        maker.sync(state)
-        dead = sum(1 for alive in maker.alive if not alive)
-        apply_claim(state, Player.BREAKER, [(2, 3)])
-        maker.sync(state)
-        assert sum(1 for alive in maker.alive if not alive) == dead
-        rebuilt = ExpMaker(5, 1, 2, maker_bias=1, virtual_b=1.0)
-        rebuilt.sync(state)
-        assert rebuilt.alive == maker.alive
-        assert rebuilt.unclaimed_count == maker.unclaimed_count
-
     def test_rewound_log_rebuilds_to_fresh(self):
         maker = ExpMaker(5, 1, 2, maker_bias=1, virtual_b=1.0)
         state = new_game(5, 1, 1)
         apply_claim(state, Player.MAKER, [(0, 1)])
         apply_claim(state, Player.BREAKER, [(2, 3)])
-        maker.sync(state)
+        maker.select(state)
         rewound = new_game(5, 1, 1)
         apply_claim(rewound, Player.MAKER, [(1, 4)])
-        maker.sync(rewound)
         fresh = ExpMaker(5, 1, 2, maker_bias=1, virtual_b=1.0)
-        fresh.sync(rewound)
-        assert maker.alive == fresh.alive
-        assert maker.unclaimed_count == fresh.unclaimed_count
         assert maker.select(rewound) == fresh.select(rewound)
 
     def test_one_shot_helper_matches_fresh_instance(self):
@@ -282,12 +264,12 @@ class TestSharedLayout:
             return pick
 
         def predicate(snap):
-            return has_expansion(graph_from_edges(n, snap.maker_edges), r, s)
+            return expansion_of_closed(closed_masks(n, snap.maker_edges), r, s)
 
         def prune(maker, breaker, unclaimed, log):
-            if has_expansion(graph_from_edges(n, maker), r, s):
+            if expansion_of_closed(closed_masks(n, maker), r, s):
                 return True
-            if not has_expansion(graph_from_edges(n, maker | unclaimed), r, s):
+            if not expansion_of_closed(closed_masks(n, maker | unclaimed), r, s):
                 return False
             return None
 

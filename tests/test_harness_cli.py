@@ -105,6 +105,29 @@ class TestConfig:
         with pytest.raises(InvalidParameters, match="must not shrink"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n", "10"), ("n", 10.5), ("n", True), ("a", 1.0), ("b", "2"), ("b", False),
+        ("repetitions", 2.5), ("max_rounds", 0), ("max_rounds", -3), ("max_rounds", 1.5),
+        ("d", -1), ("d", 0), ("d", "2"), ("seeds", [0, True]),
+        ("early_stop", "false"), ("early_stop", 0), ("assert_invariants", "no"),
+    ])
+    def test_rejects_bad_field(self, key, value, tmp_path, capsys):
+        """Wrong types used to raise TypeError, max_rounds 0 or d <= 0 used to
+        validate and then play no round or target diameter <= d, and the
+        string "false" used to turn early stop on."""
+        with pytest.raises(InvalidParameters, match=key):
+            small_config(**{key: value})
+        path = tmp_path / "cfg.json"
+        config = dict(name="bad-int", n=5, a=1, b=1, maker="random", breaker="lowest-edge")
+        path.write_text(json.dumps({**config, key: value}))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_accepts_unset_b_and_max_rounds(self):
+        cfg = small_config(b=None, breaker="d2-breaker", n=100, max_rounds=None)
+        assert cfg.max_rounds is None and cfg.effective_b() == 10
+        assert small_config(max_rounds=1, d=1).max_rounds == 1
+
     def test_rejects_bad_dd_maker_schedule_option(self):
         with pytest.raises(InvalidParameters, match="stay below n"):
             small_config(maker="dd-maker", d=3, maker_options={"r_sizes": [1, 6]})

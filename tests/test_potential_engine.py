@@ -182,6 +182,99 @@ def _random_family(rng):
     return family_from_sets(universe, sets)
 
 
+def _reference_esb_pick(state):
+    """The greedy ESB Breaker written set by set: every pick rescans every set
+    and adds each surviving set's weight to its free positions in set order."""
+
+    def power(base, exponent, set_size):
+        if set_size > 64:
+            return math.exp(exponent * math.log(base))
+        return base**exponent
+
+    count = state.required_claim_count(Player.BREAKER)
+    picks: list[int] = []
+    maker, breaker = state.maker, set(state.breaker)
+    for _ in range(count):
+        taken = maker | breaker | set(picks)
+        best_pos, best_weight = -1, -1.0
+        weights: dict[int, float] = {}
+        for aset in state.family.sets:
+            if aset & breaker or aset & set(picks):
+                continue
+            unclaimed = len(aset) - len(aset & maker)
+            w = power(1.0 + state.b, -unclaimed / state.a, len(aset))
+            for p in aset:
+                if p not in taken:
+                    weights[p] = weights.get(p, 0.0) + w
+        for p in range(state.family.universe_size):
+            if p in taken:
+                continue
+            w = weights.get(p, 0.0)
+            if w > best_weight:
+                best_pos, best_weight = p, w
+        if best_pos < 0:
+            break
+        picks.append(best_pos)
+    return picks
+
+
+def _mixed_position(rng, universe, sizes, a, b, taken, maker_share):
+    """A family of the given set sizes over `universe` positions, with `taken`
+    positions already claimed, about `maker_share` of them by Maker."""
+    sets = [frozenset(rng.sample(range(universe), size)) for size in sizes]
+    state = new_family_game(family_from_sets(universe, sets), a, b)
+    for p in rng.sample(range(universe), taken):
+        (state.maker if rng.random() < maker_share else state.breaker).add(p)
+    return state
+
+
+class TestEsbBreakerMatchesReference:
+    """esb_breaker_select picks exactly what the set-by-set greedy picks,
+    float rounding and tie-breaks included."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_mixed_families(self, seed):
+        rng = random.Random(seed)
+        universe = rng.randint(2, 150)
+        sizes = [rng.randint(1, universe) for _ in range(rng.randint(1, 14))]
+        if universe > 65:
+            sizes.append(rng.randint(65, universe))  # one log-space weight at least
+        for taken in (0, universe // 3, universe - 1):
+            state = _mixed_position(rng, universe, sizes, rng.randint(1, 3), rng.randint(1, 4), taken, 0.5)
+            assert esb_breaker_select(state) == _reference_esb_pick(state)
+
+    def test_equal_disjoint_sets_tie_to_lowest_position(self):
+        state = new_family_game(boxes(3, 5), 2, 3)
+        state.maker.update({4, 7})
+        assert esb_breaker_select(state) == _reference_esb_pick(state) == [3, 6, 0]
+
+    def test_scores_add_in_set_order(self):
+        """Position 1 scores 0.5 + 2^-54 + 2^-54, which is 0.5 in set order and
+        0.5 + 2^-53 in any order that adds the two small weights first."""
+        tail = frozenset(range(1, 55))  # 54 free positions: weight 2^-54
+        sets = [frozenset({0, 55}), frozenset({1, 56, 57}), tail, tail]
+        state = new_family_game(family_from_sets(60, sets), 1, 1)
+        state.maker.update({55, 56, 57})
+        assert esb_breaker_select(state) == _reference_esb_pick(state) == [0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        universe=st.integers(min_value=1, max_value=140),
+        size_draws=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10),
+        a=st.integers(min_value=1, max_value=3),
+        b=st.integers(min_value=1, max_value=5),
+        taken_share=st.floats(min_value=0.0, max_value=1.0),
+        maker_share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_hypothesis_mixed_families(self, seed, universe, size_draws, a, b, taken_share, maker_share):
+        rng = random.Random(seed)
+        sizes = [1 + int(x * (universe - 1)) for x in size_draws]
+        taken = min(universe - 1, int(taken_share * universe))
+        state = _mixed_position(rng, universe, sizes, a, b, taken, maker_share)
+        assert esb_breaker_select(state) == _reference_esb_pick(state)
+
+
 class TestHarmonic:
     def test_exact_values(self):
         assert harmonic(1) == 1
