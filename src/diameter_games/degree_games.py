@@ -11,7 +11,9 @@ His greedy strategy scores every vertex v by
 
 with l2 = sqrt((a+b) ln n / (a(a+1) n)) and l1 = (1+a*l2)^(1/b) - 1, the
 largest value keeping (1+l1)^b <= 1+a*l2, and claims the unclaimed edge
-maximizing w(u)+w(v).  The potential T = sum of w(v) then never increases
+maximizing w(u)+w(v) (potential_engine.best_open_pair, which finds the
+row-major first maximum of that score exactly, without an n x n matrix).
+The potential T = sum of w(v) then never increases
 across a full round, and T < 1 at the start certifies the target degree
 whenever d_max > 0.  Exponents are Theta(n), so weights are kept in log
 space; increments are applied incrementally with a periodic full recompute.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .game_core import (
     Player,
     StrategyInapplicable,
 )
+from .potential_engine import OpenPairs
 
 RECOMPUTE_EVERY = 1024  # full log-weight refresh cadence, keeps drift ~1e-12
 
@@ -68,11 +72,12 @@ class MinDegParams:
     eq2_ok: bool  # (1+l1)^b <= 1 + a*l2, up to 1e-9 relative
     t0_ok: bool  # T0 < 1
 
-    @property
+    # Cached on first read: DegreeWeightState.observe reads both on every claim.
+    @cached_property
     def log1p_l1(self) -> float:
         return math.log1p(self.lambda1)
 
-    @property
+    @cached_property
     def log1m_l2(self) -> float:
         return math.log1p(-self.lambda2)
 
@@ -183,35 +188,29 @@ class DegreeWeightState:
 
     def select_turn(self, state: GameState, count: int, exclude: tuple[Edge, ...] = ()) -> list[Edge]:
         """Greedily pick `count` max-weight unclaimed edges of `state`, which
-        the weights must be synced to, updating weights between picks.
+        the weights must be synced to, fading both endpoints' weights by
+        (1 - l2) after each pick.
 
-        Does not mutate the persistent state: the turn's own claims reach it
-        later through sync().  Ties break lexicographically (the row-major
-        argmax hits the lowest (u, v) first).  `exclude` masks edges a
-        composite caller already claimed earlier in the same turn.
+        Each pick is potential_engine.best_open_pair over the board's open
+        edges with w = exp(log_w - max log_w): the row-major first maximum
+        of w[u] + w[v], so ties break lexicographically, found without an
+        n x n score matrix.  Does not mutate the persistent state: the
+        turn's own claims reach it later through sync().  `exclude` masks
+        edges a composite caller already claimed earlier in the same turn.
         """
         lw = self.log_w
         w = np.exp(lw - lw.max())
         fade = math.exp(self.params.log1m_l2)
-        blocked = ~state.board_index().open
-        for u, v in exclude:
-            blocked[u, v] = True
-            blocked[v, u] = True
-        score = np.where(blocked, -np.inf, w[:, None] + w[None, :])
+        pairs = OpenPairs(state, exclude)
         picks: list[Edge] = []
         for _ in range(count):
-            flat = int(np.argmax(score))
-            u, v = divmod(flat, self.params.n)
-            if score[u, v] == -np.inf:
+            pair = pairs.take(w)
+            if pair is None:
                 break
-            picks.append((u, v) if u < v else (v, u))
-            blocked[u, v] = True
-            blocked[v, u] = True
+            picks.append(pair)
+            u, v = pair
             w[u] *= fade
             w[v] *= fade
-            for x in (u, v):
-                score[x, :] = np.where(blocked[x], -np.inf, w[x] + w)
-                score[:, x] = score[x, :]
         return picks
 
 

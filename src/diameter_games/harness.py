@@ -32,6 +32,7 @@ from .diameter2 import D2Breaker, D2Maker, D2SimpleMaker, PairingBreaker
 from .diameter_d import DdBreakerA1, DdBreakerA2, DdMaker, dd_ball_sizes
 from .game_core import (
     InvalidParameters,
+    LogCursor,
     Player,
     Transcript,
     edge_count,
@@ -264,6 +265,7 @@ def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):
         tracker = DegreeWeightState(maker.params, maker.role)
     prev: list[float | None] = [None]
     synced = [0]
+    claims = LogCursor()
 
     def observe(state) -> None:
         onboard = (
@@ -273,8 +275,13 @@ def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):
             raise InvariantViolation(
                 f"ownership counts drifted: {onboard} != {total}"
             )
-        if len(state.move_log) and (state.maker_edges & state.breaker_edges):
-            raise InvariantViolation("an edge is owned by both players")
+        # An edge owned twice was logged twice, so the later claim meets the
+        # other owner: only the claims logged since the last round are tested.
+        new = claims.new_claims(state)
+        for player, edge in state.move_log if new is None else new:
+            other = state.breaker_edges if player is Player.MAKER else state.maker_edges
+            if edge in other:
+                raise InvariantViolation(f"edge {edge} is owned by both players")
         if tracker is not None:
             log = state.move_log
             cut = len(log)

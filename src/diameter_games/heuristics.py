@@ -8,6 +8,14 @@ unclaimed-edge pool, a scan cursor, a game_core.LexCursor) follows
 game_core.LogCursor's rule.  The deterministic strategies are therefore
 snapshot-pure under the verifiers; RandomStrategy stays legal there, though
 its draws depend on its generator's history.
+
+EsbDegreeBreaker picks through potential_engine.best_open_pair, the one
+pick it shares with the degree-game potential (DegreeWeightState): the
+row-major first maximum of w[u] + w[v] over the open pairs.  That pick is
+exact without the n x n score matrix because rounded float addition is
+monotone, so a row's best score is w[u] plus its best open partner's
+weight, and rows scanned by descending weight can stop once the sum of the
+next two weights falls below the best score found.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import random
 import numpy as np
 
 from .game_core import Edge, GameState, LexCursor, LogCursor, Player, mk_edge
+from .potential_engine import OpenPairs
 
 
 class RandomStrategy:
@@ -213,30 +222,23 @@ class PathGreedyStrategy:
 class EsbDegreeBreaker:
     """Breaker scoring vertices by closeness to Maker saturation.
 
-    Vertex weight (1+b)^(-unclaimed_degree/a); claims the edge with maximum
-    endpoint weight sum (ties lexicographic).  A potential-flavored
-    adversary for degree games.
+    Vertex weight (1+b)^(-open_degree/a), recomputed from the open degrees
+    before every pick; each pick is potential_engine.best_open_pair, the
+    open edge of maximum endpoint weight sum with ties lexicographic, found
+    without an n x n score matrix.  A potential-flavored adversary for
+    degree games.
     """
 
     name = "esb-degree-breaker"
 
     def select(self, state: GameState) -> list[Edge]:
-        board = state.board_index()
-        count = state.required_claim_count(Player.BREAKER)
+        count = state.required_claim_count(state.to_move)
         log_base = math.log(1 + state.b)
-        open_deg = ((state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]).astype(np.float64)
-        claimed = ~board.open
+        pairs = OpenPairs(state)
         picks: list[Edge] = []
         for _ in range(count):
-            w = np.exp(-open_deg / state.a * log_base)
-            score = w[:, None] + w[None, :]
-            score[claimed] = -np.inf
-            flat = int(np.argmax(score))
-            u, v = divmod(flat, state.n)
-            if score[u, v] == -np.inf:
+            pair = pairs.take(np.exp(-pairs.open_deg / state.a * log_base))
+            if pair is None:
                 break
-            picks.append((u, v) if u < v else (v, u))
-            claimed[u, v] = claimed[v, u] = True
-            open_deg[u] -= 1.0
-            open_deg[v] -= 1.0
+            picks.append(pair)
         return picks

@@ -1,4 +1,4 @@
-"""Potential-function play on explicit hypergraph families.
+"""Potential-function play: explicit hypergraph families, and the best open pair.
 
 Two classical tools live here.  The Erdos-Selfridge-Beck threshold: in an
 (a:b) game where Maker needs to fully claim some set of the family, Breaker
@@ -11,16 +11,30 @@ bias 1 wins if r <= (a-1)*H_{k-1}, and against bias 2 if
 r <= ((a-1)/2)*H_{k-1}, by always attacking a smallest surviving box.
 (The smallest-surviving-box attack is the classical strategy; the bound
 statements themselves fix only the thresholds.)
+
+The vertex-weight selectors on K_n, the degree-game potential
+(degree_games.DegreeWeightState) and the ESB-flavoured degree Breaker
+(heuristics.EsbDegreeBreaker), claim the open edge of largest w[u] + w[v].
+best_open_pair is their one pick: the row-major first maximum of that n x n
+score matrix, bit for bit, found without building it.  It is exact because
+rounded float addition is monotone: row u's best score is w[u] plus its
+largest open partner weight, and rows scanned by descending w can stop once
+the pairs among the rows left, which score at most the sum of the next two
+weights, cannot beat or tie the best score found.  OpenPairs is one turn's
+view of the board's open pairs for it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .game_core import InvalidParameters, Player
+import numpy as np
+
+from .game_core import Edge, GameState, InvalidParameters, Player
 
 # Exponents of this size are evaluated in log space to dodge under/overflow.
 _LOGSPACE_SET_SIZE = 64
@@ -213,6 +227,117 @@ def esb_breaker_select(state: FamilyGameState) -> list[int]:
     weights = [_surviving_weight(aset, state) for aset in state.family.sets]
     count = state.required_claim_count(Player.BREAKER)
     return greedy_potential_picks(weights, incident, state.unclaimed(), count)
+
+
+# --- best open pair on K_n -------------------------------------------------
+
+
+def best_open_pair(
+    open_: np.ndarray, w: np.ndarray, masked: Mapping[int, list[int]] | None = None
+) -> Edge | None:
+    """The open pair (u, v), u < v, of largest score w[u] + w[v], or None.
+
+    open_ is the symmetric n x n matrix of open pairs with a False diagonal,
+    read and never copied; masked maps a vertex to the partners whose pairs
+    are closed besides (the turn's own picks), in both directions.  A pair
+    scoring -inf is never picked, so w[x] = -inf drops vertex x: callers
+    give it to vertices with no open pair left, which spares their rows.
+    The pick is the row-major first maximum of the n x n matrix of
+    w[u] + w[v] over open pairs, bit for bit, without building that matrix:
+
+    - rounded float addition is monotone, so row u's best score is exactly
+      w[u] + (largest w[v] over the open v of row u);
+    - rows are scanned by descending w, ties by index, and a pair is met in
+      the row of whichever end comes first.  So when row order[i] comes up,
+      every pair not yet met lies among order[i], order[i+1], ... and scores
+      at most w[order[i]] + w[order[i+1]].  That bound never rises along the
+      order, and the scan stops once it is below the best score found, or
+      equal to it while no pair left can tie with an end below the lowest
+      end `low` of a best pair found: such a pair holds a vertex below low
+      at or after order[i], so it scores at most w[order[i]] plus the first
+      such vertex's weight;
+    - the matrix's first maximum is in row u = the lowest end of any best
+      pair, at the lowest v with w[u] + w[v] == best.  The equality test,
+      not the largest w[v], decides v, because rounding can merge two
+      different w[v] into one score.
+    """
+    masked = masked or {}
+    order = np.argsort(-w, kind="stable")
+    best, low, pick = -math.inf, len(w), None
+    u, w_u = int(order[0]), float(w[order[0]])
+    for i in range(1, len(order)):
+        x = int(order[i])
+        bound = w_u + float(w[x])
+        if bound < best or bound == -math.inf:
+            break
+        if bound == best:
+            # Only a tie with an end below low, at or after u, moves the pick.
+            below = np.flatnonzero(order[i - 1 :] < low)
+            if not below.size or w_u + float(w[order[i - 1 + below[0]]]) < best:
+                break
+        if u in masked:
+            row = _masked_row(open_, w, u, masked[u])
+            partner = float(row.max())
+        else:
+            row = None
+            partner = float(np.maximum.reduce(w, where=open_[u], initial=-math.inf))
+        score = w_u + partner
+        if score >= best and score > -math.inf:
+            if row is None:
+                row = _masked_row(open_, w, u, ())
+            first = int(np.flatnonzero(w_u + row == score)[0])
+            if score > best or min(u, first) < low:
+                best, low = score, min(u, first)
+                pick = (u, first) if u < first else None  # row low is not scanned yet
+        u, w_u = x, float(w[x])
+    if best == -math.inf:
+        return None
+    if pick is None:
+        row = _masked_row(open_, w, low, masked.get(low, ()))
+        pick = (low, int(np.flatnonzero(float(w[low]) + row == best)[0]))
+    return pick
+
+
+def _masked_row(open_: np.ndarray, w: np.ndarray, u: int, masked) -> np.ndarray:
+    """w over row u's open pairs, -inf elsewhere and at the masked columns."""
+    row = np.where(open_[u], w, -math.inf)
+    for v in masked:
+        row[v] = -math.inf
+    return row
+
+
+class OpenPairs:
+    """One turn's open pairs: the board's open matrix, read in place, less
+    the pairs this turn already picked or was told to exclude.
+
+    open_deg[x] counts x's open pairs left and masked[x] lists x's masked
+    partners; take(w) hands best_open_pair w with -inf at the vertices that
+    have no open pair, and masks the pick.
+    """
+
+    __slots__ = ("open", "open_deg", "masked")
+
+    def __init__(self, state: GameState, exclude=()):
+        board = state.board_index()
+        self.open = board.open
+        self.open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
+        self.masked: dict[int, list[int]] = {}
+        for u, v in exclude:
+            self._mask(u, v)
+
+    def _mask(self, u: int, v: int) -> None:
+        if self.open[u, v] and v not in self.masked.get(u, ()):
+            self.masked.setdefault(u, []).append(v)
+            self.masked.setdefault(v, []).append(u)
+            self.open_deg[u] -= 1
+            self.open_deg[v] -= 1
+
+    def take(self, w: np.ndarray) -> Edge | None:
+        """The best open pair under vertex weights w, now masked; None when none is left."""
+        pair = best_open_pair(self.open, np.where(self.open_deg > 0, w, -math.inf), self.masked)
+        if pair is not None:
+            self._mask(*pair)
+        return pair
 
 
 # --- box game ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from diameter_games import (
 )
 from diameter_games.degree_games import RECOMPUTE_EVERY
 from diameter_games.graph_metrics import degree_profile
+from diameter_games.potential_engine import best_open_pair
 
 
 class TestParams:
@@ -59,6 +60,13 @@ class TestParams:
     def test_start_potential_below_one_when_sized(self):
         p = mindeg_params(100, 1, 1)
         assert math.exp(p.t0_log) < 1.0
+
+    def test_log_rates_are_cached_bit_for_bit(self):
+        p = mindeg_params(200, 2, 1)
+        assert p.log1p_l1 == math.log1p(p.lambda1)
+        assert p.log1m_l2 == math.log1p(-p.lambda2)
+        assert {"log1p_l1", "log1m_l2"} <= set(vars(p))
+        assert p == mindeg_params(200, 2, 1)
 
     def test_centering_constants(self):
         p = mindeg_params(100, 1, 1)
@@ -162,6 +170,97 @@ class TestWeightState:
     def test_select_truncates_at_board_end(self):
         tracker = DegreeWeightState(mindeg_params(3, 1, 1))
         assert len(tracker.select_turn(new_game(3, 1, 1), 10)) == 3
+
+
+def _reference_select_turn(tracker, state, count, exclude=()):
+    """DegreeWeightState.select_turn as an n x n score matrix: w[u] + w[v] on
+    open pairs, -inf elsewhere, a row-major argmax per pick, and the two
+    picked rows and columns rescored after the endpoints' weights fade."""
+    lw = tracker.log_w
+    w = np.exp(lw - lw.max())
+    fade = math.exp(tracker.params.log1m_l2)
+    blocked = ~state.board_index().open
+    for u, v in exclude:
+        blocked[u, v] = True
+        blocked[v, u] = True
+    score = np.where(blocked, -np.inf, w[:, None] + w[None, :])
+    picks = []
+    for _ in range(count):
+        flat = int(np.argmax(score))
+        u, v = divmod(flat, tracker.params.n)
+        if score[u, v] == -np.inf:
+            break
+        picks.append((u, v) if u < v else (v, u))
+        blocked[u, v] = True
+        blocked[v, u] = True
+        w[u] *= fade
+        w[v] *= fade
+        for x in (u, v):
+            score[x, :] = np.where(blocked[x], -np.inf, w[x] + w)
+            score[:, x] = score[x, :]
+    return picks
+
+
+class TestSelectTurnMatchesMatrix:
+    """The best-open-pair pick equals the n x n score matrix's at every turn."""
+
+    @pytest.mark.parametrize("role", [Player.MAKER, Player.BREAKER])
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    @pytest.mark.parametrize("n,a,b,seed", [(12, 1, 1, 0), (30, 2, 1, 1), (45, 1, 3, 2), (60, 2, 2, 3)])
+    def test_every_turn_of_a_seeded_game(self, role, first, n, a, b, seed):
+        rng = random.Random(seed)
+        own, opp = (a, b) if role is Player.MAKER else (b, a)
+        tracker = DegreeWeightState(mindeg_params(n, own, opp), role)
+        state = new_game(n, a, b, first=first)
+        turns = 0
+        while state.unclaimed:
+            side = state.to_move
+            count = state.required_claim_count(side)
+            if side is role:
+                tracker.sync(state)
+                pool = sorted(state.unclaimed)
+                # The composite path: edges an earlier subgame took this
+                # turn, plus now and then one already claimed.
+                exclude = tuple(rng.sample(pool, min(len(pool) - 1, rng.randint(1, 3))))
+                if state.move_log and rng.random() < 0.3:
+                    exclude += (state.move_log[-1][1],)
+                for ex in ((), exclude):
+                    want = _reference_select_turn(tracker, state, count, ex)
+                    assert tracker.select_turn(state, count, ex) == want, (len(state.move_log), ex)
+                picks = tracker.select_turn(state, count)
+                turns += 1
+            else:
+                picks = rng.sample(sorted(state.unclaimed), count)
+            apply_claim(state, side, picks)
+        assert turns > 0
+
+    def test_rounding_tie_picks_lowest_partner(self):
+        """1 + (1 + 2^-52) rounds to 2.0, so (0, 1) and (0, 2) tie at 2.0 and
+        the row-major first is (0, 1), not vertex 0's largest-weight partner."""
+        w = np.array([1.0, 1.0, 1.0 + 2**-52])
+        assert 1.0 + w[2] == 2.0 and w[2] > w[1]
+        open_ = ~np.eye(3, dtype=bool)
+        score = np.where(open_, w[:, None] + w[None, :], -np.inf)
+        assert divmod(int(np.argmax(score)), 3) == (0, 1)
+        assert best_open_pair(open_, w) == (0, 1)
+        assert best_open_pair(open_, w, {0: [1], 1: [0]}) == (0, 2)
+        assert best_open_pair(open_, w, {0: [1, 2], 1: [0, 2], 2: [0, 1]}) is None
+
+    def test_rounding_tie_in_the_first_row_scanned(self):
+        """Row 0 is scanned first; 1 + (1 - 2^-53) rounds to 2.0 = 1 + 1, so its
+        lowest tied partner is 1, not 2, its largest-weight partner."""
+        w = np.array([1.0, 1.0 - 2**-53, 1.0])
+        assert w[0] + w[1] == w[0] + w[2] == 2.0
+        open_ = ~np.eye(3, dtype=bool)
+        score = np.where(open_, w[:, None] + w[None, :], -np.inf)
+        assert divmod(int(np.argmax(score)), 3) == (0, 1)
+        assert best_open_pair(open_, w) == (0, 1)
+
+    def test_dropped_vertices_are_never_picked(self):
+        w = np.array([5.0, -np.inf, 1.0, 1.0])
+        open_ = ~np.eye(4, dtype=bool)
+        assert best_open_pair(open_, w) == (0, 2)
+        assert best_open_pair(open_, np.full(4, -np.inf)) is None
 
 
 class TestPotentialDecay:

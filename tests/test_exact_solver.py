@@ -333,17 +333,22 @@ class TestVerifyOneSided:
         ids=[f"{sid}-as-{side.value}" for sid, side in _REGISTRY_CASES],
     )
     @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
-    def test_registered_strategy_is_snapshot_pure(self, sid, side, first):
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_registered_strategy_is_snapshot_pure(self, sid, side, first, b):
+        # With b = 2 and a capping share of 1, dd-breaker-a1 has one blocking
+        # claim a turn, so its capping engine runs with exclude= non-empty.
+        breaker_options = {"b1": 1} if sid == "dd-breaker-a1" and b > 1 else {}
         cfg = ExperimentConfig.from_json(
             dict(
                 name="registry",
                 n=5,
                 a=1,
-                b=1,
+                b=b,
                 d=3 if sid.startswith("dd-") else 2,
                 maker=sid if side is Player.MAKER else "lowest-edge",
                 breaker=sid if side is Player.BREAKER else "lowest-edge",
                 maker_options={"r_sizes": [1, 2]} if sid == "dd-maker" else {},
+                breaker_options=breaker_options,
             )
         )
         opts = cfg.maker_options if side is Player.MAKER else cfg.breaker_options
@@ -352,7 +357,7 @@ class TestVerifyOneSided:
             return make_strategy(sid, cfg, random.Random(0), opts)
 
         def verify(script):
-            return verify_final_property(5, 1, 1, script, side, lambda snap: True, first=first)
+            return verify_final_property(5, 1, b, script, side, lambda snap: True, first=first)
 
         if sid == "random":
             # Its draws depend on the generator's history; it only stays legal.
@@ -365,7 +370,10 @@ class TestVerifyOneSided:
             # A fresh instance builds everything from the snapshot it is shown.
             script = Differential(build(), lambda snap: build().select(snap))
             assert verify(script)
-            assert script.calls > 1000
+            # At b = 2 a scripted Breaker moving first meets 1 + 8 + 8*5 + 8*5*2 nodes.
+            assert script.calls > (1000 if b == 1 else 100)
+            if breaker_options:
+                assert script.fast.annotations[0]["max_blocking_used"] == 1
 
     @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
     def test_random_side_stays_legal_under_backtracking(self, side):

@@ -23,6 +23,7 @@ from diameter_games import (
     write_csv,
     write_transcripts,
 )
+from diameter_games import apply_claim, harness, new_game
 from diameter_games.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -273,6 +274,47 @@ class TestRunExperiment:
         )
         results = run_experiment(cfg)
         assert [r.transcript.violations for r in results] == [[]] * 5
+
+
+class TestObserverCatchesCorruption:
+    """The round observer raises on a corrupted board, whether the corruption
+    came in the latest round or before its first call."""
+
+    def _played(self):
+        cfg = small_config(n=6, assert_invariants=True)
+        observe = harness._make_observer(cfg, None, [])
+        state = new_game(6, 1, 1)
+        apply_claim(state, Player.MAKER, [(0, 1)])
+        apply_claim(state, Player.BREAKER, [(0, 2)])
+        return observe, state
+
+    def _double_own(self, state):
+        # Breaker "claims" Maker's (0, 1), and an unclaimed edge vanishes so
+        # that the ownership count still adds up.
+        state.breaker_edges.add((0, 1))
+        state.move_log.append((Player.BREAKER, (0, 1)))
+        state.unclaimed.discard((4, 5))
+
+    def test_edge_owned_by_both_in_the_latest_round(self):
+        observe, state = self._played()
+        observe(state)
+        self._double_own(state)
+        with pytest.raises(harness.InvariantViolation, match="owned by both"):
+            observe(state)
+
+    def test_edge_owned_by_both_before_the_first_round(self):
+        observe, state = self._played()
+        self._double_own(state)
+        apply_claim(state, Player.MAKER, [(1, 2)])
+        with pytest.raises(harness.InvariantViolation, match="owned by both"):
+            observe(state)
+
+    def test_ownership_count_drifted(self):
+        observe, state = self._played()
+        observe(state)
+        state.unclaimed.discard((4, 5))
+        with pytest.raises(harness.InvariantViolation, match="drifted"):
+            observe(state)
 
 
 class TestOutputs:

@@ -1,7 +1,9 @@
 """Scripted opponents: determinism, tie-breaks, and rule conformance."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from diameter_games import (
@@ -141,6 +143,31 @@ class TestPathGreedy:
             ), f"seed {seed} left the Maker graph fragmented"
 
 
+def _reference_esb_select(state):
+    """EsbDegreeBreaker.select as an n x n score matrix: weights
+    (1+b)^(-open_deg/a) recomputed before every pick, w[u] + w[v] on open
+    pairs, -inf elsewhere, and a row-major argmax."""
+    board = state.board_index()
+    count = state.required_claim_count(Player.BREAKER)
+    log_base = math.log(1 + state.b)
+    open_deg = ((state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]).astype(np.float64)
+    claimed = ~board.open
+    picks = []
+    for _ in range(count):
+        w = np.exp(-open_deg / state.a * log_base)
+        score = w[:, None] + w[None, :]
+        score[claimed] = -np.inf
+        flat = int(np.argmax(score))
+        u, v = divmod(flat, state.n)
+        if score[u, v] == -np.inf:
+            break
+        picks.append((u, v) if u < v else (v, u))
+        claimed[u, v] = claimed[v, u] = True
+        open_deg[u] -= 1.0
+        open_deg[v] -= 1.0
+    return picks
+
+
 class TestEsbDegreeBreaker:
     def test_targets_scarcest_vertex(self):
         state = new_game(5, 1, 1)
@@ -174,3 +201,23 @@ class TestEsbDegreeBreaker:
                 apply_claim(
                     state, side, rng.sample(pool, state.required_claim_count(side))
                 )
+
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    @pytest.mark.parametrize(
+        "n,a,b,maker", [(10, 1, 1, "random"), (25, 2, 3, "degree-greedy"), (40, 1, 2, "random"), (60, 3, 4, "random")]
+    )
+    def test_every_turn_matches_score_matrix(self, first, n, a, b, maker):
+        rng = random.Random(n)
+        player = RandomStrategy(rng) if maker == "random" else DegreeGreedyStrategy()
+        breaker = EsbDegreeBreaker()
+        state = new_game(n, a, b, first=first)
+        turns = 0
+        while state.unclaimed:
+            if state.to_move is Player.BREAKER:
+                picks = breaker.select(state)
+                assert picks == _reference_esb_select(state), len(state.move_log)
+                turns += 1
+            else:
+                picks = player.select(state)
+            apply_claim(state, state.to_move, picks)
+        assert turns > 0

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from diameter_games import (
     run_family_match,
     validate_box_family,
 )
+from diameter_games.potential_engine import best_open_pair
 
 
 def pairs_family(k):
@@ -273,6 +275,40 @@ class TestEsbBreakerMatchesReference:
         taken = min(universe - 1, int(taken_share * universe))
         state = _mixed_position(rng, universe, sizes, a, b, taken, maker_share)
         assert esb_breaker_select(state) == _reference_esb_pick(state)
+
+
+# Weights that tie, and that round into ties: 1 + (1 - 2^-53) and
+# 1 + (1 + 2^-52) both round to 2.0.
+_TIE_WEIGHTS = (1.0, 1.0 - 2**-53, 1.0 + 2**-52, 0.5, 0.25, 2.0**-60, -math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=12),
+    open_share=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_best_open_pair_is_the_matrix_first_maximum(seed, n, open_share):
+    """Random boards with many (rounded) ties: the pick equals the row-major
+    first maximum of the dense score matrix over open, unmasked pairs."""
+    rng = random.Random(seed)
+    w = np.array([rng.choice(_TIE_WEIGHTS) for _ in range(n)])
+    open_ = np.zeros((n, n), dtype=bool)
+    masked: dict[int, list[int]] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < open_share:
+                open_[u, v] = open_[v, u] = True
+                if rng.random() < 0.2:
+                    masked.setdefault(u, []).append(v)
+                    masked.setdefault(v, []).append(u)
+    closed = ~open_
+    for u, partners in masked.items():
+        closed[u, partners] = True
+    score = np.where(closed, -np.inf, w[:, None] + w[None, :])
+    flat = int(np.argmax(score))
+    want = None if score.flat[flat] == -np.inf else divmod(flat, n)
+    assert best_open_pair(open_, w, masked) == want
 
 
 class TestHarmonic:
