@@ -454,8 +454,11 @@ class D2Maker:
       2. a poorest-vertex round: both claims at the lowest-degree vertex,
          edges ranked by the degree game's weights (spill to next-poorest);
       3. an expansion game joining every ceil(r)-set to every ceil(s)-set,
-         rated against the virtual bias E/(2 n r) - 2 (game 2's rule takes
-         over if the family cannot be materialized);
+         rated against the virtual bias E/(2 n r) - 2.  r and s do not
+         depend on b, and the family fits DEFAULT_FAMILY_CAP only for
+         6 <= n <= 17 (1,361,360 sets at n = 17, 9,189,180 at n = 18).
+         On every other board game 2's rule plays this round and the
+         d2-maker-game3-fallback flag is set;
       4. a connection game on pairs of high vertices (opponent degree at
          least ceil(c n / b)): an unconnected pair weighs (1 + lam)^(-Y)
          with Y its surviving middles, and the heaviest claimable pair gets

@@ -10,6 +10,7 @@ bit-exactly from their line-delimited JSON form.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Callable, Container, Iterable, Protocol
 
 import numpy as np
 
-from .graph_metrics import Graph, ball, degree_profile
+from .graph_metrics import Graph, bfs_levels
 
 Edge = tuple[int, int]
 
@@ -150,13 +151,13 @@ class GameState:
 
     The state also keeps two derived indexes, each built from the edge sets
     on first read and extended by apply_claim once it exists:
-    maker_adjacency(), Maker's sorted neighbour lists, which maker_graph
-    reads; and board_index(), the numpy BoardIndex of open edges, ownership
-    and degrees that the degree-based strategies read.  They stay apart so
-    that a match whose strategies read neither array pays no numpy upkeep.
-    Neither is a constructor argument, so a copy() or a state built from its
-    fields starts without them.  Both are live views of this board, and
-    read-only: a reader that needs to change one copies it first.  Like
+    maker_adjacency(), Maker's sorted neighbour lists, which the target
+    properties read; and board_index(), the numpy BoardIndex of open edges,
+    ownership and degrees that the degree-based strategies read.  They stay
+    apart so that a match whose strategies read neither array pays no numpy
+    upkeep.  Neither is a constructor argument, so a copy() or a state built
+    from its fields starts without them.  Both are live views of this board,
+    and read-only: a reader that needs to change one copies it first.  Like
     every other bookkeeping, they follow from `move_log` alone.
     """
 
@@ -323,10 +324,8 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
 
 
 def maker_graph(state: GameState) -> Graph:
-    """Maker's graph at this position; later claims do not change it."""
-    return Graph.from_sorted_adjacency(
-        state.n, frozenset(state.maker_edges), state.maker_adjacency()
-    )
+    """Maker's graph at this position, validated; later claims do not change it."""
+    return Graph(state.n, frozenset(state.maker_edges))
 
 
 class Strategy(Protocol):
@@ -344,23 +343,26 @@ class Strategy(Protocol):
 
 
 # --- target properties ---------------------------------------------------
+# A target property is a predicate on the live GameState that reads only
+# Maker's edges, through state.maker_adjacency(); it is monotone in them.
+
+TargetProperty = Callable[[GameState], bool]
 
 
-def diameter_at_most(d: int) -> Callable[[Graph], bool]:
-    def prop(g: Graph) -> bool:
-        if g.n < 2:
-            return True
-        # diameter(g) <= d iff every radius-d ball is all of g (see
+def diameter_at_most(d: int) -> TargetProperty:
+    def prop(state: GameState) -> bool:
+        # diameter <= d iff every depth-d ball is the whole board (see
         # graph_metrics.diameter), so stop at the first ball that is not.
-        return d >= 0 and all(len(ball(g, v, d)) == g.n for v in range(g.n))
+        adj, n = state.maker_adjacency(), state.n
+        return all(len(bfs_levels(adj, v, d)) == n for v in range(n))
 
     prop.property_id = f"diameter<={d}"  # type: ignore[attr-defined]
     return prop
 
 
-def min_degree_exceeds(k: int) -> Callable[[Graph], bool]:
-    def prop(g: Graph) -> bool:
-        return degree_profile(g).min_degree > k
+def min_degree_exceeds(k: int) -> TargetProperty:
+    def prop(state: GameState) -> bool:
+        return min(map(len, state.maker_adjacency()), default=0) > k
 
     prop.property_id = f"mindeg>{k}"  # type: ignore[attr-defined]
     return prop
@@ -490,21 +492,24 @@ def read_transcript(path) -> Transcript:
         return transcript_from_jsonl(fh.read())
 
 
-def replay_transcript(tr: Transcript, target_property: Callable[[Graph], bool]) -> tuple[GameState, bool]:
+def replay_transcript(tr: Transcript, target_property: TargetProperty) -> tuple[GameState, bool]:
     """Re-apply a transcript's claims to a fresh board and recompute the verdict."""
     state = new_game(tr.n, tr.a, tr.b, tr.first)
     for rec in tr.claims:
         apply_claim(state, rec.player, rec.edges)
-    return state, bool(target_property(maker_graph(state)))
+    return state, bool(target_property(state))
 
 
-def property_from_id(property_id: str) -> Callable[[Graph], bool]:
-    """Rebuild a target property from its transcript id, e.g. 'diameter<=2'."""
-    if property_id.startswith("diameter<="):
-        return diameter_at_most(int(property_id.split("<=")[1]))
-    if property_id.startswith("mindeg>"):
-        return min_degree_exceeds(int(property_id.split(">")[1]))
-    raise InvalidParameters(f"unknown property id {property_id!r}")
+_PROPERTY_ID = re.compile(r"(diameter<=|mindeg>)([0-9]+)")
+
+
+def property_from_id(property_id: str) -> TargetProperty:
+    """Rebuild a target property from its id: 'diameter<=N' or 'mindeg>N', N decimal digits."""
+    match = _PROPERTY_ID.fullmatch(property_id)
+    if match is None:
+        raise InvalidParameters(f"unknown property id {property_id!r}")
+    make = diameter_at_most if match[1] == "diameter<=" else min_degree_exceeds
+    return make(int(match[2]))
 
 
 # --- match runner ---------------------------------------------------------
@@ -514,7 +519,7 @@ def run_match(
     state: GameState,
     maker: Strategy,
     breaker: Strategy,
-    target_property: Callable[[Graph], bool],
+    target_property: TargetProperty,
     seed: int | None = None,
     early_stop: bool = True,
     round_observer: Callable[[GameState], None] | None = None,
@@ -522,7 +527,7 @@ def run_match(
 ) -> Transcript:
     """Play a match to exhaustion (or early stop) and return its transcript.
 
-    The verdict is target_property(maker_graph) at the stopping position;
+    The verdict is target_property(state) at the stopping position;
     Maker is the winner iff the verdict is True.  With early_stop, play ends
     as soon as the (monotone) property holds after a Maker turn.  An illegal
     claim from a strategy ends the match immediately with `fault` set to the
@@ -560,10 +565,10 @@ def run_match(
             turns_in_round = 0
             if round_observer is not None:
                 round_observer(state)
-        if side is Player.MAKER and early_stop and target_property(maker_graph(state)):
+        if side is Player.MAKER and early_stop and target_property(state):
             break
 
-    verdict = bool(target_property(maker_graph(state)))
+    verdict = bool(target_property(state))
     annotations: list[dict] = []
     flags: list[str] = []
     violations: list[str] = []

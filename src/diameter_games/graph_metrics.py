@@ -41,21 +41,6 @@ class Graph:
             adj[v].sort()
         object.__setattr__(self, "_adj", adj)
 
-    @classmethod
-    def from_sorted_adjacency(
-        cls, n: int, edges: frozenset[tuple[int, int]], adj: list[list[int]]
-    ) -> "Graph":
-        """Trusted constructor: `edges` canonical and `adj[v]` v's sorted neighbours.
-
-        Nothing is checked or sorted.  The neighbour lists are copied, so the
-        caller may go on extending its own without changing this graph.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "_adj", dict(enumerate(map(list, adj))))
-        return g
-
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
 
@@ -68,7 +53,8 @@ def graph_from_edges(n: int, edges) -> Graph:
 def bfs_levels(adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], source: int, limit: float = INFINITE) -> dict[int, int]:
     """Level map of the BFS tree rooted at source, truncated at depth `limit`.
 
-    adj[v] lists v's neighbours: a Graph's, or GameState.maker_adjacency().
+    adj[v] lists v's neighbours: a Graph's, or GameState.maker_adjacency(),
+    which the target properties in game_core walk on the live board.
     """
     seen = {source: 0}
     frontier = [source]

@@ -66,6 +66,7 @@ from diameter_games.expansion_games import (
 from diameter_games.graph_metrics import (
     closed_masks,
     degree_profile,
+    diameter,
     dist,
     expansion_of_closed,
     graph_from_edges,
@@ -502,8 +503,7 @@ def test_criterion_08_d2_breaker_three_makers():
             assert t <= 2 * note["phase1_rounds"] + 2
             assert note["phase1_rounds"] <= params.r_prime_max
             assert t <= params.worst_t
-            final = graph_from_edges(n, state.maker_edges)
-            assert not property_from_id("diameter<=2")(final)
+            assert diameter(graph_from_edges(n, state.maker_edges)) > 2
             assert tr.winner is Player.BREAKER
             wins[label] = wins.get(label, 0) + 1
     elapsed = time.monotonic() - start

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from diameter_games import (
     AlreadyClaimed,
+    D2SimpleMaker,
+    DegreeGreedyStrategy,
     GameError,
     GameState,
     Graph,
     InvalidParameters,
+    PathGreedyStrategy,
     Player,
     RandomStrategy,
     Transcript,
@@ -21,10 +24,10 @@ from diameter_games import (
     WrongTurn,
     all_edges,
     apply_claim,
+    degree_profile,
     diameter,
     diameter_at_most,
     edge_count,
-    graph_from_edges,
     maker_graph,
     min_degree_exceeds,
     mk_edge,
@@ -165,7 +168,10 @@ def assert_is_reference_maker_graph(g, state):
 
 
 def check_maker_graph(state):
-    assert_is_reference_maker_graph(maker_graph(state), state)
+    """maker_graph and the live adjacency the target properties read, against the reference."""
+    g = maker_graph(state)
+    assert_is_reference_maker_graph(g, state)
+    assert state.maker_adjacency() == [g.neighbors(v) for v in range(state.n)]
 
 
 def check_board_index(state):
@@ -266,41 +272,82 @@ class TestMakerGraph:
         assert maker_graph(state).neighbors(0) == [1, 2]
 
 
+def maker_board(n, edges):
+    """A position on K_n where Maker owns exactly `edges` and the rest is open."""
+    maker = set(edges)
+    return GameState(
+        n=n, a=1, b=1, first=Player.MAKER, maker_edges=maker, unclaimed=set(all_edges(n)) - maker
+    )
+
+
 @st.composite
-def graphs_up_to_9(draw):
+def maker_boards_up_to_9(draw):
     n = draw(st.integers(min_value=0, max_value=9))
     pool = all_edges(n)
     edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
-    return graph_from_edges(n, edges)
+    return maker_board(n, edges)
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs_up_to_9(), st.integers(min_value=1, max_value=4))
-@example(graph_from_edges(0, []), 1)
-@example(graph_from_edges(1, []), 2)
-@example(graph_from_edges(4, [(0, 1), (2, 3)]), 4)
-@example(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
-@example(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4)
-def test_diameter_at_most_matches_full_diameter(g, d):
+@given(maker_boards_up_to_9(), st.integers(min_value=1, max_value=4))
+@example(maker_board(0, []), 1)
+@example(maker_board(1, []), 2)
+@example(maker_board(4, [(0, 1), (2, 3)]), 4)
+@example(maker_board(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
+@example(maker_board(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4)
+def test_diameter_at_most_matches_full_diameter(state, d):
+    g = maker_graph(state)
     expected = g.n < 2 or diameter(g) <= d
-    assert diameter_at_most(d)(g) == expected
+    assert diameter_at_most(d)(state) == expected
+
+
+LIVE_PROPERTY_MAKERS = {
+    "random": lambda n, a, b, seed: RandomStrategy(random.Random(seed)),
+    "degree-greedy": lambda n, a, b, seed: DegreeGreedyStrategy(),
+    "path-greedy": lambda n, a, b, seed: PathGreedyStrategy(2),
+    "d2-simple-maker": lambda n, a, b, seed: D2SimpleMaker(n, a, b),
+}
+
+
+@pytest.mark.parametrize("maker_id", LIVE_PROPERTY_MAKERS)
+@pytest.mark.parametrize("n,a,b,seed", [(9, 1, 1, 0), (24, 2, 1, 1), (40, 2, 3, 2)])
+def test_live_properties_match_graph_metrics(maker_id, n, a, b, seed):
+    """After every turn of a seeded match, each property on the live board
+    agrees with graph_metrics on the validated Maker graph.  From n = 24 on,
+    every property is seen both failing and holding."""
+    state = new_game(n, a, b)
+    maker = LIVE_PROPERTY_MAKERS[maker_id](n, a, b, seed)
+    breaker = RandomStrategy(random.Random(seed + 1))
+    props = [diameter_at_most(2), diameter_at_most(3)] + [min_degree_exceeds(k) for k in (0, 1, 3)]
+    seen = set()
+    while not state.is_exhausted():
+        play_random_turn(state, maker, breaker)
+        g = maker_graph(state)
+        full, min_degree = diameter(g), degree_profile(g).min_degree
+        expected = [full <= 2, full <= 3, min_degree > 0, min_degree > 1, min_degree > 3]
+        for prop, want in zip(props, expected):
+            assert prop(state) == want, (prop.property_id, len(state.move_log))
+            seen.add((prop.property_id, want))
+    if n >= 24:
+        assert len(seen) == 2 * len(props)
 
 
 class TestProperties:
     def test_diameter_property_on_small_graphs(self):
         state = new_game(3, 1, 1)
         prop = diameter_at_most(2)
-        assert not prop(maker_graph(state))
+        assert not prop(state)
         apply_claim(state, Player.MAKER, [(0, 1)])
         apply_claim(state, Player.BREAKER, [(1, 2)])
         apply_claim(state, Player.MAKER, [(0, 2)])
-        assert prop(maker_graph(state))
+        assert prop(state)
 
     def test_min_degree_property(self):
         state = new_game(3, 3, 1)
         prop = min_degree_exceeds(1)
+        assert not prop(state)
         apply_claim(state, Player.MAKER, [(0, 1), (0, 2), (1, 2)])
-        assert prop(maker_graph(state))
+        assert prop(state)
 
     @pytest.mark.parametrize(
         "pid", ["diameter<=2", "diameter<=3", "mindeg>0", "mindeg>17"]
@@ -308,10 +355,16 @@ class TestProperties:
     def test_property_ids_parse(self, pid):
         prop = property_from_id(pid)
         assert callable(prop)
+        assert prop.property_id == pid
 
-    @pytest.mark.parametrize("pid", ["diameter<=", "mindeg>x", "girth>=5", ""])
+    @pytest.mark.parametrize("pid", [
+        "diameter<=", "mindeg>x", "girth>=5", "", "diameter<=x", "mindeg>",
+        "diameter<=2<=3", "diameter<=-3", "mindeg>-1", "diameter<=2 ", " mindeg>1", "diameter<=+2",
+    ])
     def test_bad_property_ids_rejected(self, pid):
-        with pytest.raises((InvalidParameters, ValueError)):
+        """Ids that used to raise ValueError, parse a prefix ("diameter<=2<=3"
+        as diameter<=2) or target a negative bound now raise InvalidParameters."""
+        with pytest.raises(InvalidParameters, match="property id"):
             property_from_id(pid)
 
 

@@ -488,3 +488,15 @@ class TestCli:
 
     def test_missing_config_file_exits_one(self):
         assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 1
+
+    @pytest.mark.parametrize("pid", ["diameter<=x", "mindeg>", "diameter<=2<=3", "diameter<=-3"])
+    def test_bad_property_id_is_a_usage_error(self, pid, tmp_path, capsys):
+        """The first two used to end simulate in a ValueError traceback; the
+        last two validated, then played for diameter <= 2 and diameter <= -3."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(
+            name="bad-property", n=5, a=1, b=1, maker="random", breaker="lowest-edge", property_id=pid,
+        )))
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"unknown property id {pid!r}" in err
