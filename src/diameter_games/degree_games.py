@@ -43,7 +43,6 @@ from .game_core import (
     Edge,
     GameState,
     InvalidParameters,
-    LexCursor,
     LogCursor,
     Player,
     StrategyInapplicable,
@@ -182,10 +181,6 @@ class DegreeWeightState:
         m = float(self.log_w.max())
         return float(np.exp(self.log_w - m).sum()) * math.exp(m) if m > -math.inf else 0.0
 
-    def potential_log(self) -> float:
-        m = float(self.log_w.max())
-        return m + math.log(float(np.exp(self.log_w - m).sum()))
-
     def select_turn(self, state: GameState, count: int, exclude: tuple[Edge, ...] = ()) -> list[Edge]:
         """Greedily pick `count` max-weight unclaimed edges of `state`, which
         the weights must be synced to, fading both endpoints' weights by
@@ -309,42 +304,18 @@ def mindeg_breaker_select(state: GameState) -> list[Edge]:
             picks.append(e)
             if len(picks) == count:
                 return picks
-    return picks + LexCursor(state.n).take(state.unclaimed, count - len(picks), picks)
+    return picks + state.lowest_open(count - len(picks), picks)
 
 
 class FloodingBreaker:
-    """Saturating Breaker.
+    """run_match wrapper over mindeg_breaker_select.
 
-    select() is a cursor-based fast path over the rule in
-    mindeg_breaker_select: identical picks on any position reached by forward
-    play or by an exhaustive verifier, without rescanning the unclaimed set
-    every turn.  The pure function stays as the reference implementation.
-    The target and both cursors restart under game_core.LogCursor's rule.
+    The rule keeps nothing between turns: the target follows from the log,
+    one pass over its ring finds the target's open edges, and the leftover
+    claims come from GameState.lowest_open(), so a turn costs O(n).
     """
 
     name = "flooding-breaker"
 
-    def __init__(self) -> None:
-        self._target = 0
-        self._ring = 0
-        self._lex: LexCursor | None = None
-        self._log = LogCursor()
-
     def select(self, state: GameState) -> list[Edge]:
-        if self._log.new_claims(state) is None:
-            self._target = flood_target(state)
-            self._ring = 0
-            self._lex = LexCursor(state.n)
-        t = self._target
-        count = state.required_claim_count(Player.BREAKER)
-        picks: list[Edge] = []
-        while self._ring < state.n and len(picks) < count:
-            w = self._ring
-            self._ring += 1
-            if w == t:
-                continue
-            e = (t, w) if t < w else (w, t)
-            if e in state.unclaimed:
-                picks.append(e)
-        picks += self._lex.take(state.unclaimed, count - len(picks), picks)
-        return picks
+        return mindeg_breaker_select(state)

@@ -32,7 +32,6 @@ from .game_core import (
     Edge,
     GameState,
     InvalidParameters,
-    LexCursor,
     LogCursor,
     Player,
     StrategyInapplicable,
@@ -94,7 +93,7 @@ def pairing_breaker_select(state: GameState) -> list[Edge]:
         if partner is not None and partner in state.unclaimed:
             picks.append(partner)
     if len(picks) < count:
-        picks += LexCursor(state.n).take(state.unclaimed, count - len(picks), picks)
+        picks += state.lowest_open(count - len(picks), picks)
     return picks
 
 
@@ -210,7 +209,6 @@ class D2Breaker:
         self._completed: list[int] = []
         self._u_list: list[int] = []
         self._log = LogCursor()
-        self._lex: LexCursor | None = None
         self._rounds = 0
         self._checked_bias = False
 
@@ -227,7 +225,6 @@ class D2Breaker:
             except StrategyInapplicable:
                 self._target = int(np.argmin(state.board_index().deg[Player.MAKER]))
                 self.flags.append("d2-breaker-no-untouched-vertex")
-            self._lex = LexCursor(state.n)
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
         picked: set[Edge] = set()
@@ -263,7 +260,7 @@ class D2Breaker:
                 if not edges:
                     self._completed.append(x)
                     del self._boxes[x]
-            picks += self._lex.take(state.unclaimed, count - len(picks), picked)
+            picks += state.lowest_open(count - len(picks), picked)
         return picks
 
     def _freeze_boxes(self, state: GameState, picked: set[Edge]) -> None:
@@ -430,17 +427,16 @@ def d2_maker_min_scale(max_power: int = 12) -> int | None:
 
 @dataclass
 class _ConnectPair:
-    """One still-unconnected vertex pair with its frozen middle set.
+    """One still-unconnected vertex pair.
 
-    middles marks the vertices m whose legs u-m and m-w were both free of
-    opponent edges when the pair entered play; a middle survives while that
-    stays true.  The pair is satisfied once Maker links u and w within two
-    steps (through any vertex, frozen or not).
+    Its middles are the vertices m whose legs u-m and m-w are both free of
+    opponent edges, read off the board; the opponent's edges only grow, so
+    a middle once lost stays lost.  The pair is satisfied once Maker links
+    u and w within two steps (through any vertex).
     """
 
     u: int
     w: int
-    middles: np.ndarray
     satisfied: bool = False
 
 
@@ -472,11 +468,13 @@ class D2Maker:
     rounds (cheapest leg of the fewest-middles pair) and alternates game 4
     with free moves on even rounds.  Phases, high vertices and the game-4
     trace are history, so a log that did not grow since the previous turn
-    is refused (game_core.LogCursor).  So are the ownership matrices and
-    Breaker degrees it keeps beside GameState.board_index(): a pair's middles
-    are frozen at the Breaker claim that makes a vertex high, partway
-    through a turn's replay, and Maker's matrix takes each pick as it is
-    made.  Game 2 reads the board's open edges.
+    is refused (game_core.LogCursor).  So are the Breaker degrees it keeps
+    beside GameState.board_index(): which vertex turns high first follows
+    the replay claim by claim.  Ownership comes from the board and is not
+    kept across turns: a pair's middles are read off Breaker's matrix, and
+    each turn copies Maker's matrix once so that it takes the turn's picks
+    as they are made.  Game 2 reads the board's open edges, and leftover
+    claims go to GameState.lowest_open().
     """
 
     name = "d2-maker"
@@ -530,8 +528,10 @@ class D2Maker:
             self._g3 = None
             self.flags.append("d2-maker-game3-fallback")
 
-        self._madj = np.zeros((n, n), dtype=bool)
-        self._badj = np.zeros((n, n), dtype=bool)
+        # Set for one turn only: Maker's matrix with the turn's picks so far,
+        # and the board's Breaker matrix.
+        self._madj: np.ndarray | None = None
+        self._badj: np.ndarray | None = None
         self._bdeg = np.zeros(n, dtype=np.int64)
         self._high: list[int] = []
         self._high_set: set[int] = set()
@@ -542,7 +542,6 @@ class D2Maker:
         self._t_trace: list[tuple[int, int, float]] = []
         self._p2_pairs: list[_ConnectPair] | None = None
         self._p2_even_game4 = True
-        self._lex = LexCursor(n)
         self._note = {
             "phase1_rounds": self.phase1_rounds,
             "total_rounds": self.total_rounds,
@@ -560,10 +559,7 @@ class D2Maker:
 
     def _sync(self, new_claims: list[tuple[Player, Edge]]) -> None:
         for player, (u, v) in new_claims:
-            if player is Player.MAKER:
-                self._madj[u, v] = self._madj[v, u] = True
-            else:
-                self._badj[u, v] = self._badj[v, u] = True
+            if player is Player.BREAKER:
                 self._bdeg[u] += 1
                 self._bdeg[v] += 1
                 if not self._high_frozen:
@@ -573,9 +569,7 @@ class D2Maker:
 
     def _on_high(self, x: int) -> None:
         for prev in self._high:
-            middles = ~self._badj[prev] & ~self._badj[x]
-            middles[prev] = middles[x] = False
-            self._g4_pairs.append(_ConnectPair(u=prev, w=x, middles=middles))
+            self._g4_pairs.append(_ConnectPair(u=prev, w=x))
         self._high.append(x)
         self._high_set.add(x)
         self._note["high_count"] = len(self._high)
@@ -583,7 +577,9 @@ class D2Maker:
             self.flags.append("d2-maker-high-count-exceeded")
 
     def _pair_alive(self, p: _ConnectPair) -> np.ndarray:
-        return p.middles & ~self._badj[p.u] & ~self._badj[p.w]
+        alive = ~(self._badj[p.u] | self._badj[p.w])
+        alive[p.u] = alive[p.w] = False
+        return alive
 
     def _pair_satisfied(self, p: _ConnectPair) -> bool:
         if not p.satisfied:
@@ -592,7 +588,11 @@ class D2Maker:
         return p.satisfied
 
     def game4_potential(self) -> float:
-        """Sum of (1 + lam)^(-Y) over unconnected high pairs."""
+        """Sum of (1 + lam)^(-Y) over unconnected high pairs.
+
+        Pairs are judged on the turn's ownership, so this is measured inside
+        select(); before the first high pair it is 0.
+        """
         total = 0.0
         for p in self._g4_pairs:
             if self._pair_satisfied(p):
@@ -639,7 +639,7 @@ class D2Maker:
     def _take(self, e: Edge, picks: list[Edge], picked: set[Edge]) -> None:
         picks.append(e)
         picked.add(e)
-        self._madj[e[0], e[1]] = True  # idempotent under the later sync
+        self._madj[e[0], e[1]] = True
         self._madj[e[1], e[0]] = True
 
     def _claim_game2(self, state: GameState, picks: list[Edge], picked: set[Edge], count: int) -> None:
@@ -676,9 +676,7 @@ class D2Maker:
         while len(picks) < count:
             e = self._connect_claim(self._g4_pairs)
             if e is None:
-                e = self._lex.next_free(state.unclaimed, picked)
-            if e is None:
-                break
+                e = state.lowest_open(1, picked)[0]
             self._take(e, picks, picked)
 
     def _freeze_p2(self) -> None:
@@ -689,9 +687,7 @@ class D2Maker:
                     continue  # game 4's pairs
                 if self._madj[u, w] or bool((self._madj[u] & self._madj[w]).any()):
                     continue
-                middles = ~self._badj[u] & ~self._badj[w]
-                middles[u] = middles[w] = False
-                pairs.append(_ConnectPair(u=u, w=w, middles=middles))
+                pairs.append(_ConnectPair(u=u, w=w))
         self._p2_pairs = pairs
         self._note["phase2_open_pairs"] = len(pairs)
 
@@ -706,6 +702,9 @@ class D2Maker:
         if self._round > self.phase1_rounds:
             self._high_frozen = True  # the sync above drained Phase I's log
         self._g1.sync(state)
+        board = state.board_index()
+        self._madj = board.owned[Player.MAKER].copy()
+        self._badj = board.owned[Player.BREAKER]
         count = state.required_claim_count(Player.MAKER)
         picks: list[Edge] = []
         picked: set[Edge] = set()
@@ -739,9 +738,7 @@ class D2Maker:
                 self._p2_even_game4 = False
             else:
                 self._p2_even_game4 = True
-        while len(picks) < count:
-            e = self._lex.next_free(state.unclaimed, picked)
-            if e is None:
-                break
+        for e in state.lowest_open(count - len(picks), picked):
             self._take(e, picks, picked)
+        self._madj = self._badj = None
         return picks

@@ -28,8 +28,6 @@ from .game_core import (
     Edge,
     GameState,
     InvalidParameters,
-    LexCursor,
-    LogCursor,
     Player,
     mk_edge,
 )
@@ -178,9 +176,9 @@ class DdMaker:
 
     The round, and with it the subgame, follows from the number of Maker
     turns in the log.  The expansion games keep no state and read the
-    board; the degree game keeps game_core.LogCursor's rule, which holds
-    although it is consulted on some turns only, because which turns
-    follows from the log.
+    board, and leftover claims go to GameState.lowest_open(); the degree
+    game keeps game_core.LogCursor's rule, which holds although it is
+    consulted on some turns only, because which turns follows from the log.
     """
 
     def __init__(
@@ -244,8 +242,6 @@ class DdMaker:
                 "effective_opponent_bias": eff_b,
             }
         ]
-        self._lex = LexCursor(n)
-        self._log = LogCursor()
         self._checked_bias = False
 
     def select(self, state: GameState) -> list[Edge]:
@@ -253,8 +249,6 @@ class DdMaker:
             self._checked_bias = True
             if state.a != 1 or state.b != self.game_b:
                 self.flags.append("dd-maker-bias-mismatch")
-        if self._log.new_claims(state) is None:
-            self._lex.reset()
         count = state.required_claim_count(Player.MAKER)
         # Every Maker turn but a truncated last one claims exactly a edges.
         game = len(state.maker_edges) // state.a % self.half + 1
@@ -270,7 +264,7 @@ class DdMaker:
                 if e not in picked:
                     picks.append(e)
                     picked.add(e)
-        picks += self._lex.take(state.unclaimed, count - len(picks), picked)
+        picks += state.lowest_open(count - len(picks), picked)
         return picks
 
 
@@ -358,7 +352,8 @@ class DdBreakerA1:
 
     Distances are read off the board's Maker adjacency, and the anchor
     depends only on Maker's opening edge, so both follow from the log; the
-    capping engine and the filler keep game_core.LogCursor's rule.
+    filler is GameState.lowest_open(), and the capping engine keeps
+    game_core.LogCursor's rule.
     """
 
     def __init__(
@@ -381,8 +376,6 @@ class DdBreakerA1:
         self.violations: list[str] = []
         self._cap = DegreeWeightState(mindeg_params(n, self.b1, 1), Player.BREAKER)
         self.anchor: tuple[int, int] | None = None
-        self._lex = LexCursor(n)
-        self._log = LogCursor()
         self._max_blocking = 0
         self._note: dict = {
             "total_bias": total,
@@ -473,8 +466,6 @@ class DdBreakerA1:
                 self.flags.append("dd-breaker-a1-maker-bias-not-one")
             if state.b != self.bias:
                 self.flags.append("dd-breaker-a1-bias-mismatch")
-        if self._log.new_claims(state) is None:
-            self._lex.reset()
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
         picked: set[Edge] = set()
@@ -509,7 +500,7 @@ class DdBreakerA1:
             for e in self._cap.select_turn(state, room, exclude=tuple(picked)):
                 picks.append(e)
                 picked.add(e)
-        picks += self._lex.take(state.unclaimed, count - len(picks), picked)
+        picks += state.lowest_open(count - len(picks), picked)
         return picks
 
 

@@ -1,7 +1,7 @@
 """Exhaustive solvers for small boards.
 
 solve() runs memoized minimax over full turns of an (a:b) diameter game on
-K_n, with optional symmetry reduction and optional sound cutoffs.  The
+K_n, with optional symmetry reduction and two sound cutoffs.  The
 symmetry reduction keys the memo on a canonical form of the position:
 vertices are split into classes by Maker and Breaker degree, the classes
 are refined by the classes of each vertex's neighbours (McKay & Piperno,
@@ -230,7 +230,6 @@ class SolveResult:
     memo_entries: int
     elapsed_seconds: float
     used_canonical: bool
-    used_cutoffs: bool
 
     def to_json(self) -> str:
         return json.dumps(
@@ -245,7 +244,6 @@ class SolveResult:
                 "memo_entries": self.memo_entries,
                 "elapsed_seconds": round(self.elapsed_seconds, 6),
                 "used_canonical": self.used_canonical,
-                "used_cutoffs": self.used_cutoffs,
             },
             sort_keys=True,
         )
@@ -258,7 +256,6 @@ def solve(
     d: int,
     first: Player = Player.MAKER,
     use_canonical: bool = True,
-    use_cutoffs: bool = True,
     edge_cap: int = DEFAULT_EDGE_CAP,
     memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> SolveResult:
@@ -273,7 +270,6 @@ def solve(
     if use_canonical and n > CANONICAL_MAX_N:
         raise OverCapError(f"canonical keys capped at n={CANONICAL_MAX_N}", count=n)
     edges = all_edges(n)
-    full = (1 << total_edges) - 1
     everyone = (1 << n) - 1
     memo: dict = {}
     visited = 0
@@ -285,14 +281,13 @@ def solve(
         mnbr = _neighbour_masks(n, maker_mask, edges)
         bnbr = _neighbour_masks(n, breaker_mask, edges)
         maker_closed = [m | 1 << v for v, m in enumerate(mnbr)]
-        if use_cutoffs:
-            if _diameter_within(maker_closed, d):
-                return True
-            if not _diameter_within([everyone & ~m for m in bnbr], d):
-                return False
+        if _diameter_within(maker_closed, d):
+            return True
+        # On a full board Breaker's complement is Maker's graph, so this
+        # cutoff has decided it: below, an edge is always open.
+        if not _diameter_within([everyone & ~m for m in bnbr], d):
+            return False
         claimed = maker_mask | breaker_mask
-        if claimed == full:
-            return _diameter_within(maker_closed, d)
         if use_canonical:
             key = (*_canonical_from_neighbours(mnbr, bnbr), side)
         else:
@@ -332,7 +327,6 @@ def solve(
         memo_entries=len(memo),
         elapsed_seconds=time.perf_counter() - start,
         used_canonical=use_canonical,
-        used_cutoffs=use_cutoffs,
     )
 
 

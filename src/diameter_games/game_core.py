@@ -68,40 +68,6 @@ def all_edges(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-class LexCursor:
-    """The lowest unclaimed edges of K_n, found by a cursor over all_edges(n).
-
-    The cursor only moves forward: an edge behind it was claimed, or taken
-    by its owner, when the cursor passed it.  That holds while the board
-    only gains claims, so the owner calls reset() whenever it may be shown
-    an earlier position.
-    """
-
-    __slots__ = ("edges", "pos")
-
-    def __init__(self, n: int):
-        self.edges = all_edges(n)
-        self.pos = 0
-
-    def reset(self) -> None:
-        self.pos = 0
-
-    def take(self, unclaimed: Container[Edge], count: int, skip: Container[Edge] = ()) -> list[Edge]:
-        """Up to `count` edges from the cursor on that are unclaimed and not in `skip`."""
-        edges = self.edges
-        picks: list[Edge] = []
-        while self.pos < len(edges) and len(picks) < count:
-            e = edges[self.pos]
-            self.pos += 1
-            if e in unclaimed and e not in skip:
-                picks.append(e)
-        return picks
-
-    def next_free(self, unclaimed: Container[Edge], skip: Container[Edge] = ()) -> Edge | None:
-        picks = self.take(unclaimed, 1, skip)
-        return picks[0] if picks else None
-
-
 class LogCursor:
     """The one rule for state a strategy keeps between turns: rebuild it from
     the snapshot unless the move log grew since the previous select().
@@ -115,6 +81,8 @@ class LogCursor:
     turns only keeps this while which turns follows from the log.  State
     that is real history (phase switches, frozen boxes) cannot be rebuilt;
     its owner calls require_growth() and refuses a log that did not grow.
+    What a GameState caches itself (maker_adjacency(), board_index(), the
+    lowest_open() position) needs no such rule: a snapshot starts without it.
     """
 
     __slots__ = ("seen",)
@@ -155,10 +123,14 @@ class GameState:
     properties read; and board_index(), the numpy BoardIndex of open edges,
     ownership and degrees that the degree-based strategies read.  They stay
     apart so that a match whose strategies read neither array pays no numpy
-    upkeep.  Neither is a constructor argument, so a copy() or a state built
-    from its fields starts without them.  Both are live views of this board,
-    and read-only: a reader that needs to change one copies it first.  Like
-    every other bookkeeping, they follow from `move_log` alone.
+    upkeep.  Beside them sits one cached position: every edge before it in
+    all_edges(n) order is claimed, so lowest_open() starts its walk there.
+    A state only gains claims, so the position only moves forward.  None of
+    the three is a constructor argument, so a copy() or a state built from
+    its fields starts without the indexes and at the first edge.  The
+    indexes are live views of this board, and read-only: a reader that
+    needs to change one copies it first.  Like every other bookkeeping,
+    they follow from `move_log` alone.
     """
 
     n: int
@@ -172,6 +144,7 @@ class GameState:
     move_log: list[tuple[Player, Edge]] = field(default_factory=list)
     _maker_adj: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
     _board: BoardIndex | None = field(default=None, init=False, repr=False, compare=False)
+    _claimed_below: Edge = field(default=(0, 1), init=False, repr=False, compare=False)
 
     def bias_of(self, player: Player) -> int:
         return self.a if player is Player.MAKER else self.b
@@ -206,6 +179,20 @@ class GameState:
         if self._board is None:
             self._board = BoardIndex(self)
         return self._board
+
+    def lowest_open(self, count: int, skip: Container[Edge] = ()) -> list[Edge]:
+        """Up to `count` unclaimed edges not in `skip`, lowest first in all_edges(n) order."""
+        n, unclaimed = self.n, self.unclaimed
+        u, v = self._claimed_below
+        while u < n - 1 and (u, v) not in unclaimed:
+            u, v = (u, v + 1) if v < n - 1 else (u + 1, u + 2)
+        self._claimed_below = (u, v)
+        picks: list[Edge] = []
+        while u < n - 1 and len(picks) < count:
+            if (u, v) in unclaimed and (u, v) not in skip:
+                picks.append((u, v))
+            u, v = (u, v + 1) if v < n - 1 else (u + 1, u + 2)
+        return picks
 
     def copy(self) -> "GameState":
         return GameState(

@@ -3,11 +3,12 @@
 These are deliberately simple adversaries: strong enough to punish broken
 strategies, cheap enough to run thousands of matches.  Degrees, ownership
 and open edges come from the board (GameState.board_index()), so the
-degree-based players keep no copy of them; what a strategy does keep (an
-unclaimed-edge pool, a scan cursor, a game_core.LexCursor) follows
-game_core.LogCursor's rule.  The deterministic strategies are therefore
-snapshot-pure under the verifiers; RandomStrategy stays legal there, though
-its draws depend on its generator's history.
+degree-based players keep no copy of them, and the lowest open edges come
+from GameState.lowest_open(); what a strategy does keep (an unclaimed-edge
+pool, a pair-scan cursor) follows game_core.LogCursor's rule.  The
+deterministic strategies are therefore snapshot-pure under the verifiers;
+RandomStrategy stays legal there, though its draws depend on its
+generator's history.
 
 EsbDegreeBreaker picks through potential_engine.best_open_pair, the one
 pick it shares with the degree-game potential (DegreeWeightState): the
@@ -25,7 +26,7 @@ import random
 
 import numpy as np
 
-from .game_core import Edge, GameState, LexCursor, LogCursor, Player, mk_edge
+from .game_core import Edge, GameState, LogCursor, Player, mk_edge
 from .potential_engine import OpenPairs
 
 
@@ -78,14 +79,8 @@ class LowestEdgeStrategy:
 
     name = "lowest-edge"
 
-    def __init__(self) -> None:
-        self._lex: LexCursor | None = None
-        self._log = LogCursor()
-
     def select(self, state: GameState) -> list[Edge]:
-        if self._log.new_claims(state) is None:
-            self._lex = LexCursor(state.n)
-        return self._lex.take(state.unclaimed, state.required_claim_count(state.to_move))
+        return state.lowest_open(state.required_claim_count(state.to_move))
 
 
 class DegreeGreedyStrategy:
@@ -142,7 +137,6 @@ class PathGreedyStrategy:
         self._log = LogCursor()
         self._scan_from = 0
         self._all_close = False
-        self._lex: LexCursor | None = None
 
     def _far_pair(self, own: np.ndarray) -> tuple[int, int] | None:
         if self._all_close:
@@ -198,7 +192,6 @@ class PathGreedyStrategy:
         if self._log.new_claims(state) is None:
             self._scan_from = 0
             self._all_close = False
-            self._lex = LexCursor(state.n)
         own = state.board_index().owned[state.to_move].copy()  # takes the turn's own picks
         count = state.required_claim_count(state.to_move)
         picks: list[Edge] = []
@@ -209,9 +202,7 @@ class PathGreedyStrategy:
             if target:
                 pick = self._route_edge(state, picked, *target)
             if pick is None:
-                pick = self._lex.next_free(state.unclaimed, picked)
-            if pick is None:
-                break
+                pick = state.lowest_open(1, picked)[0]
             picks.append(pick)
             picked.add(pick)
             own[pick[0], pick[1]] = True

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from diameter_games import (
     run_match,
     transcript_from_jsonl,
 )
-from diameter_games.game_core import LexCursor
 
 
 def test_mk_edge_orders_endpoints():
@@ -52,15 +52,29 @@ def test_all_edges_is_lexicographic():
     assert edges == sorted(edges)
 
 
-def test_lex_cursor_takes_lowest_free_edges_once():
-    cursor = LexCursor(4)
-    unclaimed = set(all_edges(4)) - {(0, 2)}
-    assert cursor.take(unclaimed, 2) == [(0, 1), (0, 3)]
-    assert cursor.next_free(unclaimed, skip={(1, 2)}) == (1, 3)
-    assert cursor.take(unclaimed, 5) == [(2, 3)]
-    assert cursor.next_free(unclaimed) is None
-    cursor.reset()
-    assert cursor.take(unclaimed, 1) == [(0, 1)]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.data())
+def test_lowest_open_matches_sorted_unclaimed(n, data):
+    # The reference is PureLexStrategy's rule.  Several probes per position,
+    # with and without the lowest edges skipped, and positions that only
+    # gain claims: a cached position that stepped over a skipped or
+    # returned edge would miss it on a later probe.
+    edges = all_edges(n)
+    state = new_game(n, 1, 1)
+    for edge in data.draw(st.permutations(edges)) + [None]:
+        if data.draw(st.booleans()):
+            low = sorted(state.unclaimed)[:3]
+            # copy(), and a state built from its fields as the verifiers' snapshots are
+            fresh = (state.copy(), replace(state))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+                count = data.draw(st.integers(min_value=0, max_value=4))
+                skip = data.draw(st.sets(st.sampled_from(low + edges), max_size=3))
+                expected = sorted(state.unclaimed - skip)[:count]
+                for probe in (state, *fresh):
+                    assert probe.lowest_open(count, skip) == expected
+        if edge is not None:
+            apply_claim(state, state.to_move, [edge])
+    assert state.lowest_open(1) == []
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 3), (6, 15), (10, 45)])
