@@ -38,6 +38,7 @@ from .game_core import (
     edge_count,
     mk_edge,
 )
+from .graph_metrics import set_bits
 from .potential_engine import box_game_condition
 
 
@@ -265,15 +266,13 @@ class D2Breaker:
 
     def _freeze_boxes(self, state: GameState, picked: set[Edge]) -> None:
         t = self._target
-        maker_adj = state.maker_adjacency()
-        self._u_list = list(maker_adj[t])
-        u_set = set(self._u_list)
+        closed = state.maker_closed()
+        u_mask = closed[t] & ~(1 << t)
+        self._u_list = set_bits(u_mask)
         pre_completed = 0
         for x in range(state.n):
-            if x == t or x in u_set:
-                continue
-            if not u_set.isdisjoint(maker_adj[x]):
-                continue  # already two steps from the target through some u_i
+            if x == t or closed[x] & u_mask:
+                continue  # a u_i itself, or already two steps from the target through one
             box = {
                 mk_edge(x, u)
                 for u in self._u_list

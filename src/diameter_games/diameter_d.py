@@ -31,7 +31,7 @@ from .game_core import (
     Player,
     mk_edge,
 )
-from .graph_metrics import bfs_levels
+from .graph_metrics import set_bits, spheres
 
 __all__ = [
     "DdParams",
@@ -291,26 +291,17 @@ def dd_breaker_a1_biases(
     return math.ceil(multiplier * base), math.ceil(base)
 
 
-def _distances(adj: list[list[int]], src: int, n: int) -> list[int]:
+def _distances(closed: list[int], src: int) -> list[int]:
     """BFS distances from src, with the finite n + 1 for unreachable vertices.
 
     _blocking_claims subtracts distances; with INFINITE, two unreachable
     endpoints would give inf - inf = NaN and fall into another case.
     """
-    dist = [n + 1] * n
-    for x, k in bfs_levels(adj, src).items():
-        dist[x] = k
+    dist = [len(closed) + 1] * len(closed)
+    for k, ring in enumerate(spheres(closed, src)):
+        for x in set_bits(ring):
+            dist[x] = k
     return dist
-
-
-def _spheres(adj: list[list[int]], src: int, depth: int) -> list[list[int]]:
-    """The vertices at distance exactly 0, 1, ..., depth from src, each sorted."""
-    spheres: list[list[int]] = [[] for _ in range(depth + 1)]
-    for x, k in bfs_levels(adj, src, depth).items():
-        spheres[k].append(x)
-    for ring in spheres:
-        ring.sort()
-    return spheres
 
 
 def a1_blocking_invariant(state: GameState, u: int, v: int, d: int) -> bool:
@@ -321,9 +312,9 @@ def a1_blocking_invariant(state: GameState, u: int, v: int, d: int) -> bool:
     and dist(u,q) + dist(v,p) >= d, and it forces dist(u, v) > d: a
     shorter u..v walk would contain a crossing edge.
     """
-    adj = state.maker_adjacency()
-    du = _distances(adj, u, state.n)
-    dv = _distances(adj, v, state.n)
+    closed = state.maker_closed()
+    du = _distances(closed, u)
+    dv = _distances(closed, v)
     for p, q in state.maker_edges:
         if du[p] + dv[q] <= d - 1 or du[q] + dv[p] <= d - 1:
             return False
@@ -350,10 +341,10 @@ class DdBreakerA1:
     answer comes a fixed share of degree-capping claims (which keeps
     the budget bound small) and lex-lowest filler for the rest.
 
-    Distances are read off the board's Maker adjacency, and the anchor
-    depends only on Maker's opening edge, so both follow from the log; the
-    filler is GameState.lowest_open(), and the capping engine keeps
-    game_core.LogCursor's rule.
+    Distances are graph_metrics.spheres on the board's maker_closed()
+    masks, and the anchor depends only on Maker's opening edge, so both
+    follow from the log; the filler is GameState.lowest_open(), and the
+    capping engine keeps game_core.LogCursor's rule.
     """
 
     def __init__(
@@ -392,9 +383,9 @@ class DdBreakerA1:
         u, v = self.anchor  # type: ignore[misc]
         n = self.n
         d = self.d
-        adj = state.maker_adjacency()
-        du = _distances(adj, u, n)
-        dv = _distances(adj, v, n)
+        closed = state.maker_closed()
+        du = _distances(closed, u)
+        dv = _distances(closed, v)
         p, q = last_edge
         a_diff = du[p] - du[q]
         b_diff = dv[p] - dv[q]
@@ -433,15 +424,11 @@ class DdBreakerA1:
         seen: set[Edge] = set()
         overflow = False
         for centre, bdist, radius in jobs:
-            spheres = _spheres(adj, centre, radius)
-            for k in range(radius + 1):
-                ring = spheres[k]
-                if not ring:
-                    break
+            for k, ring in enumerate(spheres(closed, centre, radius)):
                 limit = radius - k
                 ball = [c for c in range(n) if bdist[c] <= limit]
                 cands = {
-                    mk_edge(a, c) for a in ring for c in ball if a != c
+                    mk_edge(a, c) for a in set_bits(ring) for c in ball if a != c
                 }
                 for e in sorted(cands):
                     if e in seen or e not in state.unclaimed:

@@ -12,8 +12,8 @@ Keys are capped at n <= 8, because a vertex-transitive position has a
 single class and then all n! relabellings are tried.  The cutoffs: Maker
 has already won once his graph has diameter <= d, and Breaker has already
 won once some pair cannot be connected within d even using every
-unclaimed edge.  Both are tested by growing balls on closed-neighbourhood
-bitmasks.
+unclaimed edge.  Both are graph_metrics.diameter_within on
+closed-neighbourhood bitmasks, the format the board and Graph keep too.
 
 verify_final_property() is the one board verifier: a DFS that pins one side
 to a scripted strategy, branches over every opposing play, and undoes each
@@ -49,7 +49,7 @@ from .game_core import (
     edge_count,
     mk_edge,
 )
-from .graph_metrics import closed_masks
+from .graph_metrics import closed_masks, diameter_within
 from .potential_engine import FamilyGameState, WinningSetFamily
 
 DEFAULT_EDGE_CAP = 21  # C(n,2) <= 21, i.e. n <= 7
@@ -189,35 +189,6 @@ def canonical_key(state: GameState, claims_remaining: int | None = None):
     return (cm, cb, state.to_move.value, claims_remaining)
 
 
-def _diameter_within(closed: list[int], d: int) -> bool:
-    """True iff the graph has diameter <= d, i.e. every radius-d ball is
-    the whole vertex set.
-
-    closed[v] is v's closed neighbourhood as a vertex bitmask; a ball
-    grows by OR-ing the masks of its newest vertices.  Kept beside
-    graph_metrics.diameter because solve() and verify_one_sided() run it
-    at every node.
-    """
-    everyone = (1 << len(closed)) - 1
-    for ball in closed:
-        frontier = ball
-        for _ in range(d - 1):
-            if ball == everyone:
-                break
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= closed[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & ~ball
-            if not frontier:
-                return False
-            ball |= grow
-        if ball != everyone:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SolveResult:
     n: int
@@ -281,11 +252,11 @@ def solve(
         mnbr = _neighbour_masks(n, maker_mask, edges)
         bnbr = _neighbour_masks(n, breaker_mask, edges)
         maker_closed = [m | 1 << v for v, m in enumerate(mnbr)]
-        if _diameter_within(maker_closed, d):
+        if diameter_within(maker_closed, d):
             return True
         # On a full board Breaker's complement is Maker's graph, so this
         # cutoff has decided it: below, an edge is always open.
-        if not _diameter_within([everyone & ~m for m in bnbr], d):
+        if not diameter_within([everyone & ~m for m in bnbr], d):
             return False
         claimed = maker_mask | breaker_mask
         if use_canonical:
@@ -441,14 +412,11 @@ def verify_one_sided(
     everyone = (1 << n) - 1
 
     def prune(maker, breaker, unclaimed, log) -> bool | None:
-        closed = closed_masks(n, maker)
-        if _diameter_within(closed, d):
+        if diameter_within(closed_masks(n, maker), d):
             return side is Player.MAKER
-        closed = [everyone] * n  # in the graph of every edge Breaker lacks
-        for u, v in breaker:
-            closed[u] &= ~(1 << v)
-            closed[v] &= ~(1 << u)
-        if not _diameter_within(closed, d):
+        # In the graph of every edge Breaker lacks, v keeps v and drops its Breaker neighbours.
+        lacks = [everyone ^ m | 1 << v for v, m in enumerate(closed_masks(n, breaker))]
+        if not diameter_within(lacks, d):
             return side is Player.BREAKER
         return None
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Container, Iterable, Protocol
 
 import numpy as np
 
-from .graph_metrics import Graph, bfs_levels
+from .graph_metrics import Graph, closed_masks, diameter_within
 
 Edge = tuple[int, int]
 
@@ -81,7 +80,7 @@ class LogCursor:
     turns only keeps this while which turns follows from the log.  State
     that is real history (phase switches, frozen boxes) cannot be rebuilt;
     its owner calls require_growth() and refuses a log that did not grow.
-    What a GameState caches itself (maker_adjacency(), board_index(), the
+    What a GameState caches itself (maker_closed(), board_index(), the
     lowest_open() position) needs no such rule: a snapshot starts without it.
     """
 
@@ -119,12 +118,14 @@ class GameState:
 
     The state also keeps two derived indexes, each built from the edge sets
     on first read and extended by apply_claim once it exists:
-    maker_adjacency(), Maker's sorted neighbour lists, which the target
-    properties read; and board_index(), the numpy BoardIndex of open edges,
-    ownership and degrees that the degree-based strategies read.  They stay
-    apart so that a match whose strategies read neither array pays no numpy
-    upkeep.  Beside them sits one cached position: every edge before it in
-    all_edges(n) order is claimed, so lowest_open() starts its walk there.
+    maker_closed(), Maker's graph as graph_metrics.closed_masks (one int per
+    vertex, the format every BFS in the package walks), which the target
+    properties and the distance-reading strategies read; and board_index(),
+    the numpy BoardIndex of open edges, ownership and degrees that the
+    degree-based strategies read.  They stay apart so that a match whose
+    strategies read neither pays no numpy upkeep.  Beside them sits one
+    cached position: every edge before it in all_edges(n) order is
+    claimed, so lowest_open() starts its walk there.
     A state only gains claims, so the position only moves forward.  None of
     the three is a constructor argument, so a copy() or a state built from
     its fields starts without the indexes and at the first edge.  The
@@ -142,7 +143,7 @@ class GameState:
     unclaimed: set[Edge] = field(default_factory=set)
     to_move: Player = Player.MAKER
     move_log: list[tuple[Player, Edge]] = field(default_factory=list)
-    _maker_adj: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
+    _maker_closed: list[int] | None = field(default=None, init=False, repr=False, compare=False)
     _board: BoardIndex | None = field(default=None, init=False, repr=False, compare=False)
     _claimed_below: Edge = field(default=(0, 1), init=False, repr=False, compare=False)
 
@@ -162,17 +163,11 @@ class GameState:
     def is_exhausted(self) -> bool:
         return not self.unclaimed
 
-    def maker_adjacency(self) -> list[list[int]]:
-        """Maker's neighbours of each vertex, sorted; live, so read-only."""
-        if self._maker_adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.maker_edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            for nbrs in adj:
-                nbrs.sort()
-            self._maker_adj = adj
-        return self._maker_adj
+    def maker_closed(self) -> list[int]:
+        """graph_metrics.closed_masks of Maker's graph; live, so read-only."""
+        if self._maker_closed is None:
+            self._maker_closed = closed_masks(self.n, self.maker_edges)
+        return self._maker_closed
 
     def board_index(self) -> BoardIndex:
         """Open edges, ownership and degrees as numpy arrays; live, so read-only."""
@@ -280,9 +275,9 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
     if len(set(edges)) != len(edges):
         raise AlreadyClaimed(f"duplicate edge in claim {edges}")
     if player is Player.MAKER:
-        own, other, adj = state.maker_edges, state.breaker_edges, state._maker_adj
+        own, other, closed = state.maker_edges, state.breaker_edges, state._maker_closed
     else:
-        own, other, adj = state.breaker_edges, state.maker_edges, None
+        own, other, closed = state.breaker_edges, state.maker_edges, None
     board = state._board
     if board is not None:
         n, open_cells, own_cells, deg = board._writes[player is Player.BREAKER]
@@ -296,9 +291,9 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         state.unclaimed.discard(edge)
         own.add(edge)
         u, v = edge
-        if adj is not None:
-            insort(adj[u], v)
-            insort(adj[v], u)
+        if closed is not None:
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
         if board is not None:
             i, j = u * n + v, v * n + u
             open_cells[i] = open_cells[j] = 0
@@ -331,17 +326,14 @@ class Strategy(Protocol):
 
 # --- target properties ---------------------------------------------------
 # A target property is a predicate on the live GameState that reads only
-# Maker's edges, through state.maker_adjacency(); it is monotone in them.
+# Maker's edges, through state.maker_closed(); it is monotone in them.
 
 TargetProperty = Callable[[GameState], bool]
 
 
 def diameter_at_most(d: int) -> TargetProperty:
     def prop(state: GameState) -> bool:
-        # diameter <= d iff every depth-d ball is the whole board (see
-        # graph_metrics.diameter), so stop at the first ball that is not.
-        adj, n = state.maker_adjacency(), state.n
-        return all(len(bfs_levels(adj, v, d)) == n for v in range(n))
+        return diameter_within(state.maker_closed(), d)
 
     prop.property_id = f"diameter<={d}"  # type: ignore[attr-defined]
     return prop
@@ -349,7 +341,7 @@ def diameter_at_most(d: int) -> TargetProperty:
 
 def min_degree_exceeds(k: int) -> TargetProperty:
     def prop(state: GameState) -> bool:
-        return min(map(len, state.maker_adjacency()), default=0) > k
+        return min((m.bit_count() for m in state.maker_closed()), default=1) - 1 > k
 
     prop.property_id = f"mindeg>{k}"  # type: ignore[attr-defined]
     return prop

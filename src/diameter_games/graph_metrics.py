@@ -3,12 +3,15 @@
 All distances are measured in the given graph only.  Unreachable pairs get
 INFINITE (math.inf), a distinguished non-integer value: comparisons such as
 ``dist <= d`` are False for unreachable pairs without any sentinel tricks.
+
+A graph is stored as closed-neighbourhood vertex bitmasks (closed_masks),
+and every distance below comes from one ring BFS on them, spheres().
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -21,11 +24,11 @@ class InvalidGraph(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: vertex set {0..n-1} plus a set of edges (u, v), u < v."""
+    """Immutable simple graph: vertex set {0..n-1} plus a set of edges (u, v), u < v, kept as its closed_masks."""
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _adj: dict[int, list[int]] = field(default_factory=dict, repr=False, compare=False)
+    closed: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -33,16 +36,12 @@ class Graph:
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise InvalidGraph(f"edge ({u}, {v}) is not canonical for n={self.n}")
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "closed", closed_masks(self.n, self.edges))
 
     def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
+        if not 0 <= v < self.n:
+            raise InvalidGraph(f"vertex {v} out of range for n={self.n}")
+        return set_bits(self.closed[v] & ~(1 << v))
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -50,50 +49,108 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, canon)
 
 
-def bfs_levels(adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], source: int, limit: float = INFINITE) -> dict[int, int]:
-    """Level map of the BFS tree rooted at source, truncated at depth `limit`.
+def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Closed-neighbourhood vertex masks: entry v is (1 << v) | OR(1 << w for each edge vw).
 
-    adj[v] lists v's neighbours: a Graph's, or GameState.maker_adjacency(),
-    which the target properties in game_core walk on the live board.
+    The one format for a graph in this package: a Graph's `closed`,
+    GameState.maker_closed() on the live board, and the exact solvers'.
     """
-    seen = {source: 0}
-    frontier = [source]
-    depth = 0
-    while frontier and depth < limit:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    closed = [1 << v for v in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    return closed
+
+
+def set_bits(mask: int) -> list[int]:
+    """The vertices of a vertex mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def spheres(closed: Sequence[int], source: int, limit: float = INFINITE) -> list[int]:
+    """Ring masks of the BFS from source: entry k holds the vertices at distance k.
+
+    Stops after depth `limit`, or after the last nonempty ring.  The rings
+    are disjoint, so their sum is the ball of radius `limit` around source.
+    """
+    ball = frontier = 1 << source
+    rings = [frontier]
+    while len(rings) <= limit:
+        grow = 0
+        for x in set_bits(frontier):
+            grow |= closed[x]
+        frontier = grow & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+        rings.append(frontier)
+    return rings
+
+
+def diameter_within(closed: Sequence[int], d: int) -> bool:
+    """True iff the graph has diameter <= d, i.e. every radius-d ball is
+    the whole vertex set.
+
+    A ball grows by OR-ing the masks of its newest vertices.  The target
+    property diameter<=d, solve() and verify_one_sided() run it on every
+    check, so it inlines its ring loop and stops at the first ball that
+    cannot cover the board.
+    """
+    if d < 1:
+        return len(closed) <= 1
+    everyone = (1 << len(closed)) - 1
+    for ball in closed:
+        frontier = ball
+        for _ in range(d - 1):
+            if ball == everyone:
+                break
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= closed[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & ~ball
+            if not frontier:
+                return False
+            ball |= grow
+        if ball != everyone:
+            return False
+    return True
+
+
+def _check_centre(g: Graph, v: int, radius: int | float) -> None:
+    if not 0 <= v < g.n:
+        raise InvalidGraph(f"vertex {v} out of range for n={g.n}")
+    if radius < 0:
+        raise InvalidGraph(f"radius must be nonnegative, got {radius}")
 
 
 def dist(g: Graph, u: int, v: int) -> int | float:
     """Length of a shortest u-v path, or INFINITE if none exists."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise InvalidGraph(f"vertices ({u}, {v}) out of range for n={g.n}")
-    if u == v:
-        return 0
-    levels = bfs_levels(g._adj, u)
-    return levels.get(v, INFINITE)
+    for k, ring in enumerate(spheres(g.closed, u)):
+        if ring >> v & 1:
+            return k
+    return INFINITE
 
 
 def ball(g: Graph, v: int, radius: int | float) -> frozenset[int]:
     """All vertices within distance `radius` of v (v itself included)."""
-    if not 0 <= v < g.n:
-        raise InvalidGraph(f"vertex {v} out of range for n={g.n}")
-    if radius < 0:
-        raise InvalidGraph(f"radius must be nonnegative, got {radius}")
-    return frozenset(bfs_levels(g._adj, v, limit=radius))
+    _check_centre(g, v, radius)
+    return frozenset(set_bits(sum(spheres(g.closed, v, radius))))
 
 
 def sphere(g: Graph, v: int, radius: int) -> frozenset[int]:
     """Vertices at distance exactly `radius` from v."""
-    levels = bfs_levels(g._adj, v, limit=radius)
-    return frozenset(w for w, d in levels.items() if d == radius)
+    _check_centre(g, v, radius)
+    rings = spheres(g.closed, v, radius)
+    return frozenset(set_bits(rings[radius])) if radius < len(rings) else frozenset()
 
 
 def diameter(g: Graph) -> int | float:
@@ -104,14 +161,13 @@ def diameter(g: Graph) -> int | float:
     """
     if g.n < 2:
         raise InvalidGraph("diameter needs at least two vertices")
+    everyone = (1 << g.n) - 1
     worst = 0
     for v in range(g.n):
-        levels = bfs_levels(g._adj, v)
-        if len(levels) < g.n:
+        rings = spheres(g.closed, v)
+        if sum(rings) != everyone:
             return INFINITE
-        ecc = max(levels.values())
-        if ecc > worst:
-            worst = ecc
+        worst = max(worst, len(rings) - 1)
     return worst
 
 
@@ -123,7 +179,7 @@ class DegreeProfile:
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    degs = tuple(len(g.neighbors(v)) for v in range(g.n))
+    degs = tuple(mask.bit_count() - 1 for mask in g.closed)
     if not degs:
         return DegreeProfile((), 0, 0)
     return DegreeProfile(degs, min(degs), max(degs))
@@ -138,16 +194,7 @@ def has_expansion(g: Graph, r: int, s: int) -> bool:
         raise InvalidGraph(f"set sizes must be positive, got r={r}, s={s}")
     if r + s > g.n:
         raise InvalidGraph(f"r + s = {r + s} exceeds vertex count {g.n}")
-    return expansion_of_closed(closed_masks(g.n, g.edges), r, s)
-
-
-def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Closed-neighbourhood vertex masks: entry v is (1 << v) | OR(1 << w for each edge vw)."""
-    closed = [1 << v for v in range(n)]
-    for u, v in edges:
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
-    return closed
+    return expansion_of_closed(g.closed, r, s)
 
 
 def expansion_of_closed(closed: Sequence[int], r: int, s: int) -> bool:

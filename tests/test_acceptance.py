@@ -12,7 +12,6 @@ import glob
 import math
 import random
 import time
-from itertools import combinations
 from math import comb
 from pathlib import Path
 

@@ -15,7 +15,6 @@ from diameter_games import (
     Player,
     RandomStrategy,
     a1_blocking_invariant,
-    apply_claim,
     block_budget,
     claim2_bound,
     claim2_check,

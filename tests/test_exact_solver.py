@@ -35,7 +35,8 @@ from diameter_games import (
     verify_final_property,
     verify_one_sided,
 )
-from diameter_games.exact_solver import _canonical_masks, _diameter_within, _neighbour_masks
+from diameter_games.exact_solver import _canonical_masks, _neighbour_masks
+from diameter_games.graph_metrics import diameter_within
 
 
 class TestSolve:
@@ -207,9 +208,9 @@ class TestRefinedKey:
 
 
 def _within(n, mask, d):
-    """_diameter_within on the graph of an edge mask in all_edges(n) order."""
+    """diameter_within on the graph of an edge mask in all_edges(n) order."""
     nbr = _neighbour_masks(n, mask, all_edges(n))
-    return _diameter_within([m | 1 << v for v, m in enumerate(nbr)], d)
+    return diameter_within([m | 1 << v for v, m in enumerate(nbr)], d)
 
 
 def _reference_within(n, mask, d):

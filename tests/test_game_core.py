@@ -1,9 +1,11 @@
 """Core state machine: claims, turn order, transcripts, replay."""
 
 import json
+import math
 import random
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -182,10 +184,10 @@ def assert_is_reference_maker_graph(g, state):
 
 
 def check_maker_graph(state):
-    """maker_graph and the live adjacency the target properties read, against the reference."""
+    """maker_graph and the live masks the target properties read, against the reference."""
     g = maker_graph(state)
     assert_is_reference_maker_graph(g, state)
-    assert state.maker_adjacency() == [g.neighbors(v) for v in range(state.n)]
+    assert state.maker_closed() == Graph(state.n, frozenset(state.maker_edges)).closed
 
 
 def check_board_index(state):
@@ -309,6 +311,7 @@ def maker_boards_up_to_9(draw):
 @example(maker_board(4, [(0, 1), (2, 3)]), 4)
 @example(maker_board(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3)
 @example(maker_board(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4)
+@example(maker_board(3, [(0, 1), (0, 2), (1, 2)]), 0)
 def test_diameter_at_most_matches_full_diameter(state, d):
     g = maker_graph(state)
     expected = g.n < 2 or diameter(g) <= d
@@ -327,8 +330,9 @@ LIVE_PROPERTY_MAKERS = {
 @pytest.mark.parametrize("n,a,b,seed", [(9, 1, 1, 0), (24, 2, 1, 1), (40, 2, 3, 2)])
 def test_live_properties_match_graph_metrics(maker_id, n, a, b, seed):
     """After every turn of a seeded match, each property on the live board
-    agrees with graph_metrics on the validated Maker graph.  From n = 24 on,
-    every property is seen both failing and holding."""
+    agrees with graph_metrics on the validated Maker graph, and with networkx,
+    which shares no code with either.  From n = 24 on, every property is seen
+    both failing and holding."""
     state = new_game(n, a, b)
     maker = LIVE_PROPERTY_MAKERS[maker_id](n, a, b, seed)
     breaker = RandomStrategy(random.Random(seed + 1))
@@ -338,6 +342,10 @@ def test_live_properties_match_graph_metrics(maker_id, n, a, b, seed):
         play_random_turn(state, maker, breaker)
         g = maker_graph(state)
         full, min_degree = diameter(g), degree_profile(g).min_degree
+        h = nx.Graph(sorted(state.maker_edges))
+        h.add_nodes_from(range(n))
+        assert full == (nx.diameter(h) if nx.is_connected(h) else math.inf)
+        assert min_degree == min(deg for _, deg in h.degree)
         expected = [full <= 2, full <= 3, min_degree > 0, min_degree > 1, min_degree > 3]
         for prop, want in zip(props, expected):
             assert prop(state) == want, (prop.property_id, len(state.move_log))

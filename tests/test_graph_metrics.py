@@ -18,7 +18,7 @@ from diameter_games import (
     has_expansion,
     sphere,
 )
-from diameter_games.graph_metrics import INFINITE, InvalidGraph
+from diameter_games.graph_metrics import INFINITE, InvalidGraph, diameter_within, set_bits, spheres
 
 
 def path_graph(n):
@@ -46,6 +46,9 @@ class TestConstruction:
         g = graph_from_edges(5, [(0, 4), (0, 2), (0, 1)])
         assert g.neighbors(0) == [1, 2, 4]
         assert g.neighbors(3) == []
+        for v in (5, -1):
+            with pytest.raises(InvalidGraph):
+                g.neighbors(v)
 
 
 class TestDistance:
@@ -96,6 +99,16 @@ class TestBallsAndSpheres:
     def test_sphere_exact_levels(self, g):
         assert sphere(g, 0, 3) == frozenset({3})
         assert sphere(g, 5, 1) == frozenset({4})
+        assert sphere(g, 0, 9) == frozenset()
+
+    def test_sphere_checks_vertex_and_radius(self):
+        g = path_graph(4)
+        with pytest.raises(InvalidGraph):
+            sphere(g, 9, 1)
+        with pytest.raises(InvalidGraph):
+            sphere(g, -1, 1)
+        with pytest.raises(InvalidGraph):
+            sphere(g, 0, -1)
 
 
 def test_degree_profile():
@@ -167,13 +180,19 @@ def test_has_expansion_matches_pair_enumeration(g):
 @settings(max_examples=120, deadline=None)
 @given(random_graphs())
 def test_diameter_matches_networkx(g):
+    """diameter, diameter_within and the spheres of every vertex, against networkx."""
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
-    if nx.is_connected(h):
-        assert diameter(g) == nx.diameter(h)
-    else:
-        assert diameter(g) == INFINITE
+    expected = nx.diameter(h) if nx.is_connected(h) else INFINITE
+    assert diameter(g) == expected
+    for d in range(5):
+        assert diameter_within(g.closed, d) == (expected <= d), d
+    for v in range(g.n):
+        levels = nx.single_source_shortest_path_length(h, v)
+        rings = [set_bits(ring) for ring in spheres(g.closed, v)]
+        assert rings == [sorted(w for w, k in levels.items() if k == r) for r in range(max(levels.values()) + 1)]
+        assert [set_bits(ring) for ring in spheres(g.closed, v, 1)] == rings[:2]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,57 @@
+"""Source hygiene: no module imports a name it never uses.
+
+A stdlib ``ast`` scan over the package modules and the test modules.  A name
+bound by an import counts as used when the module reads it anywhere, or
+lists it in ``__all__``.  Package ``__init__.py`` files re-export what they
+import, so they are skipped, and so are ``__future__`` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for pattern in ("src/diameter_games/*.py", "tests/*.py")
+    for path in ROOT.glob(pattern)
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module binds by import and never reads, in source order."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name, _ in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_scan_finds_unused_and_keeps_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import b, c as d, e\n"
+        "__all__ = ['e']\n"
+        "print(d)\n"
+    )
+    assert unused_imports(source) == ["os", "b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diameter_games import (
-    FamilyGameState,
     InvalidParameters,
     Player,
     WinningSetFamily,
