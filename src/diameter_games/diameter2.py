@@ -266,7 +266,7 @@ class D2Breaker:
 
     def _freeze_boxes(self, state: GameState, picked: set[Edge]) -> None:
         t = self._target
-        closed = state.maker_closed()
+        closed = state.closed(Player.MAKER)
         u_mask = closed[t] & ~(1 << t)
         self._u_list = set_bits(u_mask)
         pre_completed = 0
@@ -469,11 +469,12 @@ class D2Maker:
     trace are history, so a log that did not grow since the previous turn
     is refused (game_core.LogCursor).  So are the Breaker degrees it keeps
     beside GameState.board_index(): which vertex turns high first follows
-    the replay claim by claim.  Ownership comes from the board and is not
-    kept across turns: a pair's middles are read off Breaker's matrix, and
-    each turn copies Maker's matrix once so that it takes the turn's picks
-    as they are made.  Game 2 reads the board's open edges, and leftover
-    claims go to GameState.lowest_open().
+    the replay claim by claim.  Ownership comes from the board's closed
+    masks and is not kept across turns: a pair's live middles are the
+    vertices outside both endpoints' Breaker masks, and each turn copies
+    Maker's masks (n ints) once so that they take the turn's picks as they
+    are made.  Game 2 reads the board's open edges, and leftover claims go
+    to GameState.lowest_open().
     """
 
     name = "d2-maker"
@@ -527,10 +528,11 @@ class D2Maker:
             self._g3 = None
             self.flags.append("d2-maker-game3-fallback")
 
-        # Set for one turn only: Maker's matrix with the turn's picks so far,
-        # and the board's Breaker matrix.
-        self._madj: np.ndarray | None = None
-        self._badj: np.ndarray | None = None
+        # Set for one turn only: Maker's closed masks with the turn's picks
+        # so far, and the board's Breaker masks.
+        self._mclosed: list[int] = []
+        self._bclosed: list[int] = []
+        self._everyone = (1 << n) - 1
         self._bdeg = np.zeros(n, dtype=np.int64)
         self._high: list[int] = []
         self._high_set: set[int] = set()
@@ -575,15 +577,12 @@ class D2Maker:
         if len(self._high) > self.ell_max_op:
             self.flags.append("d2-maker-high-count-exceeded")
 
-    def _pair_alive(self, p: _ConnectPair) -> np.ndarray:
-        alive = ~(self._badj[p.u] | self._badj[p.w])
-        alive[p.u] = alive[p.w] = False
-        return alive
+    def _pair_alive(self, p: _ConnectPair) -> int:
+        return self._everyone & ~(self._bclosed[p.u] | self._bclosed[p.w])
 
     def _pair_satisfied(self, p: _ConnectPair) -> bool:
-        if not p.satisfied:
-            if self._madj[p.u, p.w] or bool((self._madj[p.u] & self._madj[p.w]).any()):
-                p.satisfied = True
+        if not p.satisfied and self._mclosed[p.u] & self._mclosed[p.w]:
+            p.satisfied = True  # adjacent, or a common Maker neighbour
         return p.satisfied
 
     def game4_potential(self) -> float:
@@ -596,7 +595,7 @@ class D2Maker:
         for p in self._g4_pairs:
             if self._pair_satisfied(p):
                 continue
-            total += math.exp(-float(self._pair_alive(p).sum()) * self._log1p_l4)
+            total += math.exp(-float(self._pair_alive(p).bit_count()) * self._log1p_l4)
         return total
 
     # -- claim rules ---------------------------------------------------------
@@ -615,22 +614,23 @@ class D2Maker:
             if self._pair_satisfied(p):
                 continue
             u, w = p.u, p.w
+            mu, mw = self._mclosed[u], self._mclosed[w]
             alive = self._pair_alive(p)
             action: Edge | None = None
-            cost1 = alive & (self._madj[u] | self._madj[w])
-            if cost1.any():
-                m = int(np.argmax(cost1))
-                action = mk_edge(m, w) if self._madj[u, m] else mk_edge(u, m)
-            elif not self._madj[u, w] and not self._badj[u, w]:
+            cost1 = alive & (mu | mw)
+            if cost1:
+                m = (cost1 & -cost1).bit_length() - 1
+                action = mk_edge(m, w) if mu >> m & 1 else mk_edge(u, m)
+            elif not (mu | self._bclosed[u]) >> w & 1:
                 action = mk_edge(u, w)
             else:
-                cost2 = alive & ~self._madj[u] & ~self._madj[w]
-                if cost2.any():
-                    m = int(np.argmax(cost2))
+                cost2 = alive & ~mu & ~mw
+                if cost2:
+                    m = (cost2 & -cost2).bit_length() - 1
                     action = min(mk_edge(u, m), mk_edge(m, w))
             if action is None:
                 continue
-            key = (int(alive.sum()), u, w)
+            key = (alive.bit_count(), u, w)
             if best_key is None or key < best_key:
                 best_key, best_action = key, action
         return best_action
@@ -638,8 +638,8 @@ class D2Maker:
     def _take(self, e: Edge, picks: list[Edge], picked: set[Edge]) -> None:
         picks.append(e)
         picked.add(e)
-        self._madj[e[0], e[1]] = True
-        self._madj[e[1], e[0]] = True
+        self._mclosed[e[0]] |= 1 << e[1]
+        self._mclosed[e[1]] |= 1 << e[0]
 
     def _claim_game2(self, state: GameState, picks: list[Edge], picked: set[Edge], count: int) -> None:
         deg = self._g1.deg_self
@@ -684,7 +684,7 @@ class D2Maker:
             for w in range(u + 1, self.n):
                 if u in self._high_set and w in self._high_set:
                     continue  # game 4's pairs
-                if self._madj[u, w] or bool((self._madj[u] & self._madj[w]).any()):
+                if self._mclosed[u] & self._mclosed[w]:
                     continue
                 pairs.append(_ConnectPair(u=u, w=w))
         self._p2_pairs = pairs
@@ -701,9 +701,8 @@ class D2Maker:
         if self._round > self.phase1_rounds:
             self._high_frozen = True  # the sync above drained Phase I's log
         self._g1.sync(state)
-        board = state.board_index()
-        self._madj = board.owned[Player.MAKER].copy()
-        self._badj = board.owned[Player.BREAKER]
+        self._mclosed = list(state.closed(Player.MAKER))
+        self._bclosed = state.closed(Player.BREAKER)
         count = state.required_claim_count(Player.MAKER)
         picks: list[Edge] = []
         picked: set[Edge] = set()
@@ -739,5 +738,5 @@ class D2Maker:
                 self._p2_even_game4 = True
         for e in state.lowest_open(count - len(picks), picked):
             self._take(e, picks, picked)
-        self._madj = self._badj = None
+        self._mclosed = self._bclosed = []
         return picks

@@ -291,12 +291,17 @@ def dd_breaker_a1_biases(
     return math.ceil(multiplier * base), math.ceil(base)
 
 
-def _distances(closed: list[int], src: int) -> list[int]:
-    """BFS distances from src, with the finite n + 1 for unreachable vertices.
+def _depth(rings: list[int], x: int, n: int) -> int:
+    """x's ring in graph_metrics.spheres `rings`, or the finite n + 1 when unreachable.
 
     _blocking_claims subtracts distances; with INFINITE, two unreachable
     endpoints would give inf - inf = NaN and fall into another case.
     """
+    return next((k for k, ring in enumerate(rings) if ring >> x & 1), n + 1)
+
+
+def _distances(closed: list[int], src: int) -> list[int]:
+    """BFS distances from src, with _depth's n + 1 for unreachable vertices."""
     dist = [len(closed) + 1] * len(closed)
     for k, ring in enumerate(spheres(closed, src)):
         for x in set_bits(ring):
@@ -312,7 +317,7 @@ def a1_blocking_invariant(state: GameState, u: int, v: int, d: int) -> bool:
     and dist(u,q) + dist(v,p) >= d, and it forces dist(u, v) > d: a
     shorter u..v walk would contain a crossing edge.
     """
-    closed = state.maker_closed()
+    closed = state.closed(Player.MAKER)
     du = _distances(closed, u)
     dv = _distances(closed, v)
     for p, q in state.maker_edges:
@@ -341,10 +346,11 @@ class DdBreakerA1:
     answer comes a fixed share of degree-capping claims (which keeps
     the budget bound small) and lex-lowest filler for the rest.
 
-    Distances are graph_metrics.spheres on the board's maker_closed()
-    masks, and the anchor depends only on Maker's opening edge, so both
-    follow from the log; the filler is GameState.lowest_open(), and the
-    capping engine keeps game_core.LogCursor's rule.
+    Distances and balls are graph_metrics.spheres rings on the board's
+    closed(Player.MAKER) masks, and the anchor depends only on Maker's
+    opening edge, so both follow from the log; the filler is
+    GameState.lowest_open(), and the capping engine keeps
+    game_core.LogCursor's rule.
     """
 
     def __init__(
@@ -383,31 +389,33 @@ class DdBreakerA1:
         u, v = self.anchor  # type: ignore[misc]
         n = self.n
         d = self.d
-        closed = state.maker_closed()
-        du = _distances(closed, u)
-        dv = _distances(closed, v)
+        closed = state.closed(Player.MAKER)
+        u_rings = spheres(closed, u)
+        v_rings = spheres(closed, v)
+        du = {x: _depth(u_rings, x, n) for x in last_edge}
+        dv = {x: _depth(v_rings, x, n) for x in last_edge}
         p, q = last_edge
         a_diff = du[p] - du[q]
         b_diff = dv[p] - dv[q]
 
-        # Each job is (sphere centre, ball distance array, total radius).
+        # Each job is (sphere centre, rings of the ball's anchor, total radius).
         jobs: list[tuple[int, list[int], int]] = []
 
         def case_one(x: int, y: int) -> None:
             i = du[x]
             j = dv[y]
             if i <= d - 1:
-                jobs.append((x, dv, d - i - 1))
+                jobs.append((x, v_rings, d - i - 1))
             if j <= d - 1:
-                jobs.append((y, du, d - j - 1))
+                jobs.append((y, u_rings, d - j - 1))
 
         def case_two(x: int, y: int) -> None:
             i = du[x]
             j = dv[x]
             if i <= d - 2:
-                jobs.append((y, dv, d - i - 2))
+                jobs.append((y, v_rings, d - i - 2))
             if j <= d - 2:
-                jobs.append((y, du, d - j - 2))
+                jobs.append((y, u_rings, d - j - 2))
 
         if a_diff == 0 and b_diff == 0:
             case_one(min(p, q), max(p, q))
@@ -423,10 +431,9 @@ class DdBreakerA1:
         out: list[Edge] = []
         seen: set[Edge] = set()
         overflow = False
-        for centre, bdist, radius in jobs:
+        for centre, anchor_rings, radius in jobs:
             for k, ring in enumerate(spheres(closed, centre, radius)):
-                limit = radius - k
-                ball = [c for c in range(n) if bdist[c] <= limit]
+                ball = set_bits(sum(anchor_rings[: radius - k + 1]))
                 cands = {
                     mk_edge(a, c) for a in set_bits(ring) for c in ball if a != c
                 }

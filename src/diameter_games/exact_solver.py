@@ -12,8 +12,8 @@ Keys are capped at n <= 8, because a vertex-transitive position has a
 single class and then all n! relabellings are tried.  The cutoffs: Maker
 has already won once his graph has diameter <= d, and Breaker has already
 won once some pair cannot be connected within d even using every
-unclaimed edge.  Both are graph_metrics.diameter_within on
-closed-neighbourhood bitmasks, the format the board and Graph keep too.
+unclaimed edge.  Both are graph_metrics.diameter_within on closed masks,
+the format of Graph and of both players' graphs on the board.
 
 verify_final_property() is the one board verifier: a DFS that pins one side
 to a scripted strategy, branches over every opposing play, and undoes each
@@ -49,7 +49,7 @@ from .game_core import (
     edge_count,
     mk_edge,
 )
-from .graph_metrics import closed_masks, diameter_within
+from .graph_metrics import closed_masks, complement, diameter_within
 from .potential_engine import FamilyGameState, WinningSetFamily
 
 DEFAULT_EDGE_CAP = 21  # C(n,2) <= 21, i.e. n <= 7
@@ -251,8 +251,7 @@ def solve(
         visited += 1
         mnbr = _neighbour_masks(n, maker_mask, edges)
         bnbr = _neighbour_masks(n, breaker_mask, edges)
-        maker_closed = [m | 1 << v for v, m in enumerate(mnbr)]
-        if diameter_within(maker_closed, d):
+        if diameter_within([m | 1 << v for v, m in enumerate(mnbr)], d):
             return True
         # On a full board Breaker's complement is Maker's graph, so this
         # cutoff has decided it: below, an edge is always open.
@@ -409,14 +408,11 @@ def verify_one_sided(
     Breaker's graph is Maker's graph, so the cutoffs settle every leaf and
     the final predicate is never reached.
     """
-    everyone = (1 << n) - 1
 
     def prune(maker, breaker, unclaimed, log) -> bool | None:
         if diameter_within(closed_masks(n, maker), d):
             return side is Player.MAKER
-        # In the graph of every edge Breaker lacks, v keeps v and drops its Breaker neighbours.
-        lacks = [everyone ^ m | 1 << v for v, m in enumerate(closed_masks(n, breaker))]
-        if not diameter_within(lacks, d):
+        if not diameter_within(complement(closed_masks(n, breaker)), d):
             return side is Player.BREAKER
         return None
 

@@ -80,7 +80,7 @@ class LogCursor:
     turns only keeps this while which turns follows from the log.  State
     that is real history (phase switches, frozen boxes) cannot be rebuilt;
     its owner calls require_growth() and refuses a log that did not grow.
-    What a GameState caches itself (maker_closed(), board_index(), the
+    What a GameState caches itself (closed(), board_index(), the
     lowest_open() position) needs no such rule: a snapshot starts without it.
     """
 
@@ -116,22 +116,22 @@ class GameState:
     move.  `move_log` lists every single claim in order, one (player, edge)
     entry per edge, so any auxiliary bookkeeping can be rebuilt from it.
 
-    The state also keeps two derived indexes, each built from the edge sets
-    on first read and extended by apply_claim once it exists:
-    maker_closed(), Maker's graph as graph_metrics.closed_masks (one int per
-    vertex, the format every BFS in the package walks), which the target
-    properties and the distance-reading strategies read; and board_index(),
-    the numpy BoardIndex of open edges, ownership and degrees that the
-    degree-based strategies read.  They stay apart so that a match whose
-    strategies read neither pays no numpy upkeep.  Beside them sits one
-    cached position: every edge before it in all_edges(n) order is
-    claimed, so lowest_open() starts its walk there.
+    The state also keeps derived indexes, each built from the edge sets on
+    first read and extended by apply_claim once it exists: closed(player),
+    that player's graph as graph_metrics.closed_masks (one int per vertex,
+    the format every BFS in the package walks), which the target
+    properties and the distance-reading strategies read; and
+    board_index(), the numpy BoardIndex of open edges and degrees that the
+    degree-based strategies score over.  They stay apart so that a match
+    whose strategies read no BoardIndex pays no numpy upkeep.  Beside them
+    sits one cached position: every edge before it in all_edges(n) order
+    is claimed, so lowest_open() starts its walk there.
     A state only gains claims, so the position only moves forward.  None of
-    the three is a constructor argument, so a copy() or a state built from
-    its fields starts without the indexes and at the first edge.  The
-    indexes are live views of this board, and read-only: a reader that
-    needs to change one copies it first.  Like every other bookkeeping,
-    they follow from `move_log` alone.
+    them is a constructor argument, so a copy() or a state built from its
+    fields starts without the indexes and at the first edge.  The indexes
+    are live views of this board, and read-only: a reader that needs to
+    change one copies it first.  Like every other bookkeeping, they follow
+    from `move_log` alone.
     """
 
     n: int
@@ -143,7 +143,7 @@ class GameState:
     unclaimed: set[Edge] = field(default_factory=set)
     to_move: Player = Player.MAKER
     move_log: list[tuple[Player, Edge]] = field(default_factory=list)
-    _maker_closed: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _closed: dict[Player, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _board: BoardIndex | None = field(default=None, init=False, repr=False, compare=False)
     _claimed_below: Edge = field(default=(0, 1), init=False, repr=False, compare=False)
 
@@ -163,14 +163,16 @@ class GameState:
     def is_exhausted(self) -> bool:
         return not self.unclaimed
 
-    def maker_closed(self) -> list[int]:
-        """graph_metrics.closed_masks of Maker's graph; live, so read-only."""
-        if self._maker_closed is None:
-            self._maker_closed = closed_masks(self.n, self.maker_edges)
-        return self._maker_closed
+    def closed(self, player: Player) -> list[int]:
+        """graph_metrics.closed_masks of `player`'s graph; live, so read-only."""
+        masks = self._closed.get(player)
+        if masks is None:
+            edges = self.maker_edges if player is Player.MAKER else self.breaker_edges
+            masks = self._closed[player] = closed_masks(self.n, edges)
+        return masks
 
     def board_index(self) -> BoardIndex:
-        """Open edges, ownership and degrees as numpy arrays; live, so read-only."""
+        """Open edges and degrees as numpy arrays; live, so read-only."""
         if self._board is None:
             self._board = BoardIndex(self)
         return self._board
@@ -219,31 +221,30 @@ def _read_only(buffer, dtype, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class BoardIndex:
-    """One GameState's open edges, ownership and degrees.
+    """One GameState's open edges and degrees, the arrays numpy scores over.
 
-    `open` is the n x n matrix of unclaimed edges, `owned[p]` player p's
-    n x n ownership matrix and `deg[p]` its degree vector; the matrices are
-    symmetric with a False diagonal.  Each is a read-only numpy view of a
-    Python buffer (a bytearray per matrix, an int64 array per vector) that
-    apply_claim updates in place, six stores per claim: a buffer store costs
-    a fraction of a numpy cell write, and a claim is the hot path.
+    `open` is the n x n matrix of unclaimed edges, symmetric with a False
+    diagonal, and `deg[p]` player p's degree vector.  Each is a read-only
+    numpy view of a Python buffer (a bytearray for the matrix, an int64
+    array per vector) that apply_claim updates in place, four stores per
+    claim: a buffer store costs a fraction of a numpy cell write, and a
+    claim is the hot path.  Who owns an edge is read from
+    GameState.closed(player).
     """
 
-    __slots__ = ("open", "owned", "deg", "_writes")
+    __slots__ = ("open", "deg", "_writes")
 
     def __init__(self, state: GameState):
         n = state.n
         open_cells = _edge_buffer(n, state.unclaimed)
         self.open = _read_only(open_cells, bool, (n, n))
-        self.owned: dict[Player, np.ndarray] = {}
         self.deg: dict[Player, np.ndarray] = {}
         writes = []
         for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):
-            own_cells = _edge_buffer(n, edges)
-            self.owned[player] = _read_only(own_cells, bool, (n, n))
-            deg = array("q", self.owned[player].sum(axis=1).tolist())
+            ends = np.array(list(edges), dtype=np.intp)
+            deg = array("q", np.bincount(ends.ravel(), minlength=n).tolist())
             self.deg[player] = _read_only(deg, np.int64, (n,))
-            writes.append((n, open_cells, own_cells, deg))
+            writes.append((n, open_cells, deg))
         # What apply_claim writes for a claim by `player`: _writes[player is Player.BREAKER].
         self._writes = tuple(writes)
 
@@ -275,12 +276,10 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
     if len(set(edges)) != len(edges):
         raise AlreadyClaimed(f"duplicate edge in claim {edges}")
     if player is Player.MAKER:
-        own, other, closed = state.maker_edges, state.breaker_edges, state._maker_closed
+        own, other = state.maker_edges, state.breaker_edges
     else:
-        own, other, closed = state.breaker_edges, state.maker_edges, None
-    board = state._board
-    if board is not None:
-        n, open_cells, own_cells, deg = board._writes[player is Player.BREAKER]
+        own, other = state.breaker_edges, state.maker_edges
+    # Check every edge before the first store, so a rejected claim changes nothing.
     for edge in edges:
         if edge != mk_edge(*edge):
             raise InvalidParameters(f"edge {edge} is not canonical")
@@ -288,6 +287,11 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
             raise AlreadyClaimed(f"edge {edge} is not available")
         # Ownership stays disjoint by construction; guard the invariant anyway.
         assert edge not in other
+    closed = state._closed.get(player)
+    board = state._board
+    if board is not None:
+        n, open_cells, deg = board._writes[player is Player.BREAKER]
+    for edge in edges:
         state.unclaimed.discard(edge)
         own.add(edge)
         u, v = edge
@@ -295,9 +299,7 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
             closed[u] |= 1 << v
             closed[v] |= 1 << u
         if board is not None:
-            i, j = u * n + v, v * n + u
-            open_cells[i] = open_cells[j] = 0
-            own_cells[i] = own_cells[j] = 1
+            open_cells[u * n + v] = open_cells[v * n + u] = 0
             deg[u] += 1
             deg[v] += 1
         state.move_log.append((player, edge))
@@ -326,14 +328,14 @@ class Strategy(Protocol):
 
 # --- target properties ---------------------------------------------------
 # A target property is a predicate on the live GameState that reads only
-# Maker's edges, through state.maker_closed(); it is monotone in them.
+# Maker's edges, through state.closed(Player.MAKER); it is monotone in them.
 
 TargetProperty = Callable[[GameState], bool]
 
 
 def diameter_at_most(d: int) -> TargetProperty:
     def prop(state: GameState) -> bool:
-        return diameter_within(state.maker_closed(), d)
+        return diameter_within(state.closed(Player.MAKER), d)
 
     prop.property_id = f"diameter<={d}"  # type: ignore[attr-defined]
     return prop
@@ -341,7 +343,7 @@ def diameter_at_most(d: int) -> TargetProperty:
 
 def min_degree_exceeds(k: int) -> TargetProperty:
     def prop(state: GameState) -> bool:
-        return min((m.bit_count() for m in state.maker_closed()), default=1) - 1 > k
+        return min((m.bit_count() for m in state.closed(Player.MAKER)), default=1) - 1 > k
 
     prop.property_id = f"mindeg>{k}"  # type: ignore[attr-defined]
     return prop

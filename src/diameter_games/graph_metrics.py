@@ -53,13 +53,24 @@ def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Closed-neighbourhood vertex masks: entry v is (1 << v) | OR(1 << w for each edge vw).
 
     The one format for a graph in this package: a Graph's `closed`,
-    GameState.maker_closed() on the live board, and the exact solvers'.
+    GameState.closed(player) for each player's graph on the live board,
+    and the exact solvers'.
     """
     closed = [1 << v for v in range(n)]
     for u, v in edges:
         closed[u] |= 1 << v
         closed[v] |= 1 << u
     return closed
+
+
+def complement(closed: Sequence[int]) -> list[int]:
+    """Closed masks of the graph joining every pair that `closed` does not join.
+
+    Vertex v keeps v and swaps every other bit: on the live board, the
+    complement of one player's graph is every edge that player lacks.
+    """
+    everyone = (1 << len(closed)) - 1
+    return [everyone ^ m | 1 << v for v, m in enumerate(closed)]
 
 
 def set_bits(mask: int) -> list[int]:

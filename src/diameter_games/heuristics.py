@@ -1,14 +1,15 @@
 """Deterministic-given-seed opponents for experiments and stress tests.
 
 These are deliberately simple adversaries: strong enough to punish broken
-strategies, cheap enough to run thousands of matches.  Degrees, ownership
-and open edges come from the board (GameState.board_index()), so the
-degree-based players keep no copy of them, and the lowest open edges come
-from GameState.lowest_open(); what a strategy does keep (an unclaimed-edge
-pool, a pair-scan cursor) follows game_core.LogCursor's rule.  The
-deterministic strategies are therefore snapshot-pure under the verifiers;
-RandomStrategy stays legal there, though its draws depend on its
-generator's history.
+strategies, cheap enough to run thousands of matches.  Degrees and open
+edges come from the board's numpy index (GameState.board_index()), so the
+degree-based players keep no copy of them; path-greedy reads both players'
+graphs as the board's closed masks (GameState.closed()); and the lowest
+open edges come from GameState.lowest_open().  What a strategy does keep
+(an unclaimed-edge pool, a pair-scan cursor) follows game_core.LogCursor's
+rule.  The deterministic strategies are therefore snapshot-pure under the
+verifiers; RandomStrategy stays legal there, though its draws depend on
+its generator's history.
 
 EsbDegreeBreaker picks through potential_engine.best_open_pair, the one
 pick it shares with the degree-game potential (DegreeWeightState): the
@@ -27,6 +28,7 @@ import random
 import numpy as np
 
 from .game_core import Edge, GameState, LogCursor, Player, mk_edge
+from .graph_metrics import complement, spheres
 from .potential_engine import OpenPairs
 
 
@@ -121,11 +123,13 @@ class PathGreedyStrategy:
     """Patches the lexicographically first pair still too far apart.
 
     Finds the first pair (u, v) with own-graph distance > d, BFSes a
-    shortest u-v route through own plus unclaimed edges, and claims that
-    route's unclaimed edge nearest u.  Falls back to the lowest unclaimed
-    edge when no pair is broken or no route exists.  BFS parents resolve to
-    the lowest-index vertex of the previous layer, so routes (and therefore
-    picks) are reproducible.
+    shortest u-v route through the edges the opponent does not hold, and
+    claims that route's unclaimed edge nearest u.  Falls back to the lowest
+    unclaimed edge when no pair is broken or no route exists.  Both BFSes
+    are graph_metrics.spheres on the board's closed masks.  The route
+    walks back from v, each step to the lowest vertex of the previous ring
+    adjacent to the current one, so routes (and therefore picks) are
+    reproducible.
 
     The pair scan resumes from a cursor: once every v > u sits within d of
     u, further own claims cannot break that, so u never needs rescanning.
@@ -138,50 +142,29 @@ class PathGreedyStrategy:
         self._scan_from = 0
         self._all_close = False
 
-    def _far_pair(self, own: np.ndarray) -> tuple[int, int] | None:
+    def _far_pair(self, own: list[int]) -> tuple[int, int] | None:
         if self._all_close:
             return None
         n = len(own)
         while self._scan_from < n:
             u = self._scan_from
-            visited = np.zeros(n, dtype=bool)
-            visited[u] = True
-            frontier = visited.copy()
-            for _ in range(self.d):
-                new = own[frontier].any(axis=0) & ~visited
-                if not new.any():
-                    break
-                visited |= new
-                frontier = new
-            far = np.flatnonzero(~visited[u + 1 :])
-            if far.size:
-                return u, int(far[0]) + u + 1
+            far = ((1 << n) - (2 << u)) & ~sum(spheres(own, u, self.d))  # beyond d, above u
+            if far:
+                return u, (far & -far).bit_length() - 1
             self._scan_from += 1
         self._all_close = True
         return None
 
     def _route_edge(self, state: GameState, picks: set[Edge], u: int, v: int) -> Edge | None:
-        n = state.n
-        board = state.board_index()
-        usable = board.open | board.owned[state.to_move]
-        parent = np.full(n, -1, dtype=np.int64)
-        parent[u] = u
-        reached = np.zeros(n, dtype=bool)
-        reached[u] = True
-        frontier = reached.copy()
-        while not reached[v]:
-            rows = np.flatnonzero(frontier)
-            block = usable[rows]
-            new = block.any(axis=0) & ~reached
-            if not new.any():
-                return None
-            cols = np.flatnonzero(new)
-            parent[cols] = rows[np.argmax(block[:, cols], axis=0)]
-            reached |= new
-            frontier = new
+        usable = complement(state.closed(state.to_move.other()))
+        rings = spheres(usable, u)
+        depth = next((k for k, ring in enumerate(rings) if ring >> v & 1), None)
+        if depth is None:
+            return None
         node, pick = v, None
-        while node != u:
-            prev = int(parent[node])
+        for ring in reversed(rings[:depth]):
+            step = ring & usable[node]
+            prev = (step & -step).bit_length() - 1
             edge = mk_edge(prev, node)
             if edge in state.unclaimed and edge not in picks:
                 pick = edge
@@ -192,7 +175,7 @@ class PathGreedyStrategy:
         if self._log.new_claims(state) is None:
             self._scan_from = 0
             self._all_close = False
-        own = state.board_index().owned[state.to_move].copy()  # takes the turn's own picks
+        own = list(state.closed(state.to_move))  # takes the turn's own picks
         count = state.required_claim_count(state.to_move)
         picks: list[Edge] = []
         picked: set[Edge] = set()
@@ -205,8 +188,8 @@ class PathGreedyStrategy:
                 pick = state.lowest_open(1, picked)[0]
             picks.append(pick)
             picked.add(pick)
-            own[pick[0], pick[1]] = True
-            own[pick[1], pick[0]] = True
+            own[pick[0]] |= 1 << pick[1]
+            own[pick[1]] |= 1 << pick[0]
         return picks
 
 

@@ -9,10 +9,12 @@ from diameter_games import (
     D2Breaker,
     D2Maker,
     D2SimpleMaker,
+    GameState,
     PairingBreaker,
     Player,
     RandomStrategy,
     StrategyInapplicable,
+    all_edges,
     apply_claim,
     d2_breaker_params,
     d2_maker_bias_bound,
@@ -26,6 +28,7 @@ from diameter_games import (
     pairing_breaker_select,
     run_match,
 )
+from diameter_games.diameter2 import _ConnectPair
 
 
 class TestPairing:
@@ -238,6 +241,47 @@ class TestD2Maker:
             )
             assert tr.winner is Player.MAKER, f"seed {seed}"
             assert maker.violations == []
+
+    @staticmethod
+    def _on_board(maker_edges, breaker_edges, n=8):
+        """A D2Maker holding, as inside select(), the closed masks of a board with these edges."""
+        claimed = set(maker_edges) | set(breaker_edges)
+        state = GameState(
+            n=n,
+            a=2,
+            b=1,
+            first=Player.MAKER,
+            maker_edges=set(maker_edges),
+            breaker_edges=set(breaker_edges),
+            unclaimed=set(all_edges(n)) - claimed,
+        )
+        maker = D2Maker(n, 1)
+        maker._mclosed = list(state.closed(Player.MAKER))
+        maker._bclosed = state.closed(Player.BREAKER)
+        return maker
+
+    @pytest.mark.parametrize(
+        "maker_edges, breaker_edges, pairs, action",
+        [
+            ([(0, 6), (0, 5)], [], [(0, 1)], (1, 5)),  # finish the lowest half-owned middle
+            ([(0, 5), (1, 3)], [(1, 5)], [(0, 1)], (0, 3)),  # 5 is dead, so finish 3
+            ([], [], [(0, 1)], (0, 1)),  # nothing half-owned: the direct edge
+            ([], [(0, 1), (0, 2)], [(0, 1)], (0, 3)),  # direct edge gone: lowest fresh middle
+            ([], [(0, x) for x in range(1, 8)], [(0, 1)], None),  # no middle left
+            ([(0, 4), (1, 4)], [], [(0, 1)], None),  # satisfied through 4
+            ([], [(2, 4)], [(0, 1), (2, 3)], (2, 3)),  # fewer middles first
+        ],
+    )
+    def test_connect_claim_actions(self, maker_edges, breaker_edges, pairs, action):
+        maker = self._on_board(maker_edges, breaker_edges)
+        assert maker._connect_claim([_ConnectPair(u=u, w=w) for u, w in pairs]) == action
+
+    def test_game4_potential_counts_live_middles(self):
+        maker = self._on_board([(0, 5)], [(1, 2), (0, 3)])
+        maker._g4_pairs = [_ConnectPair(u=0, w=1), _ConnectPair(u=6, w=7)]
+        # (0, 1) keeps middles 4, 5, 6, 7; (6, 7) keeps all six others.
+        step = maker._log1p_l4
+        assert maker.game4_potential() == pytest.approx(math.exp(-4 * step) + math.exp(-6 * step))
 
     def test_game4_potential_defined_from_start(self):
         maker = D2Maker(30, 1)

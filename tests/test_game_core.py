@@ -19,6 +19,7 @@ from diameter_games import (
     GameState,
     Graph,
     InvalidParameters,
+    LowestEdgeStrategy,
     PathGreedyStrategy,
     Player,
     RandomStrategy,
@@ -41,6 +42,7 @@ from diameter_games import (
     run_match,
     transcript_from_jsonl,
 )
+from diameter_games.graph_metrics import closed_masks
 
 
 def test_mk_edge_orders_endpoints():
@@ -160,6 +162,31 @@ class TestApplyClaim:
             (Player.MAKER, (2, 3)),
         ]
 
+    @pytest.mark.parametrize(
+        "claim, error",
+        [
+            ([(2, 3), (0, 3)], AlreadyClaimed),  # the second edge is Breaker's
+            ([(2, 3), (1, 2)], AlreadyClaimed),  # the second edge is Maker's own
+            ([(2, 3), (4, 1)], InvalidParameters),  # the second edge is not canonical
+            ([(2, 3), (4, 4)], InvalidParameters),  # the second edge is a loop
+        ],
+    )
+    def test_rejected_claim_changes_nothing(self, claim, error):
+        state = new_game(5, 2, 1)
+        apply_claim(state, Player.MAKER, [(0, 1), (1, 2)])
+        apply_claim(state, Player.BREAKER, [(0, 3)])
+        for player in Player:
+            state.closed(player)  # build the live indexes, so apply_claim would write them
+        state.board_index()
+        before = state.copy()
+        with pytest.raises(error):
+            apply_claim(state, Player.MAKER, claim)
+        assert state == before  # edge sets, move log and side to move
+        for player in Player:
+            assert state.closed(player) == before.closed(player)
+            np.testing.assert_array_equal(state.board_index().deg[player], before.board_index().deg[player])
+        np.testing.assert_array_equal(state.board_index().open, before.board_index().open)
+
     @pytest.mark.skipif(not __debug__, reason="assert statements are stripped under -O")
     def test_disjointness_guard_fires_on_corrupted_board(self):
         state = new_game(4, 1, 1)
@@ -184,10 +211,11 @@ def assert_is_reference_maker_graph(g, state):
 
 
 def check_maker_graph(state):
-    """maker_graph and the live masks the target properties read, against the reference."""
+    """maker_graph, and both players' live masks, against references built from the edge sets."""
     g = maker_graph(state)
     assert_is_reference_maker_graph(g, state)
-    assert state.maker_closed() == Graph(state.n, frozenset(state.maker_edges)).closed
+    assert state.closed(Player.MAKER) == closed_masks(state.n, state.maker_edges)
+    assert state.closed(Player.BREAKER) == closed_masks(state.n, state.breaker_edges)
 
 
 def check_board_index(state):
@@ -203,9 +231,8 @@ def check_board_index(state):
     index = state.board_index()
     np.testing.assert_array_equal(index.open, matrix(state.unclaimed))
     for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):
-        np.testing.assert_array_equal(index.owned[player], matrix(edges))
         np.testing.assert_array_equal(index.deg[player], degrees(edges))
-    arrays = [index.open, *index.owned.values(), *index.deg.values()]
+    arrays = [index.open, *index.deg.values()]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -456,6 +483,28 @@ class TestRunMatch:
         tr = run_match(state, Broken(), RandomStrategy(rng), diameter_at_most(2))
         assert tr.fault is Player.MAKER
         assert tr.winner is Player.BREAKER
+
+    def test_fault_verdict_is_judged_on_the_recorded_board(self):
+        # Maker's second claim takes (2, 3), then fails on Breaker's (0, 3).
+        # The rejected claim must leave no trace: with (2, 3) on the board
+        # every vertex has a Maker edge and the recorded verdict would be True,
+        # while the transcript, which lacks the claim, replays to False.
+        class Scripted:
+            name = "scripted"
+
+            def __init__(self):
+                self.turns = iter([[(0, 1), (0, 2)], [(2, 3), (0, 3)]])
+
+            def select(self, state):
+                return next(self.turns)
+
+        state = new_game(4, 2, 1)
+        tr = run_match(state, Scripted(), LowestEdgeStrategy(), min_degree_exceeds(0), early_stop=False)
+        assert tr.fault is Player.MAKER
+        assert tr.winner is Player.BREAKER and not tr.verdict
+        assert state.maker_edges == {(0, 1), (0, 2)}
+        _, verdict = replay_transcript(tr, property_from_id(tr.property_id))
+        assert verdict == tr.verdict
 
 
 class TestTranscripts:

@@ -16,6 +16,7 @@ from diameter_games import (
     apply_claim,
     diameter_at_most,
     maker_graph,
+    mk_edge,
     new_game,
     run_match,
 )
@@ -141,6 +142,97 @@ class TestPathGreedy:
             assert all(
                 dist(g, 0, v) <= 4 for v in range(1, 12)
             ), f"seed {seed} left the Maker graph fragmented"
+
+
+def _reference_path_greedy_select(state, d):
+    """PathGreedyStrategy.select as it was on numpy matrices built from the
+    edge sets: the ball of radius d by matrix BFS on the mover's graph (the
+    turn's picks included), the first vertex above u outside it, then a BFS
+    through open and own edges whose parent is the lowest adjacent vertex of
+    the previous layer, and the route's unclaimed edge nearest u.  It scans
+    from vertex 0 every time, so it also checks the strategy's cursor."""
+    n = state.n
+
+    def matrix(edges):
+        m = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            m[u, v] = m[v, u] = True
+        return m
+
+    own = matrix(state.maker_edges if state.to_move is Player.MAKER else state.breaker_edges)
+    usable = matrix(state.unclaimed) | own
+
+    def far_pair():
+        for u in range(n):
+            visited = np.zeros(n, dtype=bool)
+            visited[u] = True
+            frontier = visited.copy()
+            for _ in range(d):
+                new = own[frontier].any(axis=0) & ~visited
+                if not new.any():
+                    break
+                visited |= new
+                frontier = new
+            far = np.flatnonzero(~visited[u + 1 :])
+            if far.size:
+                return u, int(far[0]) + u + 1
+        return None
+
+    def route_edge(picked, u, v):
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[u] = u
+        reached = np.zeros(n, dtype=bool)
+        reached[u] = True
+        frontier = reached.copy()
+        while not reached[v]:
+            rows = np.flatnonzero(frontier)
+            block = usable[rows]
+            new = block.any(axis=0) & ~reached
+            if not new.any():
+                return None
+            cols = np.flatnonzero(new)
+            parent[cols] = rows[np.argmax(block[:, cols], axis=0)]
+            reached |= new
+            frontier = new
+        node, pick = v, None
+        while node != u:
+            prev = int(parent[node])
+            edge = mk_edge(prev, node)
+            if edge in state.unclaimed and edge not in picked:
+                pick = edge
+            node = prev
+        return pick
+
+    picks, picked = [], set()
+    for _ in range(state.required_claim_count(state.to_move)):
+        target = far_pair()
+        pick = route_edge(picked, *target) if target else None
+        if pick is None:
+            pick = min(state.unclaimed - picked)
+        picks.append(pick)
+        picked.add(pick)
+        own[pick[0], pick[1]] = own[pick[1], pick[0]] = True
+    return picks
+
+
+@pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 3)])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [9, 24, 40])
+def test_path_greedy_matches_matrix_reference(n, d, a, b, side):
+    """Every PathGreedy turn of a seeded game to the last edge picks what the matrix version picks."""
+    state = new_game(n, a, b)
+    greedy = PathGreedyStrategy(d)
+    other = RandomStrategy(random.Random(n * 100 + d * 10 + a + b))
+    while not state.is_exhausted():
+        mover = state.to_move
+        if mover is side:
+            expected = _reference_path_greedy_select(state, d)
+            picks = greedy.select(state)
+            assert picks == expected, f"turn {len(state.move_log)}"
+        else:
+            picks = other.select(state)
+        apply_claim(state, mover, picks)
 
 
 def _reference_esb_select(state):

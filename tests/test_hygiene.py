@@ -1,9 +1,13 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no module
+defines a private top-level name it never reads.
 
-A stdlib ``ast`` scan over the package modules and the test modules.  A name
+Stdlib ``ast`` scans over the package modules and the test modules.  A name
 bound by an import counts as used when the module reads it anywhere, or
 lists it in ``__all__``.  Package ``__init__.py`` files re-export what they
-import, so they are skipped, and so are ``__future__`` imports.
+import, so they are skipped, and so are ``__future__`` imports.  A private
+name is a module-level function, class or constant whose name starts with
+one underscore; it counts as read when the module loads it anywhere, so a
+helper that a refactor leaves without callers is caught.
 """
 
 import ast
@@ -41,6 +45,30 @@ def unused_imports(source: str) -> list[str]:
     return [name for name, _ in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level `_name` functions, classes and constants the module never loads, in source order."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name, _ in sorted(defined.items(), key=lambda kv: kv[1]) if name not in read]
+
+
 def test_scan_finds_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"
@@ -55,3 +83,27 @@ def test_scan_finds_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_scan_finds_unread_and_keeps_read():
+    source = (
+        "import re\n"
+        "_PATTERN = re.compile('x')\n"
+        "_unused_limit: int = 3\n"
+        "__version__ = '1'\n"
+        "def _helper():\n"
+        "    return _PATTERN\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Gone:\n"
+        "    _inner = 1\n"
+        "class Kept:\n"
+        "    def _method(self):\n"
+        "        return _helper()\n"
+    )
+    assert unread_private_names(source) == ["_unused_limit", "_orphan", "_Gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
