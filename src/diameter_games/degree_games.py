@@ -80,9 +80,6 @@ class MinDegParams:
     def log1m_l2(self) -> float:
         return math.log1p(-self.lambda2)
 
-    def t0(self) -> float:
-        return math.exp(self.t0_log)
-
 
 def mindeg_params(n: int, a: float, b: float) -> MinDegParams:
     if n < 3:
@@ -209,14 +206,10 @@ class DegreeWeightState:
         return picks
 
 
-def mindeg_maker_select(
-    state: GameState, weights: DegreeWeightState, count: int | None = None
-) -> list[Edge]:
+def mindeg_maker_select(state: GameState, weights: DegreeWeightState) -> list[Edge]:
     """One degree-game turn for the weight state's role player."""
     weights.sync(state)
-    if count is None:
-        count = state.required_claim_count(weights.role)
-    return weights.select_turn(state, count)
+    return weights.select_turn(state, state.required_claim_count(weights.role))
 
 
 def mindeg_potential(state: GameState, params: MinDegParams, role: Player = Player.MAKER) -> float:
@@ -227,24 +220,13 @@ def mindeg_potential(state: GameState, params: MinDegParams, role: Player = Play
 
 
 class MinDegStrategy:
-    """Greedy degree player for run_match; role defaults to Maker.
+    """Greedy degree player for run_match, playing Maker."""
 
-    weight_bias lets a composite caller score with effective biases that
-    differ from the live game's (a, b).
-    """
+    name = "mindeg-maker"
 
-    def __init__(
-        self,
-        n: int,
-        a: float,
-        b: float,
-        role: Player = Player.MAKER,
-        name: str = "mindeg-maker",
-    ):
+    def __init__(self, n: int, a: float, b: float):
         self.params = mindeg_params(n, a, b)
-        self.role = role
-        self.name = name
-        self.weights = DegreeWeightState(self.params, role)
+        self.weights = DegreeWeightState(self.params)
         self.flags: list[str] = []
         if not self.params.bias_precondition_ok:
             self.flags.append("mindeg-bias-precondition-failed")

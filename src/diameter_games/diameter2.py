@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .degree_games import DegreeWeightState, MinDegStrategy, flood_target, mindeg_params
-from .expansion_games import DEFAULT_FAMILY_CAP, ExpMaker
+from .expansion_games import ExpMaker
 from .game_core import (
     Edge,
     GameState,
@@ -120,9 +118,10 @@ class D2SimpleMaker:
     and a^3 <= n / (72 ln n), flagged when violated.
     """
 
-    def __init__(self, n: int, a: int, b: int, name: str = "d2-simple-maker"):
-        self._engine = MinDegStrategy(n, a, b, Player.MAKER, name=name)
-        self.name = name
+    name = "d2-simple-maker"
+
+    def __init__(self, n: int, a: int, b: int):
+        self._engine = MinDegStrategy(n, a, b)
         self.flags = list(self._engine.flags)
         self.annotations = [
             {"degree_target": n // 2, "degree_guarantee": self._engine.params.d_max}
@@ -136,7 +135,7 @@ class D2SimpleMaker:
 
 # --- saturating Breaker with a box-game finish ------------------------------
 
-D2_BREAKER_EPS = 0.1  # default slack in the bias ceil((2+eps) sqrt(n / ln n))
+D2_BREAKER_EPS = 0.1  # D2Breaker's slack in the bias ceil((2+eps) sqrt(n / ln n))
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,10 @@ def d2_breaker_params(n: int, eps: float) -> D2BreakerParams:
 
 
 class D2Breaker:
-    """Breaker for diameter <= 2 at bias ceil((2+eps) sqrt(n / ln n)).
+    """Breaker for diameter <= 2 at bias ceil((2+eps) sqrt(n / ln n)), eps = D2_BREAKER_EPS.
 
-    Phase I floods one Maker-untouched vertex v (lex order over endpoints)
+    Phase I floods one Maker-untouched vertex v (lex order over endpoints;
+    the lowest vertex of least Maker degree when Maker has touched them all)
     until v has no unclaimed edge left.  At that point v's Maker-neighbors
     u_1..u_t are the only possible middles of a 2-step Maker route into v,
     so Phase II plays the box game over the disjoint stars
@@ -194,8 +194,8 @@ class D2Breaker:
 
     name = "d2-breaker"
 
-    def __init__(self, n: int, eps: float = D2_BREAKER_EPS):
-        self.params = d2_breaker_params(n, eps)
+    def __init__(self, n: int):
+        self.params = d2_breaker_params(n, D2_BREAKER_EPS)
         self.flags: list[str] = []
         self.violations: list[str] = []
         self.annotations: list[dict] = []
@@ -206,9 +206,6 @@ class D2Breaker:
         self._phase = 1
         self._boxes: dict[int, set[Edge]] = {}
         self._edge_box: dict[Edge, int] = {}
-        self._dead: set[int] = set()
-        self._completed: list[int] = []
-        self._u_list: list[int] = []
         self._log = LogCursor()
         self._rounds = 0
         self._checked_bias = False
@@ -224,7 +221,8 @@ class D2Breaker:
             try:
                 self._target = flood_target(state)
             except StrategyInapplicable:
-                self._target = int(np.argmin(state.board_index().deg[Player.MAKER]))
+                closed = state.closed(Player.MAKER)
+                self._target = min(range(state.n), key=lambda x: closed[x].bit_count())
                 self.flags.append("d2-breaker-no-untouched-vertex")
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
@@ -259,7 +257,6 @@ class D2Breaker:
                 for e in picks:
                     edges.discard(e)
                 if not edges:
-                    self._completed.append(x)
                     del self._boxes[x]
             picks += state.lowest_open(count - len(picks), picked)
         return picks
@@ -268,14 +265,14 @@ class D2Breaker:
         t = self._target
         closed = state.closed(Player.MAKER)
         u_mask = closed[t] & ~(1 << t)
-        self._u_list = set_bits(u_mask)
+        u_list = set_bits(u_mask)
         pre_completed = 0
         for x in range(state.n):
             if x == t or closed[x] & u_mask:
                 continue  # a u_i itself, or already two steps from the target through one
             box = {
                 mk_edge(x, u)
-                for u in self._u_list
+                for u in u_list
                 if mk_edge(x, u) in state.unclaimed and mk_edge(x, u) not in picked
             }
             if box:
@@ -284,19 +281,18 @@ class D2Breaker:
                     self._edge_box[e] = x
             else:
                 # nothing left to claim: the pair (target, x) is already cut off
-                self._completed.append(x)
                 pre_completed += 1
         k = len(self._boxes)
         max_size = max((len(b) for b in self._boxes.values()), default=0)
         exact_ok = k >= 2 and box_game_condition(max_size, k, state.b, 2)
         if self._boxes and not exact_ok:
             self.flags.append("d2-breaker-runtime-box-condition-failed")
-        if not self._boxes and not self._completed:
+        if not self._boxes and not pre_completed:
             self.flags.append("d2-breaker-no-eligible-boxes")
         self.annotations.append(
             {
                 "target_vertex": t,
-                "maker_neighbors_at_saturation": len(self._u_list),
+                "maker_neighbors_at_saturation": len(u_list),
                 "eligible_boxes": k,
                 "max_box_size": max_size,
                 "boxes_pre_completed": pre_completed,
@@ -312,12 +308,10 @@ class D2Breaker:
                 continue
             if player is Player.MAKER:
                 del self._boxes[x]
-                self._dead.add(x)
             else:
                 box = self._boxes[x]
                 box.discard(edge)
                 if not box:
-                    self._completed.append(x)
                     del self._boxes[x]
 
     def _smallest_box(self) -> tuple[int, set[Edge]] | None:
@@ -416,9 +410,9 @@ def d2_maker_params(n: int, b: float | None = None) -> D2MakerParams:
     )
 
 
-def d2_maker_min_scale(max_power: int = 12) -> int | None:
-    """Smallest power of ten at which every sizing condition holds at the default bias."""
-    for p in range(3, max_power + 1):
+def d2_maker_min_scale() -> int | None:
+    """Smallest power of ten up to 10^12 at which every sizing condition holds at the default bias."""
+    for p in range(3, 13):
         if d2_maker_params(10**p).all_ok:
             return 10**p
     return None
@@ -468,24 +462,18 @@ class D2Maker:
     with free moves on even rounds.  Phases, high vertices and the game-4
     trace are history, so a log that did not grow since the previous turn
     is refused (game_core.LogCursor).  So are the Breaker degrees it keeps
-    beside GameState.board_index(): which vertex turns high first follows
-    the replay claim by claim.  Ownership comes from the board's closed
-    masks and is not kept across turns: a pair's live middles are the
-    vertices outside both endpoints' Breaker masks, and each turn copies
-    Maker's masks (n ints) once so that they take the turn's picks as they
-    are made.  Game 2 reads the board's open edges, and leftover claims go
-    to GameState.lowest_open().
+    beside the board's masks: which vertex turns high first follows the
+    replay claim by claim.  Ownership comes from the board's closed masks
+    and is not kept across turns: a pair's live middles are the vertices
+    outside both endpoints' Breaker masks, and each turn copies Maker's
+    masks (n ints) once so that they take the turn's picks as they are
+    made.  Game 2 reads a vertex's open edges off the same masks, and
+    leftover claims go to GameState.lowest_open().
     """
 
     name = "d2-maker"
 
-    def __init__(
-        self,
-        n: int,
-        b: int,
-        name: str = "d2-maker",
-        family_cap: int = DEFAULT_FAMILY_CAP,
-    ):
+    def __init__(self, n: int, b: int):
         if n < 5:
             raise InvalidParameters(f"the composite needs n >= 5, got {n}")
         if b < 1:
@@ -493,7 +481,6 @@ class D2Maker:
         self.params = d2_maker_params(n, b)
         self.n = n
         self.b_game = b
-        self.name = name
         self.flags: list[str] = []
         self.violations: list[str] = []
         p = self.params
@@ -522,7 +509,6 @@ class D2Maker:
                 math.ceil(p.s),
                 maker_bias=2,
                 virtual_b=virtual_b,
-                cap=family_cap,
             )
         except InvalidParameters:
             self._g3 = None
@@ -533,7 +519,7 @@ class D2Maker:
         self._mclosed: list[int] = []
         self._bclosed: list[int] = []
         self._everyone = (1 << n) - 1
-        self._bdeg = np.zeros(n, dtype=np.int64)
+        self._bdeg = [0] * n
         self._high: list[int] = []
         self._high_set: set[int] = set()
         self._g4_pairs: list[_ConnectPair] = []
@@ -641,26 +627,19 @@ class D2Maker:
         self._mclosed[e[0]] |= 1 << e[1]
         self._mclosed[e[1]] |= 1 << e[0]
 
-    def _claim_game2(self, state: GameState, picks: list[Edge], picked: set[Edge], count: int) -> None:
+    def _claim_game2(self, picks: list[Edge], picked: set[Edge], count: int) -> None:
         deg = self._g1.deg_self
         log_w = self._g1.log_w
         order = sorted(range(self.n), key=lambda v: (int(deg[v]), v))
         for x in order:
             if len(picks) >= count:
                 break
-            row = state.board_index().open[x]
-            if not row.any():
-                continue
-            ys = sorted(
-                (int(y) for y in np.flatnonzero(row)),
-                key=lambda y: (-float(log_w[y]), y),
-            )
-            for y in ys:
+            # x's open edges less the turn's picks, which _take adds to Maker's masks
+            row = self._everyone & ~(self._mclosed[x] | self._bclosed[x])
+            for y in sorted(set_bits(row), key=lambda y: (-float(log_w[y]), y)):
                 if len(picks) >= count:
                     break
-                e = mk_edge(x, y)
-                if e not in picked and e in state.unclaimed:
-                    self._take(e, picks, picked)
+                self._take(mk_edge(x, y), picks, picked)
 
     def _claim_game4(self, state: GameState, picks: list[Edge], picked: set[Edge], count: int) -> None:
         t_now = self.game4_potential()
@@ -712,10 +691,10 @@ class D2Maker:
                 for e in self._g1.select_turn(state, count, exclude=tuple(picked)):
                     self._take(e, picks, picked)
             elif game == 2:
-                self._claim_game2(state, picks, picked, count)
+                self._claim_game2(picks, picked, count)
             elif game == 3:
                 if self._g3 is None:
-                    self._claim_game2(state, picks, picked, count)
+                    self._claim_game2(picks, picked, count)
                 else:
                     for e in self._g3.select_turn(state, count):
                         self._take(e, picks, picked)

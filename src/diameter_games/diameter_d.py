@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .degree_games import DegreeWeightState, mindeg_params
-from .expansion_games import DEFAULT_FAMILY_CAP, ExpMaker
+from .expansion_games import ExpMaker
 from .game_core import (
     Edge,
     GameState,
@@ -172,7 +172,7 @@ class DdMaker:
     r_sizes defaults to ceil of dd_params' schedule, which only makes
     sense at very large n; small-n play should pass an explicit
     schedule.  Expansion families grow like n^(r + s), so anything but
-    tiny r_sizes trips the family cap, and that error propagates.
+    tiny r_sizes trips DEFAULT_FAMILY_CAP, and that error propagates.
 
     The round, and with it the subgame, follows from the number of Maker
     turns in the log.  The expansion games keep no state and read the
@@ -181,25 +181,18 @@ class DdMaker:
     consulted on some turns only, because which turns follows from the log.
     """
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        game_b: int,
-        r_sizes: list[int] | None = None,
-        family_cap: int = DEFAULT_FAMILY_CAP,
-        name: str = "dd-maker",
-    ) -> None:
+    name = "dd-maker"
+
+    def __init__(self, n: int, d: int, game_b: int, r_sizes: list[int] | None = None) -> None:
         if game_b < 1:
             raise InvalidParameters("need opponent bias >= 1")
         self.params = dd_params(n, d)
         self.n = n
         self.d = d
         self.game_b = game_b
-        self.name = name
         half = self.params.half
         self.half = half
-        self.r_sizes = r_sizes = dd_ball_sizes(n, d, r_sizes)
+        r_sizes = dd_ball_sizes(n, d, r_sizes)
 
         self.flags: list[str] = []
         self.violations: list[str] = []
@@ -220,7 +213,6 @@ class DdMaker:
                 n - r_sizes[j],
                 maker_bias=1,
                 virtual_b=float(eff_b),
-                cap=family_cap,
             )
         if d % 2 == 0:
             last_s = (n + 1) // 2 - 1
@@ -232,7 +224,6 @@ class DdMaker:
             last_s,
             maker_bias=1,
             virtual_b=float(eff_b),
-            cap=family_cap,
         )
         self.annotations = [
             {
@@ -271,16 +262,14 @@ class DdMaker:
 # ---------------------------------------------------------------------------
 # Breaker, Maker bias 1
 
-A1_MULTIPLIER = 4.0  # default ratio of the total bias to the capping share
+A1_MULTIPLIER = 4.0  # ratio of the total bias to the capping share
 
 
-def dd_breaker_a1_biases(
-    n: int, d: int, multiplier: float = A1_MULTIPLIER
-) -> tuple[int, int]:
+def dd_breaker_a1_biases(n: int, d: int) -> tuple[int, int]:
     """(total bias, capping share) for the anchored bias-1 Breaker.
 
     The capping share is ceil(d^(1/(d-1)) * n^(1-1/(d-1))); the total
-    bias is the same product scaled by multiplier before rounding, so
+    bias is the same product scaled by A1_MULTIPLIER before rounding, so
     the difference is room for the blocking answers.
     """
     if d < 3:
@@ -288,7 +277,7 @@ def dd_breaker_a1_biases(
     if n < 5:
         raise InvalidParameters("need n >= 5")
     base = d ** (1.0 / (d - 1)) * n ** (1.0 - 1.0 / (d - 1))
-    return math.ceil(multiplier * base), math.ceil(base)
+    return math.ceil(A1_MULTIPLIER * base), math.ceil(base)
 
 
 def _depth(rings: list[int], x: int, n: int) -> int:
@@ -353,22 +342,16 @@ class DdBreakerA1:
     game_core.LogCursor's rule.
     """
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        b1: int | None = None,
-        multiplier: float = A1_MULTIPLIER,
-        name: str = "dd-breaker-a1",
-    ) -> None:
-        total, cap_share = dd_breaker_a1_biases(n, d, multiplier)
+    name = "dd-breaker-a1"
+
+    def __init__(self, n: int, d: int, b1: int | None = None) -> None:
+        total, cap_share = dd_breaker_a1_biases(n, d)
         self.n = n
         self.d = d
         self.bias = total
         self.b1 = cap_share if b1 is None else b1
         if self.b1 < 0 or self.b1 >= total:
             raise InvalidParameters("capping share must leave blocking room")
-        self.name = name
         self.flags: list[str] = []
         self.violations: list[str] = []
         self._cap = DegreeWeightState(mindeg_params(n, self.b1, 1), Player.BREAKER)
@@ -519,11 +502,12 @@ class DdBreakerA2:
     the live position.
     """
 
-    def __init__(self, n: int, d: int, name: str = "dd-breaker-a2") -> None:
+    name = "dd-breaker-a2"
+
+    def __init__(self, n: int, d: int) -> None:
         self.n = n
         self.d = d
         self.bias = dd_breaker_a2_bias(n, d)
-        self.name = name
         self.flags: list[str] = []
         self.violations: list[str] = []
         self.annotations = [{"bias": self.bias}]

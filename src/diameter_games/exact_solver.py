@@ -170,7 +170,7 @@ def _canonical_masks(n: int, maker_mask: int, breaker_mask: int) -> tuple[int, i
     )
 
 
-def canonical_key(state: GameState, claims_remaining: int | None = None):
+def canonical_key(state: GameState):
     """Symmetry-reduced key for a position: equal exactly for isomorphic positions.
 
     The ownership masks are relabelled within the classes of a vertex
@@ -183,10 +183,8 @@ def canonical_key(state: GameState, claims_remaining: int | None = None):
     bits = _edge_bits(state.n)
     mm = sum(bits[u][v] for u, v in state.maker_edges)
     bm = sum(bits[u][v] for u, v in state.breaker_edges)
-    if claims_remaining is None:
-        claims_remaining = state.required_claim_count(state.to_move)
     cm, cb = _canonical_masks(state.n, mm, bm)
-    return (cm, cb, state.to_move.value, claims_remaining)
+    return (cm, cb, state.to_move.value, state.required_claim_count(state.to_move))
 
 
 @dataclass(frozen=True)
@@ -434,14 +432,14 @@ def verify_family_one_sided(
     scripted_select,
     side: Player,
     first: Player = Player.MAKER,
-    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> bool:
     """Scripted side vs exhaustive opponent on an explicit family game.
 
     scripted_select(FamilyGameState) -> positions must be a pure function of
     the ownership masks (every shipped family selector is), which makes
-    memoization over (maker mask, breaker mask, side) sound.  Goal: Maker
-    side completes a set; Breaker side prevents every set.
+    memoization over (maker mask, breaker mask, side) sound; the memo is
+    capped at DEFAULT_MEMO_CAP entries.  Goal: Maker side completes a set;
+    Breaker side prevents every set.
     """
     u = family.universe_size
     set_masks = [sum(1 << p for p in aset) for aset in family.sets]
@@ -498,8 +496,8 @@ def verify_family_one_sided(
                 if not ok:
                     result = False
                     break
-        if len(memo) >= memo_cap:
-            raise OverCapError(f"memo cap {memo_cap} reached", count=len(memo))
+        if len(memo) >= DEFAULT_MEMO_CAP:
+            raise OverCapError(f"memo cap {DEFAULT_MEMO_CAP} reached", count=len(memo))
         memo[key] = result
         return result
 

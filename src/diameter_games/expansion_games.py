@@ -214,6 +214,8 @@ class ExpMaker:
     against the pair count before that layout is looked up.
     """
 
+    name = "exp-maker"
+
     def __init__(
         self,
         n: int,
@@ -222,7 +224,6 @@ class ExpMaker:
         maker_bias: int,
         virtual_b: float,
         cap: int = DEFAULT_FAMILY_CAP,
-        name: str = "exp-maker",
     ):
         _check_biases(maker_bias, virtual_b)
         self.n = n
@@ -230,7 +231,6 @@ class ExpMaker:
         self.s = s
         self.maker_bias = maker_bias
         self.virtual_b = float(virtual_b)
-        self.name = name
         _checked_count(n, r, s, cap)
         self._layout = _layout(n, r, s)
 
@@ -241,14 +241,14 @@ class ExpMaker:
         return self.select_turn(state, state.required_claim_count(Player.MAKER))
 
 
-def exp_maker_select(state: GameState, params: ExpansionParams, virtual_b: float | None = None) -> list[Edge]:
-    """One expansion-Maker turn, the pick an ExpMaker(n, r, s, state.a, virtual_b) makes.
+def exp_maker_select(state: GameState, params: ExpansionParams) -> list[Edge]:
+    """One expansion-Maker turn, the pick an ExpMaker(n, r, s, state.a, params.b) makes.
 
-    virtual_b defaults to params.b.  The layout comes from the cache of the
-    last (n, r, s), so a run of calls on one (n, r, s) costs a pick each, not
-    an enumeration; a call on another (n, r, s) re-enumerates.
+    The layout comes from the cache of the last (n, r, s), so a run of calls
+    on one (n, r, s) costs a pick each, not an enumeration; a call on
+    another (n, r, s) re-enumerates.
     """
-    virtual_b = float(params.b if virtual_b is None else virtual_b)
+    virtual_b = float(params.b)
     _check_biases(state.a, virtual_b)
     _checked_count(params.n, params.r, params.s, DEFAULT_FAMILY_CAP)
     layout = _layout(params.n, params.r, params.s)

@@ -229,7 +229,9 @@ class BoardIndex:
     array per vector) that apply_claim updates in place, four stores per
     claim: a buffer store costs a fraction of a numpy cell write, and a
     claim is the hot path.  Who owns an edge is read from
-    GameState.closed(player).
+    GameState.closed(player).  Its only readers are the two numpy scorers:
+    potential_engine.OpenPairs, behind the degree-game weights and
+    EsbDegreeBreaker, and heuristics.DegreeGreedyStrategy.
     """
 
     __slots__ = ("open", "deg", "_writes")

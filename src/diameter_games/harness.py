@@ -69,8 +69,7 @@ CSV_COLUMNS = ["match_index", "seed", "winner", "rounds", "flags", "violations"]
 class _Registered(NamedTuple):
     """One strategy id.
 
-    `args` gives the positional constructor arguments from the config, and
-    pops an option that overrides one (path-greedy's `d`); the remaining
+    `args` gives the positional constructor arguments from the config; the
     options are keyword arguments.  `bias` reads the Breaker bias off a
     built instance, for ids that carry their own bias formula.  `takes_rng`
     ids get the match RNG as their first argument.  `check` raises
@@ -79,7 +78,7 @@ class _Registered(NamedTuple):
     """
 
     cls: type
-    args: Callable[[ExperimentConfig, dict], tuple] = lambda cfg, opts: ()
+    args: Callable[[ExperimentConfig], tuple] = lambda cfg: ()
     bias: Callable[[object], int] | None = None
     takes_rng: bool = False
     check: Callable[[ExperimentConfig, dict], object] | None = None
@@ -89,21 +88,21 @@ _REGISTRY: dict[str, _Registered] = {
     "random": _Registered(RandomStrategy, takes_rng=True),
     "lowest-edge": _Registered(LowestEdgeStrategy),
     "degree-greedy": _Registered(DegreeGreedyStrategy),
-    "path-greedy": _Registered(PathGreedyStrategy, lambda cfg, opts: (opts.pop("d", cfg.d),)),
+    "path-greedy": _Registered(PathGreedyStrategy, lambda cfg: (cfg.d,)),
     "esb-degree-breaker": _Registered(EsbDegreeBreaker),
-    "mindeg-maker": _Registered(MinDegStrategy, lambda cfg, opts: (cfg.n, cfg.a, cfg.effective_b())),
+    "mindeg-maker": _Registered(MinDegStrategy, lambda cfg: (cfg.n, cfg.a, cfg.effective_b())),
     "flooding-breaker": _Registered(FloodingBreaker),
     "pairing-breaker": _Registered(PairingBreaker),
-    "d2-simple-maker": _Registered(D2SimpleMaker, lambda cfg, opts: (cfg.n, cfg.a, cfg.effective_b())),
-    "d2-maker": _Registered(D2Maker, lambda cfg, opts: (cfg.n, cfg.effective_b())),
-    "d2-breaker": _Registered(D2Breaker, lambda cfg, opts: (cfg.n,), bias=lambda s: s.params.b),
+    "d2-simple-maker": _Registered(D2SimpleMaker, lambda cfg: (cfg.n, cfg.a, cfg.effective_b())),
+    "d2-maker": _Registered(D2Maker, lambda cfg: (cfg.n, cfg.effective_b())),
+    "d2-breaker": _Registered(D2Breaker, lambda cfg: (cfg.n,), bias=lambda s: s.params.b),
     "dd-maker": _Registered(
         DdMaker,
-        lambda cfg, opts: (cfg.n, cfg.d, cfg.effective_b()),
+        lambda cfg: (cfg.n, cfg.d, cfg.effective_b()),
         check=lambda cfg, opts: dd_ball_sizes(cfg.n, cfg.d, opts.get("r_sizes")),
     ),
-    "dd-breaker-a1": _Registered(DdBreakerA1, lambda cfg, opts: (cfg.n, cfg.d), bias=lambda s: s.bias),
-    "dd-breaker-a2": _Registered(DdBreakerA2, lambda cfg, opts: (cfg.n, cfg.d), bias=lambda s: s.bias),
+    "dd-breaker-a1": _Registered(DdBreakerA1, lambda cfg: (cfg.n, cfg.d), bias=lambda s: s.bias),
+    "dd-breaker-a2": _Registered(DdBreakerA2, lambda cfg: (cfg.n, cfg.d), bias=lambda s: s.bias),
 }
 
 STRATEGY_IDS = tuple(_REGISTRY)
@@ -231,8 +230,8 @@ def _bind(strategy_id: str, cfg: ExperimentConfig, rng: random.Random | None, op
     entry = _REGISTRY.get(strategy_id)
     if entry is None:
         raise InvalidParameters(f"unknown strategy id {strategy_id!r}")
-    opts = dict(options or {})
-    args = ((rng,) if entry.takes_rng else ()) + entry.args(cfg, opts)
+    opts = options or {}
+    args = ((rng,) if entry.takes_rng else ()) + entry.args(cfg)
     try:
         inspect.signature(entry.cls).bind(*args, **opts)
     except TypeError as exc:
@@ -262,7 +261,7 @@ def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):
     total = edge_count(cfg.n)
     tracker: DegreeWeightState | None = None
     if isinstance(maker, MinDegStrategy):
-        tracker = DegreeWeightState(maker.params, maker.role)
+        tracker = DegreeWeightState(maker.params)
     prev: list[float | None] = [None]
     synced = [0]
     claims = LogCursor()

@@ -40,9 +40,10 @@ class RandomStrategy:
     on the seed and the game, never on set iteration order.
     """
 
-    def __init__(self, rng: random.Random, name: str = "random"):
+    name = "random"
+
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.name = name
         self._pool: list[Edge] = []
         self._pos: dict[Edge, int] = {}
         self._log = LogCursor()
@@ -90,7 +91,9 @@ class DegreeGreedyStrategy:
 
     Per claim: take the lowest-index vertex of minimum own degree that still
     has an unclaimed incident edge, then the incident edge whose far endpoint
-    has minimum own degree (ties to the lowest index).
+    has minimum own degree (ties to the lowest index).  The board's open
+    matrix is read in place; the turn's own picks are masked per row, as
+    potential_engine.OpenPairs masks them.
     """
 
     name = "degree-greedy"
@@ -100,19 +103,22 @@ class DegreeGreedyStrategy:
     def select(self, state: GameState) -> list[Edge]:
         board = state.board_index()
         count = state.required_claim_count(state.to_move)
-        deg = board.deg[state.to_move].copy()
+        deg = board.deg[state.to_move].copy()  # both take the turn's own picks
         open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
-        open_ = board.open.copy()  # all three take the turn's own picks
+        masked: dict[int, list[int]] = {}
         picks: list[Edge] = []
         for _ in range(count):
             has = open_deg > 0
             if not has.any():
                 break
             vertex = int(np.argmin(np.where(has, deg, self._BIG)))
-            mate = int(np.argmin(np.where(open_[vertex], deg, self._BIG)))
+            mates = np.where(board.open[vertex], deg, self._BIG)
+            for x in masked.get(vertex, ()):
+                mates[x] = self._BIG
+            mate = int(np.argmin(mates))
             picks.append(mk_edge(vertex, mate))
-            open_[vertex, mate] = False
-            open_[mate, vertex] = False
+            masked.setdefault(vertex, []).append(mate)
+            masked.setdefault(mate, []).append(vertex)
             for x in (vertex, mate):
                 deg[x] += 1
                 open_deg[x] -= 1
@@ -135,9 +141,10 @@ class PathGreedyStrategy:
     u, further own claims cannot break that, so u never needs rescanning.
     """
 
-    def __init__(self, d: int, name: str = "path-greedy"):
+    name = "path-greedy"
+
+    def __init__(self, d: int):
         self.d = d
-        self.name = name
         self._log = LogCursor()
         self._scan_from = 0
         self._all_close = False

@@ -473,12 +473,13 @@ def test_criterion_08_d2_breaker_three_makers():
     n, eps = 100, 0.1
     params = d2_breaker_params(n, eps)
     assert params.b == 10
+    assert D2Breaker(n).params == params  # the Breaker's own eps is the one sized here
     start = time.monotonic()
     wins = {}
     for seed in range(20):
         for label, maker in _c8_makers(seed):
             state = new_game(n, 1, params.b)
-            breaker = D2Breaker(n, eps)
+            breaker = D2Breaker(n)
             saturation = {"seen": False, "ok": None}
 
             def observe(s, breaker=breaker, saturation=saturation):

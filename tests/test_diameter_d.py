@@ -177,7 +177,7 @@ class TestA1Biases:
         assert dd_breaker_a1_biases(400, 3) == (139, 35)
 
     def test_blocker_share_is_quarter(self):
-        b, b1 = dd_breaker_a1_biases(1000, 4, multiplier=4.0)
+        b, b1 = dd_breaker_a1_biases(1000, 4)
         base = 4 ** (1 / 3) * 1000 ** (2 / 3)
         assert b == math.ceil(4.0 * base)
         assert b1 == math.ceil(base)

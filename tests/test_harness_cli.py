@@ -1,6 +1,7 @@
 """Experiment harness and the command line entry point."""
 
 import csv
+import inspect
 import json
 import random
 from pathlib import Path
@@ -165,23 +166,51 @@ class TestMatchSeed:
         assert len(seen) == 25
 
 
+def _ctor_config(sid: str, **options) -> dict:
+    """A config that plays `sid` on a board it accepts, with `options` added to its options."""
+    side = "breaker" if "breaker" in sid else "maker"
+    base = {"r_sizes": [1, 3]} if sid == "dd-maker" else {}
+    return dict(
+        name="ctor", n=40, a=2 if sid == "dd-breaker-a2" else 1,
+        b=None if sid in ("d2-breaker", "dd-breaker-a1", "dd-breaker-a2") else 3,
+        d=3 if sid.startswith("dd") else 2,
+        maker=sid if side == "maker" else "random",
+        breaker=sid if side == "breaker" else "lowest-edge",
+        seeds=[0],
+        **{f"{side}_options": {**base, **options}},
+    )
+
+
+def _accepted_options(sid: str) -> set[str]:
+    """The constructor parameters a config may set for `sid`: each one is
+    offered alone, at its default (3 when it has none), on top of
+    _ctor_config's options."""
+    cfg = ExperimentConfig.from_json(_ctor_config(sid))
+    opts = cfg.breaker_options if "breaker" in sid else cfg.maker_options
+    cls = type(make_strategy(sid, cfg, random.Random(0), opts))
+    accepted = set()
+    for name, param in inspect.signature(cls).parameters.items():
+        value = opts.get(name, 3 if param.default is param.empty else param.default)
+        try:
+            ExperimentConfig.from_json(_ctor_config(sid, **{name: value}))
+        except InvalidParameters:
+            continue
+        accepted.add(name)
+    return accepted
+
+
 class TestMakeStrategy:
     def test_every_registered_id_constructs(self):
         for sid in STRATEGY_IDS:
-            cfg = ExperimentConfig.from_json(
-                dict(
-                    name="ctor", n=40, a=2 if sid == "dd-breaker-a2" else 1,
-                    b=None if sid in ("d2-breaker", "dd-breaker-a1", "dd-breaker-a2") else 3,
-                    d=3 if sid.startswith("dd") else 2,
-                    maker=sid if "breaker" not in sid else "random",
-                    breaker=sid if "breaker" in sid else "lowest-edge",
-                    seeds=[0],
-                    maker_options={"r_sizes": [1, 3]} if sid == "dd-maker" else {},
-                )
-            )
+            cfg = ExperimentConfig.from_json(_ctor_config(sid))
             opts = cfg.maker_options if "breaker" not in sid else cfg.breaker_options
             s = make_strategy(sid, cfg, random.Random(0), opts)
             assert s.name == sid
+
+    def test_only_two_options_are_settable(self):
+        settable = {"dd-maker": {"r_sizes"}, "dd-breaker-a1": {"b1"}}
+        for sid in STRATEGY_IDS:
+            assert _accepted_options(sid) == settable.get(sid, set()), sid
 
     def test_parameterless_ids_reject_options(self):
         cfg = small_config()
@@ -190,10 +219,14 @@ class TestMakeStrategy:
         with pytest.raises(InvalidParameters):
             small_config(breaker="lowest-edge", breaker_options={"x": 1})
 
+    @pytest.mark.parametrize(
+        "option", ["no_such_option", "name", "role", "family_cap", "multiplier", "eps", "d"]
+    )
     @pytest.mark.parametrize("sid", STRATEGY_IDS)
-    def test_config_rejects_unknown_option_for_every_id(self, sid):
+    def test_config_rejects_unknown_option_for_every_id(self, sid, option):
+        ExperimentConfig.from_json(_ctor_config(sid))
         with pytest.raises(InvalidParameters):
-            small_config(maker=sid, maker_options={"no_such_option": 1})
+            ExperimentConfig.from_json(_ctor_config(sid, **{option: 1}))
 
     def test_cli_reports_bad_option_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -235,6 +235,53 @@ def test_path_greedy_matches_matrix_reference(n, d, a, b, side):
         apply_claim(state, mover, picks)
 
 
+def _reference_degree_greedy_select(state):
+    """DegreeGreedyStrategy.select as it was with a per-turn copy of the
+    board's open matrix, from which each pick is cleared."""
+    board = state.board_index()
+    big = 1 << 40
+    deg = board.deg[state.to_move].copy()
+    open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
+    open_ = board.open.copy()
+    picks = []
+    for _ in range(state.required_claim_count(state.to_move)):
+        has = open_deg > 0
+        if not has.any():
+            break
+        vertex = int(np.argmin(np.where(has, deg, big)))
+        mate = int(np.argmin(np.where(open_[vertex], deg, big)))
+        picks.append(mk_edge(vertex, mate))
+        open_[vertex, mate] = open_[mate, vertex] = False
+        for x in (vertex, mate):
+            deg[x] += 1
+            open_deg[x] -= 1
+    return picks
+
+
+@pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
+@pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 3), (1, 5), (2, 5), (1, 8), (2, 8), (2, 12)])
+@pytest.mark.parametrize("n", [7, 9, 24, 40])
+def test_degree_greedy_matches_copying_reference(n, a, b, side):
+    """Every DegreeGreedy turn of a seeded game to the last edge picks what
+    the copying version picks; a bias of 2 or more masks several picks
+    within a turn, and every case has one on the Breaker side."""
+    state = new_game(n, a, b)
+    greedy = DegreeGreedyStrategy()
+    other = RandomStrategy(random.Random(n * 100 + a * 10 + b))
+    turns = 0
+    while not state.is_exhausted():
+        mover = state.to_move
+        if mover is side:
+            expected = _reference_degree_greedy_select(state)
+            picks = greedy.select(state)
+            assert picks == expected, f"turn {len(state.move_log)}"
+            turns += 1
+        else:
+            picks = other.select(state)
+        apply_claim(state, mover, picks)
+    assert turns > 0
+
+
 def _reference_esb_select(state):
     """EsbDegreeBreaker.select as an n x n score matrix: weights
     (1+b)^(-open_deg/a) recomputed before every pick, w[u] + w[v] on open

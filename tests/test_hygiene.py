@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and no module
-defines a private top-level name it never reads.
+"""Source hygiene: no module imports a name it never uses, defines a private
+top-level name it never reads, or keeps a private attribute it only writes.
 
 Stdlib ``ast`` scans over the package modules and the test modules.  A name
 bound by an import counts as used when the module reads it anywhere, or
@@ -7,7 +7,11 @@ lists it in ``__all__``.  Package ``__init__.py`` files re-export what they
 import, so they are skipped, and so are ``__future__`` imports.  A private
 name is a module-level function, class or constant whose name starts with
 one underscore; it counts as read when the module loads it anywhere, so a
-helper that a refactor leaves without callers is caught.
+helper that a refactor leaves without callers is caught.  A private
+instance attribute (``self._name``) is only written when the module stores
+it, or mutates it by a bare ``.add``, ``.append`` or ``.discard`` statement,
+and loads ``._name`` nowhere else, on any object, so state that nothing
+reads is caught.
 """
 
 import ast
@@ -69,6 +73,40 @@ def unread_private_names(source: str) -> list[str]:
     return [name for name, _ in sorted(defined.items(), key=lambda kv: kv[1]) if name not in read]
 
 
+_MUTATORS = {"add", "append", "discard"}
+
+
+def write_only_private_attributes(source: str) -> list[str]:
+    """Private `self._name` attributes the module stores or mutates and never otherwise loads, in source order.
+
+    A load of `._name` on any object counts as a read; a store counts only on
+    `self`, so a test that sets up another object's state is not flagged."""
+    tree = ast.parse(source)
+    mutated = set()  # the Attribute nodes a bare mutator statement acts on
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr in _MUTATORS
+        ):
+            mutated.add(id(node.value.func.value))
+    written: dict[str, int] = {}
+    loaded: set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        if isinstance(node.ctx, ast.Store) or id(node) in mutated:
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                written.setdefault(name, node.lineno)
+        else:
+            loaded.add(name)
+    return [name for name, _ in sorted(written.items(), key=lambda kv: kv[1]) if name not in loaded]
+
+
 def test_scan_finds_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"
@@ -107,3 +145,37 @@ def test_private_scan_finds_unread_and_keeps_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def test_attribute_scan_finds_write_only_and_keeps_read():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._stored = 1\n"
+        "        self._grown = []\n"
+        "        self._seen = set()\n"
+        "        self._kept = set()\n"
+        "        self._used = []\n"
+        "        self._count = 0\n"
+        "        self.__mangled = 0\n"
+        "    def step(self, x):\n"
+        "        self._grown.append(x)\n"
+        "        self._seen.discard(x)\n"
+        "        self._kept.add(x)\n"
+        "        self._count += 1\n"
+        "        done = self._used.append(x)\n"
+        "        return x in self._kept, done\n"
+        "def build(a):\n"
+        "    a._set_from_outside = 1\n"
+        "    a._grown_outside.append(1)\n"
+        "    return a._read_elsewhere\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self._read_elsewhere = 1\n"
+    )
+    assert write_only_private_attributes(source) == ["_stored", "_grown", "_seen", "_count"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_write_only_private_attributes(path):
+    assert write_only_private_attributes(path.read_text()) == []
