@@ -21,6 +21,7 @@ Breaker side:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ from .game_core import (
 )
 from .graph_metrics import set_bits
 from .potential_engine import box_game_condition
+
+logger = logging.getLogger(__name__)
 
 
 # --- pairing Breaker (1:1) --------------------------------------------------
@@ -299,6 +302,9 @@ class D2Breaker:
                 "phase1_rounds": self._rounds,
                 "box_condition_exact_ok": exact_ok,
             }
+        )
+        logger.debug(
+            "d2-breaker: flood -> box game at log length %d: %s", len(state.move_log), self.annotations[-1]
         )
 
     def _sync_boxes(self, new_claims: list[tuple[Player, Edge]]) -> None:

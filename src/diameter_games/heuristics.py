@@ -6,10 +6,10 @@ edges come from the board's numpy index (GameState.board_index()), so the
 degree-based players keep no copy of them; path-greedy reads both players'
 graphs as the board's closed masks (GameState.closed()); and the lowest
 open edges come from GameState.lowest_open().  What a strategy does keep
-(an unclaimed-edge pool, a pair-scan cursor) follows game_core.LogCursor's
-rule.  The deterministic strategies are therefore snapshot-pure under the
-verifiers; RandomStrategy stays legal there, though its draws depend on
-its generator's history.
+(an unclaimed-edge pool, a pair-scan cursor, a set of pairs with no route)
+follows game_core.LogCursor's rule.  The deterministic strategies are
+therefore snapshot-pure under the verifiers; RandomStrategy stays legal
+there, though its draws depend on its generator's history.
 
 EsbDegreeBreaker picks through potential_engine.best_open_pair, the one
 pick it shares with the degree-game potential (DegreeWeightState): the
@@ -22,6 +22,7 @@ next two weights falls below the best score found.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 
@@ -30,6 +31,8 @@ import numpy as np
 from .game_core import Edge, GameState, LogCursor, Player, mk_edge
 from .graph_metrics import complement, spheres
 from .potential_engine import OpenPairs
+
+logger = logging.getLogger(__name__)
 
 
 class RandomStrategy:
@@ -139,6 +142,13 @@ class PathGreedyStrategy:
 
     The pair scan resumes from a cursor: once every v > u sits within d of
     u, further own claims cannot break that, so u never needs rescanning.
+    Pairs whose BFS never reached v are remembered as dead and answered
+    without a search.  That is exact: the usable graph is every edge the
+    opponent lacks, so it depends on the opponent's claims alone and only
+    loses edges as the log grows (the turn's own picks leave it alone); a
+    pair with no route never gets one back.  A pair with a route but no
+    claimable edge on it is not dead, and is searched again next time.
+    Like the cursor, the set is dropped whenever the log did not grow.
     """
 
     name = "path-greedy"
@@ -148,6 +158,7 @@ class PathGreedyStrategy:
         self._log = LogCursor()
         self._scan_from = 0
         self._all_close = False
+        self._dead: set[tuple[int, int]] = set()
 
     def _far_pair(self, own: list[int]) -> tuple[int, int] | None:
         if self._all_close:
@@ -163,10 +174,16 @@ class PathGreedyStrategy:
         return None
 
     def _route_edge(self, state: GameState, picks: set[Edge], u: int, v: int) -> Edge | None:
+        if (u, v) in self._dead:
+            return None
         usable = complement(state.closed(state.to_move.other()))
         rings = spheres(usable, u)
         depth = next((k for k, ring in enumerate(rings) if ring >> v & 1), None)
         if depth is None:
+            self._dead.add((u, v))
+            logger.debug(
+                "path-greedy: pair (%d, %d) has no route at log length %d", u, v, len(state.move_log)
+            )
             return None
         node, pick = v, None
         for ring in reversed(rings[:depth]):
@@ -182,6 +199,7 @@ class PathGreedyStrategy:
         if self._log.new_claims(state) is None:
             self._scan_from = 0
             self._all_close = False
+            self._dead.clear()
         own = list(state.closed(state.to_move))  # takes the turn's own picks
         count = state.required_claim_count(state.to_move)
         picks: list[Edge] = []

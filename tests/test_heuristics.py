@@ -1,5 +1,6 @@
 """Scripted opponents: determinism, tie-breaks, and rule conformance."""
 
+import logging
 import math
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from diameter_games import (
+    D2Breaker,
     DegreeGreedyStrategy,
     EsbDegreeBreaker,
     LowestEdgeStrategy,
@@ -14,6 +16,7 @@ from diameter_games import (
     Player,
     RandomStrategy,
     apply_claim,
+    d2_breaker_params,
     diameter_at_most,
     maker_graph,
     mk_edge,
@@ -144,13 +147,15 @@ class TestPathGreedy:
             ), f"seed {seed} left the Maker graph fragmented"
 
 
-def _reference_path_greedy_select(state, d):
+def _reference_path_greedy_select(state, d, no_route):
     """PathGreedyStrategy.select as it was on numpy matrices built from the
     edge sets: the ball of radius d by matrix BFS on the mover's graph (the
     turn's picks included), the first vertex above u outside it, then a BFS
     through open and own edges whose parent is the lowest adjacent vertex of
     the previous layer, and the route's unclaimed edge nearest u.  It scans
-    from vertex 0 every time, so it also checks the strategy's cursor."""
+    from vertex 0 every time and searches every route afresh, so it also
+    checks the strategy's cursor and its set of dead pairs.  Each pair the
+    BFS cannot connect is appended to `no_route`."""
     n = state.n
 
     def matrix(edges):
@@ -189,6 +194,7 @@ def _reference_path_greedy_select(state, d):
             block = usable[rows]
             new = block.any(axis=0) & ~reached
             if not new.any():
+                no_route.append((u, v))
                 return None
             cols = np.flatnonzero(new)
             parent[cols] = rows[np.argmax(block[:, cols], axis=0)]
@@ -215,6 +221,24 @@ def _reference_path_greedy_select(state, d):
     return picks
 
 
+def _play_against_reference(state, d, side, other):
+    """Plays PathGreedy on `side` to the last edge, checking every turn
+    against the matrix reference; returns the pairs the reference found
+    without a route."""
+    greedy = PathGreedyStrategy(d)
+    no_route = []
+    while not state.is_exhausted():
+        mover = state.to_move
+        if mover is side:
+            expected = _reference_path_greedy_select(state, d, no_route)
+            picks = greedy.select(state)
+            assert picks == expected, f"turn {len(state.move_log)}"
+        else:
+            picks = other.select(state)
+        apply_claim(state, mover, picks)
+    return no_route
+
+
 @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 3)])
 @pytest.mark.parametrize("d", [2, 3])
@@ -222,17 +246,50 @@ def _reference_path_greedy_select(state, d):
 def test_path_greedy_matches_matrix_reference(n, d, a, b, side):
     """Every PathGreedy turn of a seeded game to the last edge picks what the matrix version picks."""
     state = new_game(n, a, b)
-    greedy = PathGreedyStrategy(d)
     other = RandomStrategy(random.Random(n * 100 + d * 10 + a + b))
-    while not state.is_exhausted():
-        mover = state.to_move
-        if mover is side:
-            expected = _reference_path_greedy_select(state, d)
-            picks = greedy.select(state)
-            assert picks == expected, f"turn {len(state.move_log)}"
-        else:
-            picks = other.select(state)
-        apply_claim(state, mover, picks)
+    _play_against_reference(state, d, side, other)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [9, 24, 40])
+def test_path_greedy_matches_matrix_reference_against_d2_breaker(n, d):
+    """D2Breaker cuts the far pair off, so these games reach the dead-pair branch."""
+    state = new_game(n, 1, d2_breaker_params(n, 0.1).b)
+    assert _play_against_reference(state, d, Player.MAKER, D2Breaker(n)), "no pair lost its route"
+
+
+def test_path_greedy_forgets_dead_pairs_on_rewind():
+    """A pair cut off deep in the log may still have a route in a shorter snapshot."""
+    state = new_game(5, 1, 3)
+    apply_claim(state, Player.MAKER, [(0, 4)])
+    apply_claim(state, Player.BREAKER, [(0, 1), (0, 2), (0, 3)])
+    shallow = state.copy()  # the far pair (0, 1) routes 0-4-1
+    apply_claim(state, Player.MAKER, [(2, 3)])
+    apply_claim(state, Player.BREAKER, [(1, 2), (1, 3), (1, 4)])  # every edge at 1 is Breaker's
+    greedy = PathGreedyStrategy(2)
+    assert greedy.select(state) == [(2, 4)]  # (0, 1) has no route: the lowest open edge
+    assert greedy.select(shallow) == PathGreedyStrategy(2).select(shallow) == [(1, 4)]
+
+
+def test_debug_log_traces_without_touching_the_transcript(caplog):
+    """At DEBUG, PathGreedy logs its dead pair and D2Breaker its switch to
+    the box game; the transcript is the same at DEBUG and at WARNING."""
+
+    def play():
+        n = 24
+        state = new_game(n, 1, d2_breaker_params(n, 0.1).b)
+        tr = run_match(state, PathGreedyStrategy(2), D2Breaker(n), diameter_at_most(2), seed=0)
+        return tr.to_jsonl()
+
+    caplog.set_level(logging.DEBUG, logger="diameter_games")
+    at_debug = play()
+    messages = {(r.name, r.levelno, r.getMessage().split(":")[0]) for r in caplog.records}
+    assert ("diameter_games.heuristics", logging.DEBUG, "path-greedy") in messages
+    assert ("diameter_games.diameter2", logging.DEBUG, "d2-breaker") in messages
+    caplog.clear()
+    caplog.set_level(logging.WARNING, logger="diameter_games")
+    assert play() == at_debug
+    assert not caplog.records
 
 
 def _reference_degree_greedy_select(state):
