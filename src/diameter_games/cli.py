@@ -118,6 +118,7 @@ def cmd_simulate(args) -> int:
     try:
         results = run_experiment(cfg, workers=args.workers)
     except InvariantViolation as exc:
+        log.debug("invariant violation", exc_info=True)
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     summary = summarize(results)
@@ -296,9 +297,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OverCapError as exc:
+        log.debug("over cap", exc_info=True)
         print(f"over cap: {exc}", file=sys.stderr)
         return 2
     except (InvalidParameters, GameError, FileNotFoundError, json.JSONDecodeError) as exc:
+        log.debug("error", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

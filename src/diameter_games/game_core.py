@@ -369,6 +369,11 @@ class Transcript:
 
     The header/claims/footer records are the replayable core; they carry no
     timestamps, so two runs of the same match serialize byte-identically.
+    Claim lines are formatted by hand, in the exact bytes of compact
+    key-sorted JSON (int vertices and turn numbers, a player from a closed
+    enum, a fixed key set); the free-form header and footer go through
+    json.dumps.  tests/test_game_core.py::test_claim_lines_match_json_encoder
+    pins the claim bytes against json.dumps.
     """
 
     n: int
@@ -404,17 +409,9 @@ class Transcript:
         }
         lines.append(json.dumps(header, sort_keys=True, separators=(",", ":")))
         for rec in self.claims:
+            edges = ",".join([f"[{u},{v}]" for u, v in rec.edges])
             lines.append(
-                json.dumps(
-                    {
-                        "type": "claim",
-                        "turn": rec.turn,
-                        "player": rec.player.value,
-                        "edges": [list(e) for e in rec.edges],
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
+                f'{{"edges":[{edges}],"player":"{rec.player.value}","turn":{rec.turn},"type":"claim"}}'
             )
         footer = {
             "type": "footer",

@@ -215,10 +215,13 @@ def expansion_of_closed(closed: Sequence[int], r: int, s: int) -> bool:
     outside R with no edge into R, that is when the popcount of
     OR(closed[v] for v in R) is at most n - s.  Enumerating R-sets and
     OR-ing their masks costs O(C(n, r) * r) mask operations, with no
-    enumeration of S-sets.
+    enumeration of S-sets.  The union only grows with R, so a vertex whose
+    own mask already has more than n - s bits lies in no violating R; only
+    the other vertices are combined, and fewer than r of them means True.
     """
     limit = len(closed) - s
-    for rmasks in combinations(closed, r):
+    low = [mask for mask in closed if mask.bit_count() <= limit]
+    for rmasks in combinations(low, r):
         covered = 0
         for mask in rmasks:
             covered |= mask

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -24,6 +25,7 @@ from diameter_games import (
     Player,
     RandomStrategy,
     Transcript,
+    TurnRecord,
     WrongClaimCount,
     WrongTurn,
     all_edges,
@@ -554,6 +556,103 @@ class TestTranscripts:
             )
             _, verdict = replay_transcript(tr, property_from_id(tr.property_id))
             assert verdict == (tr.winner is Player.MAKER)
+
+
+# --- claim-line encoder -------------------------------------------------------
+
+TRANSCRIPT_DIR = Path(__file__).resolve().parent.parent / "transcripts"
+
+
+def _reference_claim_line(rec: TurnRecord) -> str:
+    """The json.dumps encoding of a claim record, which to_jsonl writes by hand."""
+    return json.dumps(
+        {"type": "claim", "turn": rec.turn, "player": rec.player.value, "edges": [list(e) for e in rec.edges]},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+class _ClaimsTakenEdge:
+    """Claims (0, 1), then (0, 2), which lowest-edge Breaker has taken by then."""
+
+    name = "claims-taken-edge"
+
+    def __init__(self):
+        self.turns = iter([[(0, 1)], [(0, 2)]])
+
+    def select(self, state):
+        return next(self.turns)
+
+
+def _seeded_match(n, a, b, first, early_stop, seed):
+    state = new_game(n, a, b, first=first)
+    return run_match(
+        state,
+        RandomStrategy(random.Random(seed)),
+        RandomStrategy(random.Random(seed + 1)),
+        diameter_at_most(2),
+        seed=seed,
+        early_stop=early_stop,
+    )
+
+
+def _faulted_match():
+    tr = run_match(new_game(5, 1, 1), _ClaimsTakenEdge(), LowestEdgeStrategy(), diameter_at_most(2))
+    assert tr.fault is Player.MAKER and len(tr.claims) == 2
+    return tr
+
+
+def _early_stopped_match():
+    tr = _seeded_match(12, 3, 1, Player.MAKER, True, 4)
+    assert tr.verdict and sum(len(rec.edges) for rec in tr.claims) < edge_count(12)
+    return tr
+
+
+def _hand_built_transcript():
+    """Vertex labels of 1 to 4 digits, on a board no match here reaches."""
+    claims = [
+        TurnRecord(turn=1, player=Player.BREAKER, edges=[(0, 7), (8, 9)]),
+        TurnRecord(turn=2, player=Player.MAKER, edges=[(5, 42), (10, 99)]),
+        TurnRecord(turn=3, player=Player.BREAKER, edges=[(99, 100), (123, 999)]),
+        TurnRecord(turn=4, player=Player.MAKER, edges=[(999, 1000), (1234, 9999)]),
+    ]
+    return Transcript(
+        n=10_000, a=2, b=2, first=Player.BREAKER, maker_id="scripted", breaker_id="scripted",
+        seed=None, property_id="diameter<=2", claims=claims, verdict=False,
+        winner=Player.BREAKER, rounds=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _seeded_match(7, 1, 1, Player.MAKER, False, 0),
+        lambda: _seeded_match(7, 1, 1, Player.BREAKER, False, 1),
+        lambda: _seeded_match(9, 2, 3, Player.MAKER, False, 2),
+        lambda: _seeded_match(9, 3, 2, Player.BREAKER, False, 3),
+        _early_stopped_match,
+        _faulted_match,
+        _hand_built_transcript,
+    ],
+    ids=["maker-first", "breaker-first", "bias-2-3", "bias-3-2-breaker-first", "early-stop", "fault", "hand-built"],
+)
+def test_claim_lines_match_json_encoder(make):
+    """Every claim line is byte for byte what json.dumps writes, and the text round-trips."""
+    tr = make()
+    text = tr.to_jsonl()
+    lines = text.splitlines()
+    assert lines[1:-1] == [_reference_claim_line(rec) for rec in tr.claims]
+    back = transcript_from_jsonl(text)
+    assert back.claims == tr.claims
+    assert back.to_jsonl() == text
+
+
+@pytest.mark.parametrize("path", sorted(TRANSCRIPT_DIR.glob("*.jsonl")), ids=lambda p: p.name)
+def test_shipped_transcript_reserialises_byte_identically(path):
+    text = path.read_text()
+    tr = read_transcript(path)
+    assert [_reference_claim_line(rec) for rec in tr.claims] == text.splitlines()[1:-1]
+    assert tr.to_jsonl() == text
 
 
 @settings(max_examples=40, deadline=None)

@@ -170,8 +170,13 @@ def random_graphs(draw):
 @example(graph_from_edges(4, [(0, 1), (2, 3)]))
 @example(complete_graph(2))
 @example(graph_from_edges(2, []))
+@example(graph_from_edges(5, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]))
 def test_has_expansion_matches_pair_enumeration(g):
-    """Every (r, s) with r + s <= n, so S may be all of R's complement."""
+    """Every (r, s) with r + s <= n, so S may be all of R's complement.
+
+    The last example is K_4 plus an isolated vertex 0: at r = 2, s = 2 only
+    vertex 0 has a closed mask of at most n - s bits, one fewer than r, so
+    expansion_of_closed answers True without trying any R-set."""
     for r in range(1, g.n):
         for s in range(1, g.n - r + 1):
             assert has_expansion(g, r, s) == _expansion_by_pairs(g, r, s), (r, s)

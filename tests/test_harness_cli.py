@@ -3,7 +3,11 @@
 import csv
 import inspect
 import json
+import logging
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,7 @@ from diameter_games import (
     write_csv,
     write_transcripts,
 )
-from diameter_games import apply_claim, harness, new_game
+from diameter_games import InvariantViolation, OverCapError, apply_claim, cli, harness, new_game
 from diameter_games.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -400,6 +404,53 @@ class TestCli:
         assert out["winner"] == "breaker"
         assert main(["solve", "--n", "12", "--a", "1", "--b", "1", "--d", "2"]) == 2
         assert main(["solve", "--n", "1", "--a", "1", "--b", "1", "--d", "2"]) == 1
+
+    def test_error_exits_log_their_traceback_at_debug(self, tmp_path, capsys, caplog, monkeypatch):
+        """Over cap, error and invariant violation each log the exception at debug level."""
+        caplog.set_level(logging.DEBUG, logger="diameter_games.cli")
+        assert main(["solve", "--n", "12"]) == 2
+        assert main(["solve", "--n", "1"]) == 1
+
+        def violate(cfg, workers):
+            raise InvariantViolation("edge (0, 1) owned by both")
+
+        monkeypatch.setattr(cli, "run_experiment", violate)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(name="violation", n=4, a=1, b=1, maker="lowest-edge", breaker="lowest-edge")))
+        assert main(["simulate", "--config", str(path)]) == 1
+        records = [r for r in caplog.records if r.name == "diameter_games.cli"]
+        assert [(r.levelno, r.getMessage()) for r in records] == [
+            (logging.DEBUG, "over cap"),
+            (logging.DEBUG, "error"),
+            (logging.DEBUG, "invariant violation"),
+        ]
+        kinds = [type(r.exc_info[1]) for r in records]
+        assert kinds == [OverCapError, InvalidParameters, InvariantViolation]
+        assert capsys.readouterr().err.splitlines() == [
+            "over cap: solve capped at 21 edges, K_12 has 66",
+            "error: bad game parameters n=1, a=1, b=1, d=2",
+            "invariant violation: edge (0, 1) owned by both",
+        ]
+
+    @pytest.mark.parametrize("level,traceback", [(None, False), ("debug", True)])
+    def test_over_cap_stderr_by_log_level(self, level, traceback):
+        """At the default level stderr is the one message line; LOG_LEVEL=debug adds the traceback."""
+        env = {k: v for k, v in os.environ.items() if k != "LOG_LEVEL"}
+        if level is not None:
+            env["LOG_LEVEL"] = level
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diameter_games.cli", "solve", "--n", "12"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        message = "over cap: solve capped at 21 edges, K_12 has 66\n"
+        if traceback:
+            assert proc.stderr.startswith("DEBUG diameter_games.cli: over cap\nTraceback")
+            assert proc.stderr.endswith(message)
+        else:
+            assert proc.stderr == message
 
     def test_missing_argument_exits_one(self):
         with pytest.raises(SystemExit) as exc:

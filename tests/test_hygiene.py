@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, defines a private
-top-level name it never reads, or keeps a private attribute it only writes.
+top-level name it never reads, binds a module-level logger it never reads, or
+keeps a private attribute it only writes.
 
 Stdlib ``ast`` scans over the package modules and the test modules.  A name
 bound by an import counts as used when the module reads it anywhere, or
@@ -7,7 +8,9 @@ lists it in ``__all__``.  Package ``__init__.py`` files re-export what they
 import, so they are skipped, and so are ``__future__`` imports.  A private
 name is a module-level function, class or constant whose name starts with
 one underscore; it counts as read when the module loads it anywhere, so a
-helper that a refactor leaves without callers is caught.  A private
+helper that a refactor leaves without callers is caught.  A module-level
+name bound to a ``getLogger(...)`` call, public or not, is held to the same
+rule, so a logger nothing writes to is caught.  A private
 instance attribute (``self._name``) is only written when the module stores
 it, or mutates it by a bare ``.add``, ``.append`` or ``.discard`` statement,
 and loads ``._name`` nowhere else, on any object, so state that nothing
@@ -65,12 +68,34 @@ def unread_private_names(source: str) -> list[str]:
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
                 defined.setdefault(name, node.lineno)
-    read = {
+    read = _loaded_names(tree)
+    return [name for name, _ in sorted(defined.items(), key=lambda kv: kv[1]) if name not in read]
+
+
+def unread_module_loggers(source: str) -> list[str]:
+    """Module-level names bound to a `getLogger(...)` call that the module never loads, in source order."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not isinstance(node.value, ast.Call):
+            continue
+        func = node.value.func
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) != "getLogger":
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                bound.setdefault(target.id, node.lineno)
+    read = _loaded_names(tree)
+    return [name for name, _ in sorted(bound.items(), key=lambda kv: kv[1]) if name not in read]
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    return {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    return [name for name, _ in sorted(defined.items(), key=lambda kv: kv[1]) if name not in read]
 
 
 _MUTATORS = {"add", "append", "discard"}
@@ -145,6 +170,27 @@ def test_private_scan_finds_unread_and_keeps_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def test_logger_scan_finds_unread_and_keeps_read():
+    """The first logger is the pattern the CLI once had: bound, never written to."""
+    source = (
+        "import logging\n"
+        "from logging import getLogger\n"
+        "log = logging.getLogger('diameter_games.cli')\n"
+        "logger: logging.Logger = logging.getLogger(__name__)\n"
+        "_quiet = getLogger('quiet')\n"
+        "handler = logging.StreamHandler()\n"
+        "def main():\n"
+        "    logger.debug('ran')\n"
+        "    return 0\n"
+    )
+    assert unread_module_loggers(source) == ["log", "_quiet"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_module_loggers(path):
+    assert unread_module_loggers(path.read_text()) == []
 
 
 def test_attribute_scan_finds_write_only_and_keeps_read():
