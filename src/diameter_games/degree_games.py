@@ -11,7 +11,7 @@ His greedy strategy scores every vertex v by
 
 with l2 = sqrt((a+b) ln n / (a(a+1) n)) and l1 = (1+a*l2)^(1/b) - 1, the
 largest value keeping (1+l1)^b <= 1+a*l2, and claims the unclaimed edge
-maximizing w(u)+w(v) (potential_engine.best_open_pair, which finds the
+maximizing w(u)+w(v) (potential_engine.OpenPairs, which finds the
 row-major first maximum of that score exactly, without an n x n matrix).
 The potential T = sum of w(v) then never increases
 across a full round, and T < 1 at the start certifies the target degree
@@ -183,12 +183,15 @@ class DegreeWeightState:
         the weights must be synced to, fading both endpoints' weights by
         (1 - l2) after each pick.
 
-        Each pick is potential_engine.best_open_pair over the board's open
-        edges with w = exp(log_w - max log_w): the row-major first maximum
-        of w[u] + w[v], so ties break lexicographically, found without an
-        n x n score matrix.  Does not mutate the persistent state: the
-        turn's own claims reach it later through sync().  `exclude` masks
-        edges a composite caller already claimed earlier in the same turn.
+        Each pick is one potential_engine.OpenPairs.take over the board's
+        open edges with w = exp(log_w - max log_w): the row-major first
+        maximum of w[u] + w[v], so ties break lexicographically, found
+        without an n x n score matrix.  The turn's OpenPairs sorts w once,
+        at the first pick; a fade moves only the two picked vertices in that
+        order, and each pick walks it from the top.  Does not mutate the
+        persistent state: the turn's own claims reach it later through
+        sync().  `exclude` masks edges a composite caller already claimed
+        earlier in the same turn.
         """
         lw = self.log_w
         w = np.exp(lw - lw.max())

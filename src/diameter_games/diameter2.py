@@ -683,8 +683,14 @@ class D2Maker:
         if self._round == 1 and (state.a != 2 or state.b != self.b_game):
             self.flags.append("d2-maker-bias-mismatch")
         self._sync(new)
-        if self._round > self.phase1_rounds:
+        if self._round > self.phase1_rounds and not self._high_frozen:
             self._high_frozen = True  # the sync above drained Phase I's log
+            logger.debug(
+                "d2-maker: Phase I -> II at round %d, log length %d, %d high vertices",
+                self._round,
+                len(state.move_log),
+                len(self._high),
+            )
         self._g1.sync(state)
         self._mclosed = list(state.closed(Player.MAKER))
         self._bclosed = state.closed(Player.BREAKER)

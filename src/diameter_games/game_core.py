@@ -221,25 +221,30 @@ def _read_only(buffer, dtype, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class BoardIndex:
-    """One GameState's open edges and degrees, the arrays numpy scores over.
+    """One GameState's open edges and degrees, as numpy arrays and as bytes.
 
     `open` is the n x n matrix of unclaimed edges, symmetric with a False
     diagonal, and `deg[p]` player p's degree vector.  Each is a read-only
     numpy view of a Python buffer (a bytearray for the matrix, an int64
     array per vector) that apply_claim updates in place, four stores per
     claim: a buffer store costs a fraction of a numpy cell write, and a
-    claim is the hot path.  Who owns an edge is read from
-    GameState.closed(player).  Its only readers are the two numpy scorers:
+    claim is the hot path.  `cells` is a read-only memoryview of the same
+    matrix bytes, row-major, so cells[u * n + v] is 1 when (u, v) is open:
+    a cell read without a numpy call.  Who owns an edge is read from
+    GameState.closed(player).  Two scorers read the index:
     potential_engine.OpenPairs, behind the degree-game weights and
-    EsbDegreeBreaker, and heuristics.DegreeGreedyStrategy.
+    EsbDegreeBreaker, walks rows cell by cell through `cells`;
+    heuristics.DegreeGreedyStrategy scores rows of `open` and `deg` in
+    numpy.
     """
 
-    __slots__ = ("open", "deg", "_writes")
+    __slots__ = ("open", "cells", "deg", "_writes")
 
     def __init__(self, state: GameState):
         n = state.n
         open_cells = _edge_buffer(n, state.unclaimed)
         self.open = _read_only(open_cells, bool, (n, n))
+        self.cells = memoryview(open_cells).toreadonly()
         self.deg: dict[Player, np.ndarray] = {}
         writes = []
         for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):

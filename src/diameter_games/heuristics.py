@@ -11,13 +11,14 @@ follows game_core.LogCursor's rule.  The deterministic strategies are
 therefore snapshot-pure under the verifiers; RandomStrategy stays legal
 there, though its draws depend on its generator's history.
 
-EsbDegreeBreaker picks through potential_engine.best_open_pair, the one
-pick it shares with the degree-game potential (DegreeWeightState): the
+EsbDegreeBreaker picks through potential_engine.OpenPairs, the one pick
+it shares with the degree-game potential (DegreeWeightState): the
 row-major first maximum of w[u] + w[v] over the open pairs.  That pick is
 exact without the n x n score matrix because rounded float addition is
-monotone, so a row's best score is w[u] plus its best open partner's
-weight, and rows scanned by descending weight can stop once the sum of the
-next two weights falls below the best score found.
+monotone: the turn keeps the vertices in one order, by descending weight
+with ties by index, a row's best score is w[u] plus the weight of its first
+open partner in that order, and rows taken in that order can stop once the
+sum of the next two weights falls below the best score found.
 """
 
 from __future__ import annotations
@@ -222,10 +223,11 @@ class EsbDegreeBreaker:
     """Breaker scoring vertices by closeness to Maker saturation.
 
     Vertex weight (1+b)^(-open_degree/a), recomputed from the open degrees
-    before every pick; each pick is potential_engine.best_open_pair, the
+    before every pick; each pick is potential_engine.OpenPairs.take, the
     open edge of maximum endpoint weight sum with ties lexicographic, found
-    without an n x n score matrix.  A potential-flavored adversary for
-    degree games.
+    without an n x n score matrix.  A pick lowers two open degrees, so only
+    those two vertices move in the turn's kept order.  A potential-flavored
+    adversary for degree games.
     """
 
     name = "esb-degree-breaker"

@@ -15,20 +15,26 @@ statements themselves fix only the thresholds.)
 The vertex-weight selectors on K_n, the degree-game potential
 (degree_games.DegreeWeightState) and the ESB-flavoured degree Breaker
 (heuristics.EsbDegreeBreaker), claim the open edge of largest w[u] + w[v].
-best_open_pair is their one pick: the row-major first maximum of that n x n
-score matrix, bit for bit, found without building it.  It is exact because
-rounded float addition is monotone: row u's best score is w[u] plus its
-largest open partner weight, and rows scanned by descending w can stop once
-the pairs among the rows left, which score at most the sum of the next two
-weights, cannot beat or tie the best score found.  OpenPairs is one turn's
-view of the board's open pairs for it.
+OpenPairs is one turn of those claims, and OpenPairs.best_open_pair their
+one pick: the row-major first maximum of that n x n score matrix, bit for
+bit, found without building it.  The turn keeps the vertices in one order,
+by descending weight with ties by index: sorted once at the turn's first
+pick, and then only the vertices whose weight changed are moved, by
+bisection.  It is exact because rounded float addition is monotone: row
+u's best score is w[u] plus the weight of u's first open partner in that
+order, found by walking the order and reading the board's open cells as
+bytes, and rows taken in that order can stop once the pairs among the rows
+left, which score at most the sum of the next two weights, cannot beat or
+tie the best score found.  Within a run of equal weights the order is by
+index, so the tie searches look at the first vertex of each run and jump
+to the next run by bisection.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -232,101 +238,41 @@ def esb_breaker_select(state: FamilyGameState) -> list[int]:
 # --- best open pair on K_n -------------------------------------------------
 
 
-def best_open_pair(
-    open_: np.ndarray, w: np.ndarray, masked: Mapping[int, list[int]] | None = None
-) -> Edge | None:
-    """The open pair (u, v), u < v, of largest score w[u] + w[v], or None.
-
-    open_ is the symmetric n x n matrix of open pairs with a False diagonal,
-    read and never copied; masked maps a vertex to the partners whose pairs
-    are closed besides (the turn's own picks), in both directions.  A pair
-    scoring -inf is never picked, so w[x] = -inf drops vertex x: callers
-    give it to vertices with no open pair left, which spares their rows.
-    The pick is the row-major first maximum of the n x n matrix of
-    w[u] + w[v] over open pairs, bit for bit, without building that matrix:
-
-    - rounded float addition is monotone, so row u's best score is exactly
-      w[u] + (largest w[v] over the open v of row u);
-    - rows are scanned by descending w, ties by index, and a pair is met in
-      the row of whichever end comes first.  So when row order[i] comes up,
-      every pair not yet met lies among order[i], order[i+1], ... and scores
-      at most w[order[i]] + w[order[i+1]].  That bound never rises along the
-      order, and the scan stops once it is below the best score found, or
-      equal to it while no pair left can tie with an end below the lowest
-      end `low` of a best pair found: such a pair holds a vertex below low
-      at or after order[i], so it scores at most w[order[i]] plus the first
-      such vertex's weight;
-    - the matrix's first maximum is in row u = the lowest end of any best
-      pair, at the lowest v with w[u] + w[v] == best.  The equality test,
-      not the largest w[v], decides v, because rounding can merge two
-      different w[v] into one score.
-    """
-    masked = masked or {}
-    order = np.argsort(-w, kind="stable")
-    best, low, pick = -math.inf, len(w), None
-    u, w_u = int(order[0]), float(w[order[0]])
-    for i in range(1, len(order)):
-        x = int(order[i])
-        bound = w_u + float(w[x])
-        if bound < best or bound == -math.inf:
-            break
-        if bound == best:
-            # Only a tie with an end below low, at or after u, moves the pick.
-            below = np.flatnonzero(order[i - 1 :] < low)
-            if not below.size or w_u + float(w[order[i - 1 + below[0]]]) < best:
-                break
-        if u in masked:
-            row = _masked_row(open_, w, u, masked[u])
-            partner = float(row.max())
-        else:
-            row = None
-            partner = float(np.maximum.reduce(w, where=open_[u], initial=-math.inf))
-        score = w_u + partner
-        if score >= best and score > -math.inf:
-            if row is None:
-                row = _masked_row(open_, w, u, ())
-            first = int(np.flatnonzero(w_u + row == score)[0])
-            if score > best or min(u, first) < low:
-                best, low = score, min(u, first)
-                pick = (u, first) if u < first else None  # row low is not scanned yet
-        u, w_u = x, float(w[x])
-    if best == -math.inf:
-        return None
-    if pick is None:
-        row = _masked_row(open_, w, low, masked.get(low, ()))
-        pick = (low, int(np.flatnonzero(float(w[low]) + row == best)[0]))
-    return pick
-
-
-def _masked_row(open_: np.ndarray, w: np.ndarray, u: int, masked) -> np.ndarray:
-    """w over row u's open pairs, -inf elsewhere and at the masked columns."""
-    row = np.where(open_[u], w, -math.inf)
-    for v in masked:
-        row[v] = -math.inf
-    return row
-
-
 class OpenPairs:
-    """One turn's open pairs: the board's open matrix, read in place, less
-    the pairs this turn already picked or was told to exclude.
+    """One turn's open pairs, and its picks of the best open pair.
 
+    The board's open cells are read in place (GameState.board_index()),
+    less the pairs this turn already picked or was told to exclude:
     open_deg[x] counts x's open pairs left and masked[x] lists x's masked
-    partners; take(w) hands best_open_pair w with -inf at the vertices that
-    have no open pair, and masks the pick.
+    partners, in both directions.  take(w) picks the open pair (u, v),
+    u < v, of largest score w[u] + w[v] (best_open_pair), masks it and
+    returns it, or None when no pair scoring above -inf is left.
+
+    The pick reads the effective weights, w with -inf at the vertices that
+    have no open pair left, which spares their rows, in one kept order:
+    descending weight, ties by index, the permutation a stable argsort of
+    -w gives.  The first take sorts them once; each later take compares the
+    new effective weights with the previous ones and moves only the
+    vertices that changed (the two ends of the previous pick, in every
+    caller) to their place by bisection on (-w, index).
     """
 
-    __slots__ = ("open", "open_deg", "masked")
+    __slots__ = ("n", "cells", "open_deg", "masked", "order", "_neg", "_eff")
 
     def __init__(self, state: GameState, exclude=()):
         board = state.board_index()
-        self.open = board.open
+        self.n = state.n
+        self.cells = board.cells
         self.open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
         self.masked: dict[int, list[int]] = {}
+        # The kept order's vertices, and -w at each; filled by the first take.
+        self.order: list[int] = []
+        self._neg: list[float] = []
         for u, v in exclude:
             self._mask(u, v)
 
     def _mask(self, u: int, v: int) -> None:
-        if self.open[u, v] and v not in self.masked.get(u, ()):
+        if self.cells[u * self.n + v] and v not in self.masked.get(u, ()):
             self.masked.setdefault(u, []).append(v)
             self.masked.setdefault(v, []).append(u)
             self.open_deg[u] -= 1
@@ -334,10 +280,113 @@ class OpenPairs:
 
     def take(self, w: np.ndarray) -> Edge | None:
         """The best open pair under vertex weights w, now masked; None when none is left."""
-        pair = best_open_pair(self.open, np.where(self.open_deg > 0, w, -math.inf), self.masked)
+        eff = np.where(self.open_deg > 0, w, -math.inf)
+        if not self.order:
+            neg = -eff
+            ranks = np.argsort(neg, kind="stable")
+            self.order = ranks.tolist()
+            self._neg = neg[ranks].tolist()
+        else:
+            for x in (eff != self._eff).nonzero()[0].tolist():
+                self._move(x, -self._eff.item(x), -eff.item(x))
+        self._eff = eff
+        pair = self.best_open_pair()
         if pair is not None:
             self._mask(*pair)
         return pair
+
+    def _move(self, x: int, old: float, new: float) -> None:
+        """Move x from its place at -w = old in the kept order to its place at
+        -w = new: among equal weights, which the order keeps by index, bisect
+        on the index."""
+        order, neg = self.order, self._neg
+        lo = bisect_left(neg, old)
+        i = bisect_left(order, x, lo, bisect_right(neg, old, lo))
+        del order[i], neg[i]
+        lo = bisect_left(neg, new)
+        i = bisect_left(order, x, lo, bisect_right(neg, new, lo))
+        order.insert(i, x)
+        neg.insert(i, new)
+
+    def best_open_pair(self) -> Edge | None:
+        """The open, unmasked pair (u, v), u < v, of largest effective score
+        w[u] + w[v] under the kept order, or None.
+
+        The pick is the row-major first maximum of the n x n matrix of
+        w[u] + w[v] over open, unmasked pairs, bit for bit, without building
+        that matrix:
+
+        - rounded float addition is monotone, so row u's best score is
+          exactly w[u] + w[v] for the first open, unmasked partner v of u in
+          the kept order (_row walks to it);
+        - rows are taken in the kept order, and a pair is met in the row of
+          whichever end comes first.  So when row order[i] comes up, every
+          pair not yet met lies among order[i], order[i+1], ... and scores
+          at most w[order[i]] + w[order[i+1]].  That bound never rises along
+          the order, and the loop stops once it is below the best score
+          found, or equal to it while no pair left can tie with an end below
+          the lowest end `low` of a best pair found: such a pair holds a
+          vertex below low at or after order[i], so it scores at most
+          w[order[i]] plus the first such vertex's weight;
+        - the matrix's first maximum is in row u = the lowest end of any best
+          pair, at the lowest v with w[u] + w[v] == best.  The equality test,
+          not the largest w[v], decides v, because rounding can merge two
+          different w[v] into one score; the row walk goes on while the
+          score stays equal and keeps the lowest such v.
+        """
+        order, neg = self.order, self._neg
+        best, low, pick = -math.inf, self.n, None
+        u, w_u = order[0], -neg[0]
+        for i in range(1, len(order)):
+            bound = w_u - neg[i]
+            if bound < best or bound == -math.inf:
+                break
+            if bound == best:
+                # Only a tie with an end below low, at or after u, moves the
+                # pick; a run's lowest index from j on is order[j].
+                j = i - 1
+                while j < len(order) and order[j] >= low:
+                    j = bisect_right(neg, neg[j], j)
+                if j == len(order) or w_u - neg[j] < best:
+                    break
+            score, first = self._row(u, w_u, best)
+            if first is not None and (score > best or min(u, first) < low):
+                best, low = score, min(u, first)
+                pick = (u, first) if u < first else None  # row low is not walked yet
+            u, w_u = order[i], -neg[i]
+        if best == -math.inf:
+            return None
+        if pick is None:
+            pick = (low, self._row(low, self._eff.item(low), best)[1])
+        return pick
+
+    def _row(self, u: int, w_u: float, best: float) -> tuple[float, int | None]:
+        """Row u's best score and its lowest partner at that score, found by
+        walking the kept order; the partner is None when the score is below
+        `best` or -inf."""
+        row = self.cells[u * self.n : (u + 1) * self.n]
+        masked = self.masked.get(u, ())
+        order, neg = self.order, self._neg
+        for k, v in enumerate(order):
+            if row[v] and v not in masked:
+                break
+        else:
+            return -math.inf, None
+        score = w_u - neg[k]
+        if score < best or score == -math.inf:
+            return score, None
+        # The rest of v's run holds higher indices; a later run can tie only
+        # through rounding, and scores only fall along the order.
+        first, end = v, len(order)
+        k = bisect_right(neg, neg[k], k)
+        while k < end and w_u - neg[k] == score:
+            run_end = bisect_right(neg, neg[k], k)
+            for j in range(k, bisect_left(order, first, k, run_end)):
+                if row[order[j]] and order[j] not in masked:
+                    first = order[j]
+                    break
+            k = run_end
+        return score, first
 
 
 # --- box game ---------------------------------------------------------------

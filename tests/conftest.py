@@ -8,9 +8,11 @@ through the pytest report.
 import random
 import re
 
+import numpy as np
 import pytest
 
 from diameter_games import Player, new_game, run_match
+from diameter_games.potential_engine import OpenPairs
 
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
@@ -71,3 +73,21 @@ def play():
         return run_match(state, maker, breaker, prop, seed=seed, **kw)
 
     return go
+
+
+@pytest.fixture
+def kept_order_checked(monkeypatch):
+    """Every OpenPairs.take checks that its kept order is the one a fresh
+    stable argsort of the effective weights gives; the list holds the count."""
+    checks = [0]
+    take = OpenPairs.take
+
+    def checked(self, w):
+        eff = np.where(self.open_deg > 0, w, -np.inf)
+        pair = take(self, w)
+        assert self.order == np.argsort(-eff, kind="stable").tolist()
+        checks[0] += 1
+        return pair
+
+    monkeypatch.setattr(OpenPairs, "take", checked)
+    return checks

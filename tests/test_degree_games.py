@@ -28,7 +28,7 @@ from diameter_games import (
 )
 from diameter_games.degree_games import RECOMPUTE_EVERY
 from diameter_games.graph_metrics import degree_profile
-from diameter_games.potential_engine import best_open_pair
+from diameter_games.potential_engine import OpenPairs
 
 
 class TestParams:
@@ -201,13 +201,18 @@ def _reference_select_turn(tracker, state, count, exclude=()):
     return picks
 
 
+def _take(w, exclude=()):
+    """One OpenPairs pick on the empty K_n, n = len(w), with `exclude` masked."""
+    return OpenPairs(new_game(len(w), 1, 1), exclude).take(w)
+
+
 class TestSelectTurnMatchesMatrix:
     """The best-open-pair pick equals the n x n score matrix's at every turn."""
 
     @pytest.mark.parametrize("role", [Player.MAKER, Player.BREAKER])
     @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
     @pytest.mark.parametrize("n,a,b,seed", [(12, 1, 1, 0), (30, 2, 1, 1), (45, 1, 3, 2), (60, 2, 2, 3)])
-    def test_every_turn_of_a_seeded_game(self, role, first, n, a, b, seed):
+    def test_every_turn_of_a_seeded_game(self, role, first, n, a, b, seed, kept_order_checked):
         rng = random.Random(seed)
         own, opp = (a, b) if role is Player.MAKER else (b, a)
         tracker = DegreeWeightState(mindeg_params(n, own, opp), role)
@@ -233,6 +238,7 @@ class TestSelectTurnMatchesMatrix:
                 picks = rng.sample(sorted(state.unclaimed), count)
             apply_claim(state, side, picks)
         assert turns > 0
+        assert kept_order_checked[0] > turns
 
     def test_rounding_tie_picks_lowest_partner(self):
         """1 + (1 + 2^-52) rounds to 2.0, so (0, 1) and (0, 2) tie at 2.0 and
@@ -242,9 +248,9 @@ class TestSelectTurnMatchesMatrix:
         open_ = ~np.eye(3, dtype=bool)
         score = np.where(open_, w[:, None] + w[None, :], -np.inf)
         assert divmod(int(np.argmax(score)), 3) == (0, 1)
-        assert best_open_pair(open_, w) == (0, 1)
-        assert best_open_pair(open_, w, {0: [1], 1: [0]}) == (0, 2)
-        assert best_open_pair(open_, w, {0: [1, 2], 1: [0, 2], 2: [0, 1]}) is None
+        assert _take(w) == (0, 1)
+        assert _take(w, [(0, 1)]) == (0, 2)
+        assert _take(w, [(0, 1), (0, 2), (1, 2)]) is None
 
     def test_rounding_tie_in_the_first_row_scanned(self):
         """Row 0 is scanned first; 1 + (1 - 2^-53) rounds to 2.0 = 1 + 1, so its
@@ -254,13 +260,11 @@ class TestSelectTurnMatchesMatrix:
         open_ = ~np.eye(3, dtype=bool)
         score = np.where(open_, w[:, None] + w[None, :], -np.inf)
         assert divmod(int(np.argmax(score)), 3) == (0, 1)
-        assert best_open_pair(open_, w) == (0, 1)
+        assert _take(w) == (0, 1)
 
     def test_dropped_vertices_are_never_picked(self):
-        w = np.array([5.0, -np.inf, 1.0, 1.0])
-        open_ = ~np.eye(4, dtype=bool)
-        assert best_open_pair(open_, w) == (0, 2)
-        assert best_open_pair(open_, np.full(4, -np.inf)) is None
+        assert _take(np.array([5.0, -np.inf, 1.0, 1.0])) == (0, 2)
+        assert _take(np.full(4, -np.inf)) is None
 
 
 class TestPotentialDecay:

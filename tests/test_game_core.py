@@ -221,7 +221,8 @@ def check_maker_graph(state):
 
 
 def check_board_index(state):
-    """state.board_index() equals one rebuilt from the three edge sets, and is read-only."""
+    """state.board_index() equals one rebuilt from the three edge sets, as
+    arrays and as bytes, and is read-only."""
     n = state.n
 
     def matrix(edges):
@@ -232,10 +233,12 @@ def check_board_index(state):
 
     index = state.board_index()
     np.testing.assert_array_equal(index.open, matrix(state.unclaimed))
+    assert index.cells.tobytes() == matrix(state.unclaimed).tobytes()
     for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):
         np.testing.assert_array_equal(index.deg[player], degrees(edges))
     arrays = [index.open, *index.deg.values()]
     assert not any(a.flags.writeable for a in arrays)
+    assert index.cells.readonly
 
 
 def play_random_turn(state, maker, breaker):

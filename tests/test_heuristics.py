@@ -9,6 +9,7 @@ import pytest
 
 from diameter_games import (
     D2Breaker,
+    D2Maker,
     DegreeGreedyStrategy,
     EsbDegreeBreaker,
     LowestEdgeStrategy,
@@ -272,20 +273,25 @@ def test_path_greedy_forgets_dead_pairs_on_rewind():
 
 
 def test_debug_log_traces_without_touching_the_transcript(caplog):
-    """At DEBUG, PathGreedy logs its dead pair and D2Breaker its switch to
-    the box game; the transcript is the same at DEBUG and at WARNING."""
+    """At DEBUG, PathGreedy logs its dead pair, D2Breaker its switch to the
+    box game and D2Maker its switch from Phase I to Phase II, once; the
+    transcripts are the same at DEBUG and at WARNING."""
 
     def play():
         n = 24
         state = new_game(n, 1, d2_breaker_params(n, 0.1).b)
         tr = run_match(state, PathGreedyStrategy(2), D2Breaker(n), diameter_at_most(2), seed=0)
-        return tr.to_jsonl()
+        maker = D2Maker(20, 1)
+        d2 = run_match(new_game(20, 2, 1), maker, RandomStrategy(random.Random(0)), diameter_at_most(2), seed=0)
+        assert maker._round > maker.phase1_rounds  # Phase II was played
+        return tr.to_jsonl() + d2.to_jsonl()
 
     caplog.set_level(logging.DEBUG, logger="diameter_games")
     at_debug = play()
-    messages = {(r.name, r.levelno, r.getMessage().split(":")[0]) for r in caplog.records}
+    messages = [(r.name, r.levelno, r.getMessage().split(":")[0]) for r in caplog.records]
     assert ("diameter_games.heuristics", logging.DEBUG, "path-greedy") in messages
     assert ("diameter_games.diameter2", logging.DEBUG, "d2-breaker") in messages
+    assert messages.count(("diameter_games.diameter2", logging.DEBUG, "d2-maker")) == 1
     caplog.clear()
     caplog.set_level(logging.WARNING, logger="diameter_games")
     assert play() == at_debug
@@ -402,7 +408,7 @@ class TestEsbDegreeBreaker:
     @pytest.mark.parametrize(
         "n,a,b,maker", [(10, 1, 1, "random"), (25, 2, 3, "degree-greedy"), (40, 1, 2, "random"), (60, 3, 4, "random")]
     )
-    def test_every_turn_matches_score_matrix(self, first, n, a, b, maker):
+    def test_every_turn_matches_score_matrix(self, first, n, a, b, maker, kept_order_checked):
         rng = random.Random(n)
         player = RandomStrategy(rng) if maker == "random" else DegreeGreedyStrategy()
         breaker = EsbDegreeBreaker()
@@ -417,3 +423,4 @@ class TestEsbDegreeBreaker:
                 picks = player.select(state)
             apply_claim(state, state.to_move, picks)
         assert turns > 0
+        assert kept_order_checked[0] >= turns

@@ -25,7 +25,8 @@ from diameter_games import (
     run_family_match,
     validate_box_family,
 )
-from diameter_games.potential_engine import best_open_pair
+from diameter_games.game_core import GameState
+from diameter_games.potential_engine import OpenPairs
 
 
 def pairs_family(k):
@@ -281,33 +282,73 @@ class TestEsbBreakerMatchesReference:
 _TIE_WEIGHTS = (1.0, 1.0 - 2**-53, 1.0 + 2**-52, 0.5, 0.25, 2.0**-60, -math.inf)
 
 
+def _play_turn(rng, w, open_, exclude):
+    """Multi-pick turns through OpenPairs on the board whose open pairs are
+    open_: take, then fade or recompute the two ends' weights, then take
+    again.  Every pick equals the row-major first maximum of the dense score
+    matrix over the open, unmasked pairs at that moment, and the kept order
+    is a fresh stable argsort of the effective weights."""
+    n = len(w)
+    pairs_of_kn = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    unclaimed = {(u, v) for u, v in pairs_of_kn if open_[u, v]}
+    state = GameState(n=n, a=1, b=1, first=Player.MAKER, maker_edges=pairs_of_kn - unclaimed, unclaimed=unclaimed)
+    pairs = OpenPairs(state, exclude)
+    closed = ~open_
+    for u, v in exclude:
+        closed[u, v] = closed[v, u] = True
+    for _ in range(rng.randint(1, 6)):
+        score = np.where(closed, -np.inf, w[:, None] + w[None, :])
+        flat = int(np.argmax(score))
+        want = None if score.flat[flat] == -np.inf else divmod(flat, n)
+        eff = np.where(pairs.open_deg > 0, w, -np.inf)
+        assert pairs.take(w) == want
+        assert pairs.order == np.argsort(-eff, kind="stable").tolist()
+        if want is None:
+            return
+        closed[want] = closed[want[::-1]] = True
+        for x in want:
+            w[x] = w[x] * rng.choice((0.5, 1.0 - 2**-53)) if rng.random() < 0.5 else rng.choice(_TIE_WEIGHTS)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=2, max_value=12),
+    n=st.integers(min_value=2, max_value=48),
     open_share=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_best_open_pair_is_the_matrix_first_maximum(seed, n, open_share):
-    """Random boards with many (rounded) ties: the pick equals the row-major
-    first maximum of the dense score matrix over open, unmasked pairs."""
+    """Random boards with many (rounded) ties, played as multi-pick turns (_play_turn)."""
     rng = random.Random(seed)
     w = np.array([rng.choice(_TIE_WEIGHTS) for _ in range(n)])
     open_ = np.zeros((n, n), dtype=bool)
-    masked: dict[int, list[int]] = {}
+    exclude = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < open_share:
                 open_[u, v] = open_[v, u] = True
                 if rng.random() < 0.2:
-                    masked.setdefault(u, []).append(v)
-                    masked.setdefault(v, []).append(u)
-    closed = ~open_
-    for u, partners in masked.items():
-        closed[u, partners] = True
-    score = np.where(closed, -np.inf, w[:, None] + w[None, :])
-    flat = int(np.argmax(score))
-    want = None if score.flat[flat] == -np.inf else divmod(flat, n)
-    assert best_open_pair(open_, w, masked) == want
+                    exclude.append((u, v))
+    _play_turn(rng, w, open_, exclude)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_rows_reduce_to_the_matrix_first_maximum(seed):
+    """Vertices 0..h-1 weigh most and every pair among them is claimed, so
+    each of their rows walks past h - 1 closed cells before its first open
+    partner; the picks still equal the dense matrix's."""
+    rng = random.Random(seed)
+    h = 36
+    n = 2 * h
+    w = np.array([rng.choice(_TIE_WEIGHTS[:3]) for _ in range(h)] + [rng.choice(_TIE_WEIGHTS[3:]) for _ in range(h)])
+    open_ = np.zeros((n, n), dtype=bool)
+    exclude = []
+    for u in range(n):
+        for v in range(max(u + 1, h), n):
+            if rng.random() < 0.5:
+                open_[u, v] = open_[v, u] = True
+                if rng.random() < 0.2:
+                    exclude.append((u, v))
+    _play_turn(rng, w, open_, exclude)
 
 
 class TestHarmonic:
