@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .degree_games import DegreeWeightState, mindeg_params
 from .expansion_games import ExpMaker
@@ -449,7 +450,7 @@ class DdBreakerA1:
 
         log = state.move_log
         opener = log[0][1] if log and log[0][0] is Player.MAKER else ()
-        self.anchor = pair = tuple(x for x in range(self.n) if x not in opener)[:2]
+        self.anchor = pair = tuple(islice((x for x in range(self.n) if x not in opener), 2))
         if all(player is Player.MAKER for player, _ in log):
             self._note["anchor"] = list(pair)
             e = mk_edge(*pair)

@@ -24,9 +24,11 @@ ExpMaker keeps no game state.  Each pick reads the board: a hyperedge
 survives while Maker holds none of its edges, and its free count is the
 number of its edges still unclaimed.  The greedy loop is the ESB Breaker's
 (potential_engine.greedy_potential_picks); only the weight differs.  The
-layout it reads (edge index, one edge mask per hyperedge, incidence tuples)
-depends only on (n, r, s), so it is built once and shared, read-only,
-through a cache that holds the most recent layout.
+layout it reads (edge index, and per hyperedge one edge mask and one tuple
+of its edge positions) depends only on (n, r, s), so it is built once and
+shared, read-only, through a cache that holds the most recent layout.  A
+pick costs one AND and popcount per hyperedge to find the survivors and
+their weights, then one addition per edge of each surviving hyperedge.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class _Layout:
     edges: tuple[Edge, ...]
     edge_index: Mapping[Edge, int]  # Edge -> position
     masks: tuple[int, ...]  # hyperedge -> bitmask of its positions
-    incident: tuple[tuple[int, ...], ...]  # position -> hyperedges, ascending
+    positions: tuple[tuple[int, ...], ...]  # hyperedge -> its positions
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -153,20 +155,18 @@ def _layout(n: int, r: int, s: int) -> _Layout:
     """Enumerate and index the family; the caller has run _checked_count."""
     edges = tuple(all_edges(n))
     masks = []
-    incident: list = [[] for _ in edges]
-    for h, positions in enumerate(_hyperedges(n, r, s)):
+    positions = []
+    for hyperedge in _hyperedges(n, r, s):
         mask = 0
-        for pos in positions:
+        for pos in hyperedge:
             mask |= 1 << pos
-            incident[pos].append(h)
         masks.append(mask)
-    for pos, hs in enumerate(incident):
-        incident[pos] = tuple(hs)  # in place: each list is freed as its tuple is built
+        positions.append(tuple(hyperedge))
     return _Layout(
         edges=edges,
         edge_index={e: i for i, e in enumerate(edges)},
         masks=tuple(masks),
-        incident=tuple(incident),
+        positions=tuple(positions),
     )
 
 
@@ -175,22 +175,31 @@ def _greedy_turn(layout: _Layout, state: GameState, count: int, maker_bias: int,
 
     A hyperedge survives while Maker holds none of its edges and then weighs
     (1 + maker_bias)^(-free/virtual_b), free being its edges still
-    unclaimed: one AND and one popcount per hyperedge.
+    unclaimed: one AND and one popcount per hyperedge, and one exp per
+    distinct free count.  Only the surviving hyperedges of positive weight
+    reach the greedy loop.
     """
     index = layout.edge_index
     maker = 0
     for e in state.maker_edges:
         maker |= 1 << index[e]
-    free = sorted(index[e] for e in state.unclaimed)
+    free = [index[e] for e in state.unclaimed]
     open_ = 0
     for pos in free:
         open_ |= 1 << pos
     log_base = math.log(1 + maker_bias)
-    weights = [
-        0.0 if mask & maker else math.exp(-(mask & open_).bit_count() / virtual_b * log_base)
-        for mask in layout.masks
-    ]
-    return [layout.edges[pos] for pos in greedy_potential_picks(weights, layout.incident, free, count)]
+    weight_of: dict[int, float] = {}  # free count -> weight, filled as counts come up
+    live = []
+    for mask, positions in zip(layout.masks, layout.positions):
+        if mask & maker:
+            continue
+        k = (mask & open_).bit_count()
+        weight = weight_of.get(k)
+        if weight is None:
+            weight = weight_of[k] = math.exp(-k / virtual_b * log_base)
+        if weight > 0.0:
+            live.append((weight, positions))
+    return [layout.edges[pos] for pos in greedy_potential_picks(live, len(layout.edges), free, count)]
 
 
 def _check_biases(maker_bias: int, virtual_b: float) -> None:

@@ -31,12 +31,16 @@ class Graph:
     closed: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InvalidGraph(f"vertex count must be nonnegative, got {self.n}")
+        n = self.n
+        if n < 0:
+            raise InvalidGraph(f"vertex count must be nonnegative, got {n}")
+        closed = [1 << v for v in range(n)]
         for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise InvalidGraph(f"edge ({u}, {v}) is not canonical for n={self.n}")
-        object.__setattr__(self, "closed", closed_masks(self.n, self.edges))
+            if not (0 <= u < v < n):
+                raise InvalidGraph(f"edge ({u}, {v}) is not canonical for n={n}")
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+        object.__setattr__(self, "closed", closed)
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
@@ -45,8 +49,19 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges) -> Graph:
-    canon = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-    return Graph(n, canon)
+    """The Graph on {0..n-1} with these edges, each given as a tuple (u, v) or (v, u).
+
+    Any iterable of such tuples will do, a one-shot generator too: it is frozen
+    once, and a set of canonical pairs (u < v) becomes the Graph as it is.
+    Only input holding a reversed pair is canonicalised, and built again.
+    Loops and vertices outside {0..n-1} raise InvalidGraph.
+    """
+    edges = frozenset(edges)
+    try:
+        return Graph(n, edges)
+    except InvalidGraph:
+        # The same Graph the canonical pairs give, or the same error.
+        return Graph(n, frozenset((u, v) if u < v else (v, u) for u, v in edges))
 
 
 def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:

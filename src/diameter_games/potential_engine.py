@@ -5,7 +5,10 @@ Two classical tools live here.  The Erdos-Selfridge-Beck threshold: in an
 wins if sum over sets A of (1+b)^(1-|A|/a) is below 1, and the matching
 greedy Breaker claims positions of maximum surviving-set weight; its loop,
 greedy_potential_picks, also plays the expansion Maker, with the roles
-swapped (expansion_games.ExpMaker).  The box game: on a family of k
+swapped (expansion_games.ExpMaker).  The loop is handed only the live
+sets, as (weight, positions) pairs, so a pick costs the total size of the
+sets still alive, not of the whole family; the dead sets it leaves out
+would only add 0.0 to a score.  The box game: on a family of k
 pairwise disjoint r-sets, a Maker claiming `a` positions per turn against
 bias 1 wins if r <= (a-1)*H_{k-1}, and against bias 2 if
 r <= ((a-1)/2)*H_{k-1}, by always attacking a smallest surviving box.
@@ -190,32 +193,38 @@ def esb_potential(state: FamilyGameState) -> float:
     return sum(_surviving_weight(aset, state) for aset in state.family.sets)
 
 
-def greedy_potential_picks(weights: list[float], incident, free: list[int], count: int) -> list[int]:
+def greedy_potential_picks(live, size: int, free: list[int], count: int) -> list[int]:
     """Up to `count` greedy claims, each the free position of largest total surviving-set weight.
 
-    weights[i] is set i's weight, 0.0 once the set is dead; incident[p]
-    lists the sets holding position p in ascending order; free lists the
-    free positions in ascending order.  Each claim scores every free
-    position afresh, adding its sets' weights in set-index order, takes the
-    largest score with ties to the lowest position, and kills the sets it
-    hits by zeroing their weights in place.  Scores are never updated by
-    subtracting killed weights: that would change the float rounding and,
-    through ties, the picks.
+    live lists the surviving sets as (weight, positions) pairs in set-index
+    order, weight > 0; positions are below `size`, and free holds the free
+    positions.  Each claim first drops the sets the previous claim hit from
+    the live list, then scores every position afresh, adding each live
+    set's weight into its positions in live order, and takes the largest
+    score, ties to the lowest position; with no live set left that is the
+    lowest free position.  A free position's score starts at 0.0, any other
+    at -inf, which no weight raises.  So a free position's score is the
+    left-to-right float sum, in set-index order, of the weights of its live
+    sets.  That is the sum over all of its sets with the dead ones counted
+    as 0.0, bit for bit, since adding 0.0 to a nonnegative float leaves it
+    unchanged.  Scores are never updated by subtracting killed weights: that
+    would change the float rounding and, through ties, the picks.
     """
-    free = list(free)
+    start = [-math.inf] * size
+    for p in free:
+        start[p] = 0.0
     picks: list[int] = []
     for _ in range(min(count, len(free))):
-        best, best_score = -1, -1.0
-        for p in free:
-            score = 0.0
-            for i in incident[p]:  # not sum(): from Python 3.12 it compensates, so it rounds differently
-                score += weights[i]
-            if score > best_score:
-                best, best_score = p, score
+        if picks:
+            last = picks[-1]
+            live = [item for item in live if last not in item[1]]
+        score = start.copy()
+        for weight, positions in live:
+            for p in positions:  # not sum(): from Python 3.12 it compensates, so it rounds differently
+                score[p] += weight
+        best = score.index(max(score))
         picks.append(best)
-        free.remove(best)
-        for i in incident[best]:
-            weights[i] = 0.0
+        start[best] = -math.inf
     return picks
 
 
@@ -226,13 +235,13 @@ def esb_breaker_select(state: FamilyGameState) -> list[int]:
     potential reduction and kills the sets it hits (greedy_potential_picks);
     the all-weights-zero endgame falls back to the lowest free position.
     """
-    incident: list[list[int]] = [[] for _ in range(state.family.universe_size)]
-    for i, aset in enumerate(state.family.sets):
-        for p in aset:
-            incident[p].append(i)
-    weights = [_surviving_weight(aset, state) for aset in state.family.sets]
+    live = []
+    for aset in state.family.sets:
+        weight = _surviving_weight(aset, state)
+        if weight > 0.0:
+            live.append((weight, aset))
     count = state.required_claim_count(Player.BREAKER)
-    return greedy_potential_picks(weights, incident, state.unclaimed(), count)
+    return greedy_potential_picks(live, state.family.universe_size, state.unclaimed(), count)
 
 
 # --- best open pair on K_n -------------------------------------------------

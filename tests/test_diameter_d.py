@@ -15,6 +15,7 @@ from diameter_games import (
     Player,
     RandomStrategy,
     a1_blocking_invariant,
+    apply_claim,
     block_budget,
     claim2_bound,
     claim2_check,
@@ -226,6 +227,24 @@ class TestDdBreakerA1:
         state, breaker, _, _ = self._drive(60, 3, RandomStrategy(random.Random(2)), 2)
         opener = state.move_log[0][1]
         assert not (set(breaker.anchor) & set(opener))
+
+    @pytest.mark.parametrize(
+        "opener,anchor", [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((2, 3), (0, 1)), (None, (0, 1))]
+    )
+    def test_anchor_is_the_lowest_pair_off_the_opener(self, opener, anchor):
+        """No opener when Breaker moves first: the anchor is then (0, 1)."""
+        n, d = 60, 3
+        b, _ = dd_breaker_a1_biases(n, d)
+        breaker = DdBreakerA1(n, d)
+        if opener is None:
+            state = new_game(n, 1, b, first=Player.BREAKER)
+        else:
+            state = new_game(n, 1, b)
+            apply_claim(state, Player.MAKER, [opener])
+        picks = breaker.select(state)
+        assert breaker.anchor == anchor
+        assert picks[0] == anchor
+        assert breaker.annotations[0]["anchor"] == list(anchor)
 
     def test_rejects_overlarge_blocker_share(self):
         with pytest.raises(InvalidParameters):

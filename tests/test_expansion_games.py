@@ -213,6 +213,28 @@ def _reference_exp_pick(state, family, virtual_b):
     return [edges[pos] for pos in picked]
 
 
+@pytest.mark.parametrize(
+    "n,r,s,a,virtual_b",
+    [
+        (7, 2, 3, 2, 2.75),  # D2Maker's E / (2 n r) - 2 is fractional
+        (6, 2, 2, 1, 0.6875),
+        (7, 1, 5, 3, 0.004),  # hyperedges with three or more free edges weigh 0.0
+    ],
+)
+def test_exp_maker_select_matches_reference_at_fractional_bias(n, r, s, a, virtual_b):
+    params = exp_condition(n, r, s, a, virtual_b)
+    family = exp_family(n, r, s)
+    for seed in range(4):
+        state = new_game(n, a, 1)
+        rng = random.Random(seed)
+        while state.unclaimed:
+            player = state.to_move
+            if player is Player.MAKER:
+                assert exp_maker_select(state, params) == _reference_exp_pick(state, family, virtual_b), seed
+            count = state.required_claim_count(player)
+            apply_claim(state, player, rng.sample(sorted(state.unclaimed), count))
+
+
 class _Scripted:
     name = "scripted"
 

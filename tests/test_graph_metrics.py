@@ -18,7 +18,14 @@ from diameter_games import (
     has_expansion,
     sphere,
 )
-from diameter_games.graph_metrics import INFINITE, InvalidGraph, diameter_within, set_bits, spheres
+from diameter_games.graph_metrics import (
+    INFINITE,
+    InvalidGraph,
+    closed_masks,
+    diameter_within,
+    set_bits,
+    spheres,
+)
 
 
 def path_graph(n):
@@ -42,6 +49,50 @@ class TestConstruction:
         with pytest.raises(InvalidGraph):
             Graph(3, frozenset({(1, 1)}))
 
+    def test_rejects_reversed_pair(self):
+        """Graph itself never canonicalises; only graph_from_edges does."""
+        with pytest.raises(InvalidGraph, match=r"^edge \(1, 0\) is not canonical for n=3$"):
+            Graph(3, frozenset({(1, 0)}))
+
+    def test_one_shot_generator(self):
+        g = graph_from_edges(4, ((i, i + 1) for i in range(3)))
+        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+        # A reversed pair makes the frozen input be read a second time.
+        g = graph_from_edges(4, ((i + 1, i) for i in range(3)))
+        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+        assert g.closed == closed_masks(4, g.edges)
+
+    def test_reversed_pairs(self):
+        g = graph_from_edges(3, [(1, 0), (2, 1)])
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.closed == [0b011, 0b111, 0b110]
+
+    def test_both_orientations_of_one_edge(self):
+        g = graph_from_edges(3, [(0, 1), (1, 0)])
+        assert g.edges == frozenset({(0, 1)})
+        assert g.closed == [0b011, 0b011, 0b100]
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(1, 1)], r"edge \(1, 1\)"),
+            ([(0, 1), (2, 2)], r"edge \(2, 2\)"),
+            ([(0, 3)], r"edge \(0, 3\)"),
+            ([(3, 0)], r"edge \(0, 3\)"),
+            ([(1, 0), (0, 3)], r"edge \(0, 3\)"),
+            ([(-1, 0)], r"edge \(-1, 0\)"),
+            ([(0, -1)], r"edge \(-1, 0\)"),
+        ],
+    )
+    def test_rejects_loops_and_outside_vertices(self, edges, message):
+        """The message names the bad edge in its canonical orientation."""
+        with pytest.raises(InvalidGraph, match=message + " is not canonical for n=3$"):
+            graph_from_edges(3, edges)
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(InvalidGraph, match="vertex count must be nonnegative"):
+            graph_from_edges(-1, [])
+
     def test_neighbors_sorted(self):
         g = graph_from_edges(5, [(0, 4), (0, 2), (0, 1)])
         assert g.neighbors(0) == [1, 2, 4]
@@ -49,6 +100,23 @@ class TestConstruction:
         for v in (5, -1):
             with pytest.raises(InvalidGraph):
                 g.neighbors(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=9),
+    data=st.data(),
+)
+def test_graph_from_edges_matches_canonicalising_construction(n, data):
+    """Any mix of orientations and repeats gives the Graph of the canonical
+    pairs, with the closed masks closed_masks builds from them."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs))) if pairs else []
+    canon = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+    g = graph_from_edges(n, edges)
+    assert g.edges == canon
+    assert g.closed == closed_masks(n, canon)
+    assert g == Graph(n, canon)
 
 
 class TestDistance:

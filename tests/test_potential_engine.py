@@ -26,7 +26,7 @@ from diameter_games import (
     validate_box_family,
 )
 from diameter_games.game_core import GameState
-from diameter_games.potential_engine import OpenPairs
+from diameter_games.potential_engine import OpenPairs, greedy_potential_picks
 
 
 def pairs_family(k):
@@ -275,6 +275,92 @@ class TestEsbBreakerMatchesReference:
         taken = min(universe - 1, int(taken_share * universe))
         state = _mixed_position(rng, universe, sizes, a, b, taken, maker_share)
         assert esb_breaker_select(state) == _reference_esb_pick(state)
+
+
+def _reference_greedy_picks(weights, incident, free, count):
+    """The greedy loop as a per-position incidence scan: every pick scores each
+    free position by adding the weights of all its sets, dead ones as 0.0, in
+    set-index order, and zeroes the weights of the sets the pick hits."""
+    weights = list(weights)
+    free = list(free)
+    picks = []
+    for _ in range(min(count, len(free))):
+        best, best_score = -1, -1.0
+        for p in free:
+            score = 0.0
+            for i in incident[p]:
+                score += weights[i]
+            if score > best_score:
+                best, best_score = p, score
+        picks.append(best)
+        free.remove(best)
+        for i in incident[best]:
+            weights[i] = 0.0
+    return picks
+
+
+def _both_greedy_loops(size, sets, weights, free, count):
+    """The shared loop's picks on its live list, with the free positions in
+    descending order (any order will do), and the reference's on the whole
+    family; the two must agree."""
+    incident = [[] for _ in range(size)]
+    for i, aset in enumerate(sets):
+        for p in sorted(aset):
+            incident[p].append(i)
+    live = [(w, tuple(aset)) for w, aset in zip(weights, sets) if w > 0.0]
+    return greedy_potential_picks(live, size, free[::-1], count), _reference_greedy_picks(weights, incident, free, count)
+
+
+# Set weights for the differential test: zeros, equal weights, a subnormal,
+# and weights whose sums tie only after rounding (1 + 2^-53 rounds to 1).
+_SET_WEIGHTS = (0.0, 0.0, 1.0, 1.0, 0.5, 2.0**-53, 2.0**-54, 1.0 - 2.0**-53, 5e-324)
+
+
+class TestGreedyLoopMatchesIncidenceScan:
+    """greedy_potential_picks on the live sets picks what the per-position
+    incidence scan over every set picks, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_families(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 40)
+        sets = [frozenset(rng.sample(range(size), rng.randint(1, min(6, size)))) for _ in range(rng.randint(1, 30))]
+        weights = [rng.choice(_SET_WEIGHTS) for _ in sets]
+        free = sorted(rng.sample(range(size), rng.randint(1, size)))
+        new, reference = _both_greedy_loops(size, sets, weights, free, rng.randint(1, 5))
+        assert new == reference
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_weights_that_underflow(self, seed):
+        """The expansion weight exp(-k / virtual_b * ln(1 + a)) at a tiny
+        virtual_b: sets with many free positions weigh exactly 0.0."""
+        rng = random.Random(seed)
+        size = 24
+        sets = [frozenset(rng.sample(range(size), rng.randint(1, 8))) for _ in range(40)]
+        free = sorted(rng.sample(range(size), rng.randint(size // 2, size)))
+        virtual_b, log_base = 0.002, math.log(2)
+        weights = [math.exp(-len(aset & set(free)) / virtual_b * log_base) for aset in sets]
+        assert 0.0 in weights and any(w > 0.0 for w in weights)
+        new, reference = _both_greedy_loops(size, sets, weights, free, 4)
+        assert new == reference
+
+    def test_equal_weights_tie_to_lowest_position(self):
+        sets = [frozenset({3, 4}), frozenset({1, 2}), frozenset({0, 5})]
+        new, reference = _both_greedy_loops(6, sets, [0.5, 0.5, 0.5], list(range(6)), 3)
+        assert new == reference == [0, 1, 3]
+
+    def test_sums_that_tie_only_after_rounding(self):
+        """Position 1 scores (1 + 2^-53) + 2^-53 = 1 in set order, tying
+        position 0; adding the two small weights first would give 1 + 2^-52.
+        The dead set between them adds nothing either way."""
+        sets = [frozenset({0, 1}), frozenset({1}), frozenset({1, 2}), frozenset({1})]
+        weights = [1.0, 2.0**-53, 0.0, 2.0**-53]
+        new, reference = _both_greedy_loops(3, sets, weights, [0, 1, 2], 1)
+        assert new == reference == [0]
+
+    def test_no_live_set_takes_the_lowest_free_positions(self):
+        new, reference = _both_greedy_loops(5, [frozenset({0, 1})], [0.0], [1, 3, 4], 2)
+        assert new == reference == [1, 3]
 
 
 # Weights that tie, and that round into ties: 1 + (1 - 2^-53) and
