@@ -126,8 +126,10 @@ class DegreeWeightState:
     log gives the same weights, bit for bit, as a fresh instance.  `role` is
     the side whose degrees are "self" in the weight formula.  The degree
     counters duplicate the board's on purpose: the periodic recompute reads
-    them mid-replay, so the weights drift the same way on every replay;
-    which edges are open comes from the board.
+    them mid-replay, so the weights drift the same way on every replay.
+    They count every logged claim, so once synced they also give each
+    vertex's open degree, (n - 1) - deg_self - deg_opp; which edges are
+    open comes from the board's closed masks.
     """
 
     def __init__(self, params: MinDegParams, role: Player = Player.MAKER):
@@ -184,9 +186,10 @@ class DegreeWeightState:
         (1 - l2) after each pick.
 
         Each pick is one potential_engine.OpenPairs.take over the board's
-        open edges with w = exp(log_w - max log_w): the row-major first
-        maximum of w[u] + w[v], so ties break lexicographically, found
-        without an n x n score matrix.  The turn's OpenPairs sorts w once,
+        open edges, their counts read off the synced degree counters, with
+        w = exp(log_w - max log_w): the row-major first maximum of
+        w[u] + w[v], so ties break lexicographically, found without an
+        n x n score matrix.  The turn's OpenPairs sorts w once,
         at the first pick; a fade moves only the two picked vertices in that
         order, and each pick walks it from the top.  Does not mutate the
         persistent state: the turn's own claims reach it later through
@@ -196,7 +199,7 @@ class DegreeWeightState:
         lw = self.log_w
         w = np.exp(lw - lw.max())
         fade = math.exp(self.params.log1m_l2)
-        pairs = OpenPairs(state, exclude)
+        pairs = OpenPairs(state, (state.n - 1) - self.deg_self - self.deg_opp, exclude)
         picks: list[Edge] = []
         for _ in range(count):
             pair = pairs.take(w)

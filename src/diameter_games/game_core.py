@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Container, Iterable, Protocol
-
-import numpy as np
 
 from .graph_metrics import Graph, closed_masks, diameter_within
 
@@ -80,8 +77,8 @@ class LogCursor:
     turns only keeps this while which turns follows from the log.  State
     that is real history (phase switches, frozen boxes) cannot be rebuilt;
     its owner calls require_growth() and refuses a log that did not grow.
-    What a GameState caches itself (closed(), board_index(), the
-    lowest_open() position) needs no such rule: a snapshot starts without it.
+    What a GameState caches itself (closed(), the lowest_open() position)
+    needs no such rule: a snapshot starts without it.
     """
 
     __slots__ = ("seen",)
@@ -116,22 +113,20 @@ class GameState:
     move.  `move_log` lists every single claim in order, one (player, edge)
     entry per edge, so any auxiliary bookkeeping can be rebuilt from it.
 
-    The state also keeps derived indexes, each built from the edge sets on
+    The state also keeps one derived index, built from the edge sets on
     first read and extended by apply_claim once it exists: closed(player),
     that player's graph as graph_metrics.closed_masks (one int per vertex,
-    the format every BFS in the package walks), which the target
-    properties and the distance-reading strategies read; and
-    board_index(), the numpy BoardIndex of open edges and degrees that the
-    degree-based strategies score over.  They stay apart so that a match
-    whose strategies read no BoardIndex pays no numpy upkeep.  Beside them
-    sits one cached position: every edge before it in all_edges(n) order
-    is claimed, so lowest_open() starts its walk there.
-    A state only gains claims, so the position only moves forward.  None of
-    them is a constructor argument, so a copy() or a state built from its
-    fields starts without the indexes and at the first edge.  The indexes
-    are live views of this board, and read-only: a reader that needs to
-    change one copies it first.  Like every other bookkeeping, they follow
-    from `move_log` alone.
+    the format every BFS in the package walks).  The two players' masks
+    are the whole position: edge (u, v) is open exactly when bit v of
+    closed(MAKER)[u] | closed(BREAKER)[u] is clear, and a vertex's degree
+    is its mask's popcount minus one.  Beside them sits one cached
+    position: every edge before it in all_edges(n) order is claimed, so
+    lowest_open() starts its walk there.  A state only gains claims, so
+    the position only moves forward.  Neither is a constructor argument,
+    so a copy() or a state built from its fields starts without the masks
+    and at the first edge.  The masks are live views of this board, and
+    read-only: a reader that needs to change them copies them first.
+    Like every other bookkeeping, they follow from `move_log` alone.
     """
 
     n: int
@@ -144,7 +139,6 @@ class GameState:
     to_move: Player = Player.MAKER
     move_log: list[tuple[Player, Edge]] = field(default_factory=list)
     _closed: dict[Player, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _board: BoardIndex | None = field(default=None, init=False, repr=False, compare=False)
     _claimed_below: Edge = field(default=(0, 1), init=False, repr=False, compare=False)
 
     def bias_of(self, player: Player) -> int:
@@ -170,12 +164,6 @@ class GameState:
             edges = self.maker_edges if player is Player.MAKER else self.breaker_edges
             masks = self._closed[player] = closed_masks(self.n, edges)
         return masks
-
-    def board_index(self) -> BoardIndex:
-        """Open edges and degrees as numpy arrays; live, so read-only."""
-        if self._board is None:
-            self._board = BoardIndex(self)
-        return self._board
 
     def lowest_open(self, count: int, skip: Container[Edge] = ()) -> list[Edge]:
         """Up to `count` unclaimed edges not in `skip`, lowest first in all_edges(n) order."""
@@ -203,57 +191,6 @@ class GameState:
             to_move=self.to_move,
             move_log=list(self.move_log),
         )
-
-
-def _edge_buffer(n: int, edges: Iterable[Edge]) -> bytearray:
-    """The n x n 0/1 matrix of `edges`, both orientations, row-major, one byte a cell."""
-    m = np.zeros((n, n), dtype=bool)
-    ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
-    m[ends[:, 0], ends[:, 1]] = True
-    m[ends[:, 1], ends[:, 0]] = True
-    return bytearray(m.tobytes())
-
-
-def _read_only(buffer, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    view = np.frombuffer(buffer, dtype=dtype).reshape(shape)
-    view.flags.writeable = False
-    return view
-
-
-class BoardIndex:
-    """One GameState's open edges and degrees, as numpy arrays and as bytes.
-
-    `open` is the n x n matrix of unclaimed edges, symmetric with a False
-    diagonal, and `deg[p]` player p's degree vector.  Each is a read-only
-    numpy view of a Python buffer (a bytearray for the matrix, an int64
-    array per vector) that apply_claim updates in place, four stores per
-    claim: a buffer store costs a fraction of a numpy cell write, and a
-    claim is the hot path.  `cells` is a read-only memoryview of the same
-    matrix bytes, row-major, so cells[u * n + v] is 1 when (u, v) is open:
-    a cell read without a numpy call.  Who owns an edge is read from
-    GameState.closed(player).  Two scorers read the index:
-    potential_engine.OpenPairs, behind the degree-game weights and
-    EsbDegreeBreaker, walks rows cell by cell through `cells`;
-    heuristics.DegreeGreedyStrategy scores rows of `open` and `deg` in
-    numpy.
-    """
-
-    __slots__ = ("open", "cells", "deg", "_writes")
-
-    def __init__(self, state: GameState):
-        n = state.n
-        open_cells = _edge_buffer(n, state.unclaimed)
-        self.open = _read_only(open_cells, bool, (n, n))
-        self.cells = memoryview(open_cells).toreadonly()
-        self.deg: dict[Player, np.ndarray] = {}
-        writes = []
-        for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges)):
-            ends = np.array(list(edges), dtype=np.intp)
-            deg = array("q", np.bincount(ends.ravel(), minlength=n).tolist())
-            self.deg[player] = _read_only(deg, np.int64, (n,))
-            writes.append((n, open_cells, deg))
-        # What apply_claim writes for a claim by `player`: _writes[player is Player.BREAKER].
-        self._writes = tuple(writes)
 
 
 def new_game(n: int, a: int, b: int, first: Player = Player.MAKER) -> GameState:
@@ -295,9 +232,6 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         # Ownership stays disjoint by construction; guard the invariant anyway.
         assert edge not in other
     closed = state._closed.get(player)
-    board = state._board
-    if board is not None:
-        n, open_cells, deg = board._writes[player is Player.BREAKER]
     for edge in edges:
         state.unclaimed.discard(edge)
         own.add(edge)
@@ -305,10 +239,6 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         if closed is not None:
             closed[u] |= 1 << v
             closed[v] |= 1 << u
-        if board is not None:
-            open_cells[u * n + v] = open_cells[v * n + u] = 0
-            deg[u] += 1
-            deg[v] += 1
         state.move_log.append((player, edge))
     state.to_move = player.other()
     return state

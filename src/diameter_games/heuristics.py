@@ -2,14 +2,13 @@
 
 These are deliberately simple adversaries: strong enough to punish broken
 strategies, cheap enough to run thousands of matches.  Degrees and open
-edges come from the board's numpy index (GameState.board_index()), so the
-degree-based players keep no copy of them; path-greedy reads both players'
-graphs as the board's closed masks (GameState.closed()); and the lowest
+edges come from both players' graphs as the board's closed masks
+(GameState.closed()), which path-greedy also routes over; and the lowest
 open edges come from GameState.lowest_open().  What a strategy does keep
-(an unclaimed-edge pool, a pair-scan cursor, a set of pairs with no route)
-follows game_core.LogCursor's rule.  The deterministic strategies are
-therefore snapshot-pure under the verifiers; RandomStrategy stays legal
-there, though its draws depend on its generator's history.
+(an unclaimed-edge pool, a degree list, a pair-scan cursor, a set of pairs
+with no route) follows game_core.LogCursor's rule.  The deterministic
+strategies are therefore snapshot-pure under the verifiers; RandomStrategy
+stays legal there, though its draws depend on its generator's history.
 
 EsbDegreeBreaker picks through potential_engine.OpenPairs, the one pick
 it shares with the degree-game potential (DegreeWeightState): the
@@ -95,37 +94,64 @@ class DegreeGreedyStrategy:
 
     Per claim: take the lowest-index vertex of minimum own degree that still
     has an unclaimed incident edge, then the incident edge whose far endpoint
-    has minimum own degree (ties to the lowest index).  The board's open
-    matrix is read in place; the turn's own picks are masked per row, as
-    potential_engine.OpenPairs masks them.
+    has minimum own degree (ties to the lowest index).  The strategy keeps
+    one list under LogCursor's rule: each vertex's own degree, or _DONE once
+    the vertex has no open edge.  A turn works on a copy that takes the
+    turn's own picks.  The vertex is the list's first minimum; the mate is
+    the first vertex, level by level upward from there, whose cell in the
+    vertex's row is open.  A row's taken cells are the bits of both
+    players' closed masks and of the turn's picks at that vertex.
     """
 
     name = "degree-greedy"
 
-    _BIG = 1 << 40
+    _DONE = 1 << 40  # above every degree
+
+    def __init__(self) -> None:
+        self._log = LogCursor()
+        self._side: Player | None = None
+        self._key: list[int] = []
 
     def select(self, state: GameState) -> list[Edge]:
-        board = state.board_index()
-        count = state.required_claim_count(state.to_move)
-        deg = board.deg[state.to_move].copy()  # both take the turn's own picks
-        open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
-        masked: dict[int, list[int]] = {}
+        maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
+        full = (1 << state.n) - 1
+        new = self._log.new_claims(state)
+        if new is None or state.to_move is not self._side:
+            self._side = state.to_move
+            own = state.closed(self._side)
+            self._key = [
+                self._DONE if m | b == full else o.bit_count() - 1 for m, b, o in zip(maker, breaker, own)
+            ]
+        else:
+            for player, edge in new:
+                for x in edge:
+                    if maker[x] | breaker[x] == full:
+                        self._key[x] = self._DONE
+                    elif player is self._side:
+                        self._key[x] += 1
+        key = self._key.copy()  # takes the turn's own picks
+        masked: dict[int, int] = {}
         picks: list[Edge] = []
-        for _ in range(count):
-            has = open_deg > 0
-            if not has.any():
+        for _ in range(state.required_claim_count(state.to_move)):
+            level = min(key)
+            if level == self._DONE:
                 break
-            vertex = int(np.argmin(np.where(has, deg, self._BIG)))
-            mates = np.where(board.open[vertex], deg, self._BIG)
-            for x in masked.get(vertex, ()):
-                mates[x] = self._BIG
-            mate = int(np.argmin(mates))
+            vertex = key.index(level)
+            taken = maker[vertex] | breaker[vertex] | masked.get(vertex, 0)
+            mate = -1
+            while True:
+                try:
+                    mate = key.index(level, mate + 1)
+                except ValueError:
+                    level, mate = level + 1, -1
+                    continue
+                if not taken >> mate & 1:
+                    break
             picks.append(mk_edge(vertex, mate))
-            masked.setdefault(vertex, []).append(mate)
-            masked.setdefault(mate, []).append(vertex)
+            masked[vertex] = masked.get(vertex, 0) | 1 << mate
+            masked[mate] = masked.get(mate, 0) | 1 << vertex
             for x in (vertex, mate):
-                deg[x] += 1
-                open_deg[x] -= 1
+                key[x] = self._DONE if maker[x] | breaker[x] | masked[x] == full else key[x] + 1
         return picks
 
 
@@ -235,7 +261,8 @@ class EsbDegreeBreaker:
     def select(self, state: GameState) -> list[Edge]:
         count = state.required_claim_count(state.to_move)
         log_base = math.log(1 + state.b)
-        pairs = OpenPairs(state)
+        rows = zip(state.closed(Player.MAKER), state.closed(Player.BREAKER))
+        pairs = OpenPairs(state, np.array([state.n - (m | b).bit_count() for m, b in rows]))
         picks: list[Edge] = []
         for _ in range(count):
             pair = pairs.take(np.exp(-pairs.open_deg / state.a * log_base))

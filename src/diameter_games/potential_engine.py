@@ -25,12 +25,12 @@ by descending weight with ties by index: sorted once at the turn's first
 pick, and then only the vertices whose weight changed are moved, by
 bisection.  It is exact because rounded float addition is monotone: row
 u's best score is w[u] plus the weight of u's first open partner in that
-order, found by walking the order and reading the board's open cells as
-bytes, and rows taken in that order can stop once the pairs among the rows
-left, which score at most the sum of the next two weights, cannot beat or
-tie the best score found.  Within a run of equal weights the order is by
-index, so the tie searches look at the first vertex of each run and jump
-to the next run by bisection.
+order, found by walking the order and testing each partner's bit in the
+players' closed masks, and rows taken in that order can stop once the
+pairs among the rows left, which score at most the sum of the next two
+weights, cannot beat or tie the best score found.  Within a run of equal
+weights the order is by index, so the tie searches look at the first
+vertex of each run and jump to the next run by bisection.
 """
 
 from __future__ import annotations
@@ -250,12 +250,15 @@ def esb_breaker_select(state: FamilyGameState) -> list[int]:
 class OpenPairs:
     """One turn's open pairs, and its picks of the best open pair.
 
-    The board's open cells are read in place (GameState.board_index()),
-    less the pairs this turn already picked or was told to exclude:
-    open_deg[x] counts x's open pairs left and masked[x] lists x's masked
-    partners, in both directions.  take(w) picks the open pair (u, v),
-    u < v, of largest score w[u] + w[v] (best_open_pair), masks it and
-    returns it, or None when no pair scoring above -inf is left.
+    A cell (u, v) is taken when either player holds it, bit v of
+    maker[u] | breaker[u], the board's closed masks (GameState.closed()), or
+    when this turn already picked it or was told to exclude it: masked[x]
+    holds those partners of x as bits, in both directions.  The caller
+    passes open_deg, each vertex's count of open pairs on the board as a
+    numpy int array, which OpenPairs owns from then on and lowers as it
+    masks pairs.  take(w) picks the open pair (u, v), u < v, of largest
+    score w[u] + w[v] (best_open_pair), masks it and returns it, or None
+    when no pair scoring above -inf is left.
 
     The pick reads the effective weights, w with -inf at the vertices that
     have no open pair left, which spares their rows, in one kept order:
@@ -266,24 +269,28 @@ class OpenPairs:
     caller) to their place by bisection on (-w, index).
     """
 
-    __slots__ = ("n", "cells", "open_deg", "masked", "order", "_neg", "_eff")
+    __slots__ = ("n", "maker", "breaker", "open_deg", "masked", "order", "_neg", "_eff")
 
-    def __init__(self, state: GameState, exclude=()):
-        board = state.board_index()
+    def __init__(self, state: GameState, open_deg: np.ndarray, exclude=()):
         self.n = state.n
-        self.cells = board.cells
-        self.open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
-        self.masked: dict[int, list[int]] = {}
+        self.maker = state.closed(Player.MAKER)
+        self.breaker = state.closed(Player.BREAKER)
+        self.open_deg = open_deg
+        self.masked: dict[int, int] = {}
         # The kept order's vertices, and -w at each; filled by the first take.
         self.order: list[int] = []
         self._neg: list[float] = []
         for u, v in exclude:
             self._mask(u, v)
 
+    def _taken(self, u: int) -> int:
+        """Row u's taken cells as bits, u's own among them."""
+        return self.maker[u] | self.breaker[u] | self.masked.get(u, 0)
+
     def _mask(self, u: int, v: int) -> None:
-        if self.cells[u * self.n + v] and v not in self.masked.get(u, ()):
-            self.masked.setdefault(u, []).append(v)
-            self.masked.setdefault(v, []).append(u)
+        if not self._taken(u) >> v & 1:
+            self.masked[u] = self.masked.get(u, 0) | 1 << v
+            self.masked[v] = self.masked.get(v, 0) | 1 << u
             self.open_deg[u] -= 1
             self.open_deg[v] -= 1
 
@@ -373,11 +380,10 @@ class OpenPairs:
         """Row u's best score and its lowest partner at that score, found by
         walking the kept order; the partner is None when the score is below
         `best` or -inf."""
-        row = self.cells[u * self.n : (u + 1) * self.n]
-        masked = self.masked.get(u, ())
+        taken = self._taken(u)
         order, neg = self.order, self._neg
         for k, v in enumerate(order):
-            if row[v] and v not in masked:
+            if not taken >> v & 1:
                 break
         else:
             return -math.inf, None
@@ -391,7 +397,7 @@ class OpenPairs:
         while k < end and w_u - neg[k] == score:
             run_end = bisect_right(neg, neg[k], k)
             for j in range(k, bisect_left(order, first, k, run_end)):
-                if row[order[j]] and order[j] not in masked:
+                if not taken >> order[j] & 1:
                     first = order[j]
                     break
             k = run_end

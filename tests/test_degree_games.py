@@ -179,7 +179,10 @@ def _reference_select_turn(tracker, state, count, exclude=()):
     lw = tracker.log_w
     w = np.exp(lw - lw.max())
     fade = math.exp(tracker.params.log1m_l2)
-    blocked = ~state.board_index().open
+    n = state.n
+    blocked = np.ones((n, n), dtype=bool)
+    for u, v in state.unclaimed:
+        blocked[u, v] = blocked[v, u] = False
     for u, v in exclude:
         blocked[u, v] = True
         blocked[v, u] = True
@@ -203,7 +206,8 @@ def _reference_select_turn(tracker, state, count, exclude=()):
 
 def _take(w, exclude=()):
     """One OpenPairs pick on the empty K_n, n = len(w), with `exclude` masked."""
-    return OpenPairs(new_game(len(w), 1, 1), exclude).take(w)
+    n = len(w)
+    return OpenPairs(new_game(n, 1, 1), np.full(n, n - 1), exclude).take(w)
 
 
 class TestSelectTurnMatchesMatrix:

@@ -3,6 +3,8 @@
 import logging
 import math
 import random
+import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from diameter_games import (
     DegreeGreedyStrategy,
     EsbDegreeBreaker,
     LowestEdgeStrategy,
+    MinDegStrategy,
     PathGreedyStrategy,
     Player,
     RandomStrategy,
@@ -104,6 +107,59 @@ class TestDegreeGreedy:
         s = DegreeGreedyStrategy()
         # Poorest vertex 0; best mate is 3 (degree 0), not 1 or 2.
         assert s.select(state) == [(0, 3)]
+
+
+def _replayed(n, a, b, first, log):
+    """A fresh board with `log`, a whole number of turns, played on it."""
+    state = new_game(n, a, b, first=first)
+    for player, claims in groupby(log, key=lambda claim: claim[0]):
+        apply_claim(state, player, [edge for _, edge in claims])
+    return state
+
+
+def test_degree_greedy_kept_list_follows_a_rewound_log():
+    """After a whole game, one instance is shown every shorter log that ends
+    at its turn, longest first, and then plays on from one of them: each
+    pick is what a fresh instance picks on that log."""
+    n, a, b, first = 24, 2, 3, Player.BREAKER
+    greedy, maker = DegreeGreedyStrategy(), RandomStrategy(random.Random(24))
+    state = new_game(n, a, b, first=first)
+    turn_starts = []
+    while not state.is_exhausted():
+        mover = state.to_move
+        if mover is Player.BREAKER:
+            turn_starts.append(len(state.move_log))
+        apply_claim(state, mover, (greedy if mover is Player.BREAKER else maker).select(state))
+    for start in reversed(turn_starts[:-1]):
+        rewound = _replayed(n, a, b, first, state.move_log[:start])
+        assert greedy.select(rewound) == DegreeGreedyStrategy().select(rewound), start
+    rewound = _replayed(n, a, b, first, state.move_log[: turn_starts[len(turn_starts) // 2]])
+    while not rewound.is_exhausted():
+        mover = rewound.to_move
+        picks = (greedy if mover is Player.BREAKER else maker).select(rewound)
+        if mover is Player.BREAKER:
+            assert picks == DegreeGreedyStrategy().select(rewound), len(rewound.move_log)
+        apply_claim(rewound, mover, picks)
+
+
+@pytest.mark.parametrize("sid", ["degree-greedy", "esb-degree-breaker", "mindeg-maker"])
+def test_first_select_on_a_large_board_allocates_little(sid):
+    """The first select on a fresh n = 1000 board reads both players'
+    closed masks, 1000 ints each, and builds no n x n matrix of the board."""
+    n = 1000
+    state = new_game(n, 1, 1)
+    strategy = {
+        "degree-greedy": DegreeGreedyStrategy,
+        "esb-degree-breaker": EsbDegreeBreaker,
+        "mindeg-maker": lambda: MinDegStrategy(n, 1, 1),
+    }[sid]()
+    tracemalloc.start()
+    try:
+        strategy.select(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestPathGreedy:
@@ -298,14 +354,32 @@ def test_debug_log_traces_without_touching_the_transcript(caplog):
     assert not caplog.records
 
 
+def _dense_board(state):
+    """The open matrix and each player's degree vector, rebuilt in numpy
+    from the three edge sets."""
+    n = state.n
+
+    def ends(edges):
+        return np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+
+    open_ = np.zeros((n, n), dtype=bool)
+    u, v = ends(state.unclaimed).T
+    open_[u, v] = open_[v, u] = True
+    deg = {
+        player: np.bincount(ends(edges).ravel(), minlength=n)
+        for player, edges in ((Player.MAKER, state.maker_edges), (Player.BREAKER, state.breaker_edges))
+    }
+    return open_, deg
+
+
 def _reference_degree_greedy_select(state):
-    """DegreeGreedyStrategy.select as it was with a per-turn copy of the
-    board's open matrix, from which each pick is cleared."""
-    board = state.board_index()
+    """DegreeGreedyStrategy.select as a numpy argmin over a dense copy of
+    the board: the lowest vertex of least own degree with an open edge, then
+    its open mate of least own degree, each pick cleared from the copy."""
+    open_, deg_of = _dense_board(state)
     big = 1 << 40
-    deg = board.deg[state.to_move].copy()
-    open_deg = (state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]
-    open_ = board.open.copy()
+    deg = deg_of[state.to_move].copy()
+    open_deg = open_.sum(axis=1)
     picks = []
     for _ in range(state.required_claim_count(state.to_move)):
         has = open_deg > 0
@@ -349,11 +423,11 @@ def _reference_esb_select(state):
     """EsbDegreeBreaker.select as an n x n score matrix: weights
     (1+b)^(-open_deg/a) recomputed before every pick, w[u] + w[v] on open
     pairs, -inf elsewhere, and a row-major argmax."""
-    board = state.board_index()
+    open_, deg = _dense_board(state)
     count = state.required_claim_count(Player.BREAKER)
     log_base = math.log(1 + state.b)
-    open_deg = ((state.n - 1) - board.deg[Player.MAKER] - board.deg[Player.BREAKER]).astype(np.float64)
-    claimed = ~board.open
+    open_deg = ((state.n - 1) - deg[Player.MAKER] - deg[Player.BREAKER]).astype(np.float64)
+    claimed = ~open_
     picks = []
     for _ in range(count):
         w = np.exp(-open_deg / state.a * log_base)
