@@ -216,18 +216,39 @@ def check_maker_graph(state):
     assert state.closed(Player.BREAKER) == closed_masks(state.n, state.breaker_edges)
 
 
+def check_open_cells(state):
+    """The open cells and degrees that OpenPairs and the degree strategies read
+    from the two closed masks match the three edge sets: a cell is open exactly
+    when neither mask has it, and a vertex's open degree is n minus the bits of
+    the union of its two rows."""
+    n = state.n
+    maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
+    for u in range(n):
+        taken = maker[u] | breaker[u]
+        for v in range(n):
+            if u != v:
+                assert (not taken >> v & 1) == (mk_edge(u, v) in state.unclaimed)
+        assert n - taken.bit_count() == sum(u in e for e in state.unclaimed)
+        assert maker[u].bit_count() - 1 == sum(u in e for e in state.maker_edges)
+        assert breaker[u].bit_count() - 1 == sum(u in e for e in state.breaker_edges)
+        assert not maker[u] & breaker[u] & ~(1 << u)  # no cell is held by both
+
+
 def play_random_turn(state, maker, breaker):
     side = state.to_move
     strategy = maker if side is Player.MAKER else breaker
     apply_claim(state, side, strategy.select(state))
 
 
-DERIVED_INDEXES = pytest.mark.parametrize("check", [check_maker_graph], ids=["maker_graph"])
+DERIVED_INDEXES = pytest.mark.parametrize(
+    "check", [check_maker_graph, check_open_cells], ids=["maker_graph", "open_cells"]
+)
 
 
 class TestMakerGraph:
-    """The state's derived index, both players' closed masks, and Maker's
-    adjacency, against references rebuilt from the edge sets."""
+    """The state's derived index, both players' closed masks, Maker's
+    adjacency, and the open cells read from the masks, against references
+    rebuilt from the edge sets."""
 
     @DERIVED_INDEXES
     @pytest.mark.parametrize("n,a,b", [(6, 1, 1), (9, 2, 3), (12, 3, 1)])
