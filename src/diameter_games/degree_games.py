@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .game_core import (
     Edge,
     GameState,
@@ -130,6 +128,10 @@ class DegreeWeightState:
     They count every logged claim, so once synced they also give each
     vertex's open degree, (n - 1) - deg_self - deg_opp; which edges are
     open comes from the board's closed masks.
+
+    The counters and weights are numpy arrays.  numpy is imported where
+    they are made or exponentiated (_reset, select_turn, potential), never
+    by the module or by observe(), which runs once per claim.
     """
 
     def __init__(self, params: MinDegParams, role: Player = Player.MAKER):
@@ -139,6 +141,8 @@ class DegreeWeightState:
         self._reset()
 
     def _reset(self) -> None:
+        import numpy as np
+
         n = self.params.n
         self.deg_self = np.zeros(n, dtype=np.int64)
         self.deg_opp = np.zeros(n, dtype=np.int64)
@@ -177,6 +181,8 @@ class DegreeWeightState:
 
     def potential(self) -> float:
         """T = sum of vertex weights, via logsumexp."""
+        import numpy as np
+
         m = float(self.log_w.max())
         return float(np.exp(self.log_w - m).sum()) * math.exp(m) if m > -math.inf else 0.0
 
@@ -196,6 +202,8 @@ class DegreeWeightState:
         sync().  `exclude` masks edges a composite caller already claimed
         earlier in the same turn.
         """
+        import numpy as np
+
         lw = self.log_w
         w = np.exp(lw - lw.max())
         fade = math.exp(self.params.log1m_l2)

@@ -46,7 +46,8 @@ DEFAULT_FAMILY_CAP = 2_000_000
 # Layouts the cache holds.  Callers use one (n, r, s) many times in a
 # row (each exhaustive cell, each subgame's ExpMaker), and an instance holds
 # its own layout, so one is enough.  D2Maker's family may hold up to
-# DEFAULT_FAMILY_CAP hyperedges, so the cache keeps no more than that one.
+# DEFAULT_FAMILY_CAP hyperedges, so the cache keeps no more than that one;
+# exp_maker_select's own cache of one may hold on to one more.
 _LAYOUT_CACHE_SIZE = 1
 
 
@@ -253,12 +254,22 @@ class ExpMaker:
 def exp_maker_select(state: GameState, params: ExpansionParams) -> list[Edge]:
     """One expansion-Maker turn, the pick an ExpMaker(n, r, s, state.a, params.b) makes.
 
-    The layout comes from the cache of the last (n, r, s), so a run of calls
-    on one (n, r, s) costs a pick each, not an enumeration; a call on
-    another (n, r, s) re-enumerates.
+    The checks and the layout come from the cache of the last
+    (n, r, s, a, b), so a run of calls on one cell costs a pick each, not
+    an enumeration or a check; a call on another (n, r, s) re-enumerates.
     """
-    virtual_b = float(params.b)
-    _check_biases(state.a, virtual_b)
-    _checked_count(params.n, params.r, params.s, DEFAULT_FAMILY_CAP)
-    layout = _layout(params.n, params.r, params.s)
+    layout, virtual_b = _select_setup(params.n, params.r, params.s, state.a, params.b)
     return _greedy_turn(layout, state, state.required_claim_count(Player.MAKER), state.a, virtual_b)
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _select_setup(n: int, r: int, s: int, a: int, b: float) -> tuple[_Layout, float]:
+    """exp_maker_select's checked layout and float bias, once per (n, r, s, a, b).
+
+    A verification calls it at every pick with the same arguments.  A
+    check that raises caches nothing, so bad parameters raise on every call.
+    """
+    virtual_b = float(b)
+    _check_biases(a, virtual_b)
+    _checked_count(n, r, s, DEFAULT_FAMILY_CAP)
+    return _layout(n, r, s), virtual_b

@@ -18,7 +18,6 @@ import hashlib
 import inspect
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -329,9 +328,9 @@ def _play_match(cfg: ExperimentConfig, match_index: int, seed: int) -> MatchResu
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[MatchResult]:
     """Play every (seed x repetition) match; results ordered by index.
 
-    workers > 1 fans matches out to a process pool; ordering and seeds
-    are identical either way.  Output files are written at the end when
-    the config names paths.
+    workers > 1 fans matches out to a process pool, imported only then;
+    ordering and seeds are identical either way.  Output files are written
+    at the end when the config names paths.
     """
     cfg.validate()
     jobs: list[tuple[int, int]] = []
@@ -341,6 +340,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Ma
             jobs.append((index, match_seed(s, rep)))
             index += 1
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(

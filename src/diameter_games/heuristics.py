@@ -26,9 +26,7 @@ import logging
 import math
 import random
 
-import numpy as np
-
-from .game_core import Edge, GameState, LogCursor, Player, mk_edge
+from .game_core import Edge, GameError, GameState, LogCursor, Player, mk_edge
 from .graph_metrics import complement, spheres
 from .potential_engine import OpenPairs
 
@@ -100,7 +98,9 @@ class DegreeGreedyStrategy:
     turn's own picks.  The vertex is the list's first minimum; the mate is
     the first vertex, level by level upward from there, whose cell in the
     vertex's row is open.  A row's taken cells are the bits of both
-    players' closed masks and of the turn's picks at that vertex.
+    players' closed masks and of the turn's picks at that vertex.  A degree
+    is at most n - 1, so a walk past that level means the list disagrees
+    with the board, and select raises GameError instead of climbing on.
     """
 
     name = "degree-greedy"
@@ -144,6 +144,11 @@ class DegreeGreedyStrategy:
                     mate = key.index(level, mate + 1)
                 except ValueError:
                     level, mate = level + 1, -1
+                    if level >= state.n:
+                        raise GameError(
+                            f"degree-greedy: vertex {vertex} has no open mate on the kept degree "
+                            f"list {self._key}, which disagrees with the board"
+                        ) from None
                     continue
                 if not taken >> mate & 1:
                     break
@@ -259,6 +264,8 @@ class EsbDegreeBreaker:
     name = "esb-degree-breaker"
 
     def select(self, state: GameState) -> list[Edge]:
+        import numpy as np
+
         count = state.required_claim_count(state.to_move)
         log_base = math.log(1 + state.b)
         rows = zip(state.closed(Player.MAKER), state.closed(Player.BREAKER))

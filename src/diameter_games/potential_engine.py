@@ -40,10 +40,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .game_core import Edge, GameState, InvalidParameters, Player
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exponents of this size are evaluated in log space to dodge under/overflow.
 _LOGSPACE_SET_SIZE = 64
@@ -267,6 +269,9 @@ class OpenPairs:
     new effective weights with the previous ones and moves only the
     vertices that changed (the two ends of the previous pick, in every
     caller) to their place by bisection on (-w, index).
+
+    The weights are numpy arrays.  numpy is imported by take(), not by this
+    module, so a process that never picks a pair never loads it.
     """
 
     __slots__ = ("n", "maker", "breaker", "open_deg", "masked", "order", "_neg", "_eff")
@@ -296,6 +301,8 @@ class OpenPairs:
 
     def take(self, w: np.ndarray) -> Edge | None:
         """The best open pair under vertex weights w, now masked; None when none is left."""
+        import numpy as np
+
         eff = np.where(self.open_deg > 0, w, -math.inf)
         if not self.order:
             neg = -eff

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,23 @@ class TestExpMaker:
         apply_claim(state, Player.BREAKER, [(0, 2)])
         fresh = ExpMaker(6, 2, 2, maker_bias=2, virtual_b=1)
         assert exp_maker_select(state, params) == fresh.select(state)
+
+    def test_one_shot_helper_raises_on_every_call(self):
+        """Bad parameters raise at each call, before and after a good call
+        on the same cell, and the good pick does not change."""
+        params = exp_condition(6, 2, 2, 2, 1)
+        state = new_game(6, 2, 1)
+        bad = [
+            (replace(params, b=0.0), InvalidParameters),
+            (replace(params, s=5), InvalidParameters),
+            (replace(params, n=40, r=5, s=5), FamilyTooLarge),
+        ]
+        pick = exp_maker_select(state, params)
+        for _ in range(2):
+            for wrong, error in bad:
+                with pytest.raises(error):
+                    exp_maker_select(state, wrong)
+            assert exp_maker_select(state, params) == pick
 
     @pytest.mark.parametrize("seed", range(5))
     def test_achieves_expansion_against_random(self, seed):

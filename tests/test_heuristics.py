@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import signal
 import tracemalloc
 from itertools import groupby
 
@@ -14,6 +15,7 @@ from diameter_games import (
     D2Maker,
     DegreeGreedyStrategy,
     EsbDegreeBreaker,
+    GameError,
     LowestEdgeStrategy,
     MinDegStrategy,
     PathGreedyStrategy,
@@ -140,6 +142,33 @@ def test_degree_greedy_kept_list_follows_a_rewound_log():
         if mover is Player.BREAKER:
             assert picks == DegreeGreedyStrategy().select(rewound), len(rewound.move_log)
         apply_claim(rewound, mover, picks)
+
+
+def test_degree_greedy_stale_kept_list_raises():
+    """A kept list that disagrees with the board fails the select that reads
+    it instead of hanging.  Between two turns of a growing log every vertex
+    but one is marked finished, so the vertex left finds no mate on the list
+    at any level.  An alarm turns an endless walk into a failure."""
+    n, a, b, first = 24, 2, 3, Player.BREAKER
+    greedy, maker = DegreeGreedyStrategy(), RandomStrategy(random.Random(24))
+    state = new_game(n, a, b, first=first)
+    for _ in range(3):
+        apply_claim(state, Player.BREAKER, greedy.select(state))
+        apply_claim(state, Player.MAKER, maker.select(state))
+    greedy._key = [DegreeGreedyStrategy._DONE] * n
+    greedy._key[5] = 0
+
+    def hung(signum, frame):
+        raise TimeoutError("the mate walk did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(GameError, match="kept degree list"):
+            greedy.select(state)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("sid", ["degree-greedy", "esb-degree-breaker", "mindeg-maker"])

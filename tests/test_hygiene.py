@@ -15,10 +15,17 @@ instance attribute (``self._name``) is only written when the module stores
 it, or mutates it by a bare ``.add``, ``.append`` or ``.discard`` statement,
 and loads ``._name`` nowhere else, on any object, so state that nothing
 reads is caught.  Only the modules in NUMPY_MODULES import numpy, and each
-of them does, so the list can only shrink.
+of them does, so the list can only shrink.  They import it lazily, inside
+the functions that compute with it, and the harness imports its process
+pool only when it fans out: a fresh interpreter that imports the package
+and solves, verifies and plays without those functions loads neither.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,3 +266,56 @@ def test_numpy_importers_are_the_allowlist():
         if imports_numpy(path.read_text())
     }
     assert importers == NUMPY_MODULES
+
+
+# Loads the package, runs the exact solver, a board verifier, an expansion
+# verifier cell and a d2-breaker match, and prints which of the lazily
+# imported modules are loaded; then plays a mindeg-maker match and prints
+# them again.
+_LAZY_IMPORT_SCRIPT = """
+import json, sys
+import diameter_games as dg
+from diameter_games.graph_metrics import closed_masks, expansion_of_closed
+
+LAZY = ("numpy", "multiprocessing", "concurrent.futures.process")
+
+class ExpScript:
+    name = "exp-script"
+    def __init__(self, params):
+        self.params = params
+    def select(self, state):
+        return dg.exp_maker_select(state, self.params)
+
+def play(spec):
+    cfg = dg.ExperimentConfig.from_json({"name": "lazy", "seeds": [0], **spec})
+    return dg.run_experiment(cfg)[0].transcript
+
+def report():
+    print(json.dumps(sorted(m for m in LAZY if m in sys.modules)))
+
+assert dg.solve(4, 1, 1, 2).winner is dg.Player.BREAKER
+assert dg.verify_one_sided(4, 1, 1, 2, dg.PairingBreaker(), dg.Player.BREAKER)
+n, r, s, a, b = 5, 1, 3, 2, 1
+assert dg.verify_final_property(
+    n, a, b, ExpScript(dg.exp_condition(n, r, s, a, b)), dg.Player.MAKER,
+    lambda snap: expansion_of_closed(closed_masks(n, snap.maker_edges), r, s),
+)
+d2 = play({"n": 40, "a": 1, "d": 2, "maker": "degree-greedy", "breaker": "d2-breaker"})
+assert d2.winner is dg.Player.BREAKER and d2.fault is None
+report()
+mindeg = play({"n": 30, "a": 2, "b": 1, "maker": "mindeg-maker", "breaker": "random",
+               "property_id": "mindeg>1", "early_stop": False})
+assert mindeg.fault is None
+report()
+"""
+
+
+def test_numpy_and_the_process_pool_load_only_where_used():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_SCRIPT], capture_output=True, text=True, check=True, env=env
+    )
+    before, after = map(json.loads, proc.stdout.splitlines())
+    assert before == []
+    assert after == ["numpy"]
