@@ -45,6 +45,7 @@ from .game_core import (
     Player,
     StrategyInapplicable,
 )
+from .graph_metrics import set_bits
 from .potential_engine import OpenPairs
 
 RECOMPUTE_EVERY = 1024  # full log-weight refresh cadence, keeps drift ~1e-12
@@ -291,15 +292,9 @@ def mindeg_breaker_select(state: GameState) -> list[Edge]:
     """Flood the target vertex; spill leftover claims onto the lowest unclaimed edges."""
     target = flood_target(state)
     count = state.required_claim_count(Player.BREAKER)
-    picks = []
-    for w in range(state.n):
-        if w == target:
-            continue
-        e = (target, w) if target < w else (w, target)
-        if e in state.unclaimed:
-            picks.append(e)
-            if len(picks) == count:
-                return picks
+    taken = state.closed(Player.MAKER)[target] | state.closed(Player.BREAKER)[target]
+    open_row = taken ^ ((1 << state.n) - 1)
+    picks = [(target, w) if target < w else (w, target) for w in set_bits(open_row)[:count]]
     return picks + state.lowest_open(count - len(picks), picks)
 
 
@@ -307,7 +302,7 @@ class FloodingBreaker:
     """run_match wrapper over mindeg_breaker_select.
 
     The rule keeps nothing between turns: the target follows from the log,
-    one pass over its ring finds the target's open edges, and the leftover
+    one mask row gives the target's open edges, and the leftover
     claims come from GameState.lowest_open(), so a turn costs O(n).
     """
 

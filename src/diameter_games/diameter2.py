@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .degree_games import DegreeWeightState, MinDegStrategy, flood_target, mindeg_params
 from .expansion_games import ExpMaker
@@ -68,16 +69,9 @@ def pairing_breaker_select(state: GameState) -> list[Edge]:
             anchor = edge
             break
     if anchor is None:
-        opener = log[0][1] if log else (-1, -1)
-        outside = [x for x in range(state.n) if x not in opener]
-        for i, u in enumerate(outside):
-            for v in outside[i + 1 :]:
-                e = mk_edge(u, v)
-                if e in state.unclaimed:
-                    picks.append(e)
-                    break
-            if picks:
-                break
+        opener = log[0][1] if log else ()
+        off_opener = (e for e in state.unclaimed if e[0] not in opener and e[1] not in opener)
+        picks = list(islice(off_opener, 1))
     else:
         u, v = anchor
         last_maker: Edge | None = None
@@ -269,6 +263,7 @@ class D2Breaker:
         closed = state.closed(Player.MAKER)
         u_mask = closed[t] & ~(1 << t)
         u_list = set_bits(u_mask)
+        unclaimed = state.unclaimed
         pre_completed = 0
         for x in range(state.n):
             if x == t or closed[x] & u_mask:
@@ -276,7 +271,7 @@ class D2Breaker:
             box = {
                 mk_edge(x, u)
                 for u in u_list
-                if mk_edge(x, u) in state.unclaimed and mk_edge(x, u) not in picked
+                if mk_edge(x, u) in unclaimed and mk_edge(x, u) not in picked
             }
             if box:
                 self._boxes[x] = box

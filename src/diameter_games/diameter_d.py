@@ -414,6 +414,7 @@ class DdBreakerA1:
 
         out: list[Edge] = []
         seen: set[Edge] = set()
+        unclaimed = state.unclaimed
         overflow = False
         for centre, anchor_rings, radius in jobs:
             for k, ring in enumerate(spheres(closed, centre, radius)):
@@ -422,7 +423,7 @@ class DdBreakerA1:
                     mk_edge(a, c) for a in set_bits(ring) for c in ball if a != c
                 }
                 for e in sorted(cands):
-                    if e in seen or e not in state.unclaimed:
+                    if e in seen or e not in unclaimed:
                         continue
                     seen.add(e)
                     if len(out) >= budget:

@@ -17,7 +17,9 @@ the format of Graph and of both players' graphs on the board.
 
 verify_final_property() is the one board verifier: a DFS that pins one side
 to a scripted strategy, branches over every opposing play, and undoes each
-claim on the way back.  A caller's prune may settle a node early; the final
+claim on the way back.  It keeps the position as edge sets, which the
+prune reads; the scripted side and the final predicate get a GameState
+built from them.  A caller's prune may settle a node early; the final
 predicate judges the full board.  verify_one_sided() is that DFS with the
 two diameter cutoffs as its prune.  Strategies verified this way must be
 snapshot-pure: select(state) may depend only on the passed state (including
@@ -162,28 +164,21 @@ def _canonical_from_neighbours(mnbr: list[int], bnbr: list[int]) -> tuple[int, i
     return best_m, best_b
 
 
-def _canonical_masks(n: int, maker_mask: int, breaker_mask: int) -> tuple[int, int]:
-    edges = all_edges(n)
-    return _canonical_from_neighbours(
-        _neighbour_masks(n, maker_mask, edges),
-        _neighbour_masks(n, breaker_mask, edges),
-    )
-
-
 def canonical_key(state: GameState):
     """Symmetry-reduced key for a position: equal exactly for isomorphic positions.
 
     The ownership masks are relabelled within the classes of a vertex
     refinement by Maker and Breaker degrees (_refined_cells) and the
-    smallest pair is kept.  Capped at n <= 8: on a vertex-transitive
-    position refinement splits nothing and all n! relabellings are tried.
+    smallest pair is kept.  The neighbour masks it reads are the board's
+    closed masks less each vertex's own bit.  Capped at n <= 8: on a
+    vertex-transitive position refinement splits nothing and all n!
+    relabellings are tried.
     """
     if state.n > CANONICAL_MAX_N:
         raise OverCapError(f"canonical_key capped at n={CANONICAL_MAX_N}", count=state.n)
-    bits = _edge_bits(state.n)
-    mm = sum(bits[u][v] for u, v in state.maker_edges)
-    bm = sum(bits[u][v] for u, v in state.breaker_edges)
-    cm, cb = _canonical_masks(state.n, mm, bm)
+    mnbr = [m ^ 1 << v for v, m in enumerate(state.closed(Player.MAKER))]
+    bnbr = [m ^ 1 << v for v, m in enumerate(state.closed(Player.BREAKER))]
+    cm, cb = _canonical_from_neighbours(mnbr, bnbr)
     return (cm, cb, state.to_move.value, state.required_claim_count(state.to_move))
 
 
@@ -301,20 +296,6 @@ def solve(
 # --- one-sided verification on the board ------------------------------------
 
 
-def _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move) -> GameState:
-    return GameState(
-        n=n,
-        a=a,
-        b=b,
-        first=first,
-        maker_edges=set(maker),
-        breaker_edges=set(breaker),
-        unclaimed=set(unclaimed),
-        to_move=to_move,
-        move_log=list(log),
-    )
-
-
 def _board_edges(n: int, edge_cap: int) -> list[tuple[int, int]]:
     total_edges = edge_count(n)
     if total_edges > edge_cap:
@@ -371,12 +352,12 @@ def verify_final_property(
             if decided is not None:
                 return decided
         if not unclaimed:
-            snap = _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move)
+            snap = GameState(n, a, b, first, maker, breaker, to_move, log)
             return bool(final_predicate(snap))
         count = min(a if to_move is Player.MAKER else b, len(unclaimed))
         if to_move is not side:
             return all(play(to_move, combo) for combo in combinations(sorted(unclaimed), count))
-        snap = _snapshot(n, a, b, first, maker, breaker, unclaimed, log, to_move)
+        snap = GameState(n, a, b, first, maker, breaker, to_move, log)
         picks = [mk_edge(*e) for e in scripted.select(snap)]
         if len(picks) != count or len(set(picks)) != count:
             raise GameError(f"scripted {side.value} returned a bad claim {picks}")

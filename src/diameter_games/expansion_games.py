@@ -20,26 +20,27 @@ count is checked before any enumeration.  When r == s the unordered pair
 {R, S} is generated once, halving the raw ordered count; the closed-form
 start value uses the generated count so cross-checks compare like with like.
 
-ExpMaker keeps no game state.  Each pick reads the board: a hyperedge
-survives while Maker holds none of its edges, and its free count is the
-number of its edges still unclaimed.  The greedy loop is the ESB Breaker's
-(potential_engine.greedy_potential_picks); only the weight differs.  The
-layout it reads (edge index, and per hyperedge one edge mask and one tuple
-of its edge positions) depends only on (n, r, s), so it is built once and
-shared, read-only, through a cache that holds the most recent layout.  A
-pick costs one AND and popcount per hyperedge to find the survivors and
-their weights, then one addition per edge of each surviving hyperedge.
+ExpMaker keeps no game state.  Each pick reads the board's mask rows as
+edge positions: a hyperedge survives while Maker holds none of its edges,
+and its free count is the number of its edges still unclaimed.  The greedy
+loop is the ESB Breaker's (potential_engine.greedy_potential_picks); only
+the weight differs.  The layout it reads (each vertex's row shift, and per
+hyperedge one edge mask and one tuple of its edge positions) depends only
+on (n, r, s), so it is built once and shared, read-only, through a cache
+that holds the most recent layout.  A pick costs one AND and popcount per
+hyperedge to find the survivors and their weights, then one addition per
+edge of each surviving hyperedge.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .game_core import Edge, GameState, InvalidParameters, Player, all_edges
+from .graph_metrics import set_bits
 from .potential_engine import FamilyTooLarge, WinningSetFamily, greedy_potential_picks
 
 DEFAULT_FAMILY_CAP = 2_000_000
@@ -146,7 +147,9 @@ class _Layout:
     """The (n, r, s)-only part of an expansion Maker, shared read-only between callers."""
 
     edges: tuple[Edge, ...]
-    edge_index: Mapping[Edge, int]  # Edge -> position
+    # vertex u < n - 1 -> (u + 1, position of edge (u, u + 1)): row u's higher
+    # edges hold consecutive positions, so a mask row moves into place with two shifts.
+    rows: tuple[tuple[int, int], ...]
     masks: tuple[int, ...]  # hyperedge -> bitmask of its positions
     positions: tuple[tuple[int, ...], ...]  # hyperedge -> its positions
 
@@ -165,7 +168,7 @@ def _layout(n: int, r: int, s: int) -> _Layout:
         positions.append(tuple(hyperedge))
     return _Layout(
         edges=edges,
-        edge_index={e: i for i, e in enumerate(edges)},
+        rows=tuple((u + 1, u * (2 * n - u - 1) // 2) for u in range(n - 1)),
         masks=tuple(masks),
         positions=tuple(positions),
     )
@@ -180,14 +183,12 @@ def _greedy_turn(layout: _Layout, state: GameState, count: int, maker_bias: int,
     distinct free count.  Only the surviving hyperedges of positive weight
     reach the greedy loop.
     """
-    index = layout.edge_index
-    maker = 0
-    for e in state.maker_edges:
-        maker |= 1 << index[e]
-    free = [index[e] for e in state.unclaimed]
-    open_ = 0
-    for pos in free:
-        open_ |= 1 << pos
+    maker = breaker = 0
+    for m, b, (low, at) in zip(state.closed(Player.MAKER), state.closed(Player.BREAKER), layout.rows):
+        maker |= m >> low << at
+        breaker |= b >> low << at
+    open_ = ((1 << len(layout.edges)) - 1) ^ (maker | breaker)
+    free = set_bits(open_)
     log_base = math.log(1 + maker_bias)
     weight_of: dict[int, float] = {}  # free count -> weight, filled as counts come up
     live = []

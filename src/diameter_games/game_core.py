@@ -9,11 +9,14 @@ bit-exactly from their line-delimited JSON form.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Container, Iterable, Protocol
+from itertools import islice
+from typing import Callable, Container, Iterable, Iterator, Protocol
 
 from .graph_metrics import Graph, closed_masks, diameter_within
 
@@ -77,8 +80,8 @@ class LogCursor:
     turns only keeps this while which turns follows from the log.  State
     that is real history (phase switches, frozen boxes) cannot be rebuilt;
     its owner calls require_growth() and refuses a log that did not grow.
-    What a GameState caches itself (closed(), the lowest_open() position)
-    needs no such rule: a snapshot starts without it.
+    What a GameState keeps itself (the masks behind closed() and its
+    views, the lowest_open() row) needs no such rule: it is the position.
     """
 
     __slots__ = ("seen",)
@@ -105,92 +108,118 @@ def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass
+class EdgeView(Set):
+    """A read-only set of edges off a board's mask rows: one player's, given
+    that player's masks, or (None) the unclaimed ones.  `in` is one mask
+    test, iteration follows all_edges(n) order, len(unclaimed) is the
+    board's count, and -, & and | return plain sets."""
+
+    __slots__ = ("_state", "_own")
+
+    def __init__(self, state: GameState, own: list[int] | None) -> None:
+        self._state, self._own = state, own
+
+    _from_iterable = staticmethod(set)
+
+    def _row(self, u: int) -> int:
+        """Bit i is set when (u, u + 1 + i) is in the view."""
+        state = self._state
+        if self._own is None:
+            return ((state._maker[u] | state._breaker[u]) ^ ((1 << state.n) - 1)) >> (u + 1)
+        return self._own[u] >> (u + 1)
+
+    def __contains__(self, edge: object) -> bool:
+        try:
+            u, v = edge  # type: ignore[misc]
+            if not 0 <= u < v < self._state.n:
+                return False
+        except (TypeError, ValueError):
+            return False
+        if self._own is None:
+            return not (self._state._maker[u] | self._state._breaker[u]) >> v & 1
+        return self._own[u] >> v & 1 == 1
+
+    def __iter__(self) -> Iterator[Edge]:
+        return self._edges(0)
+
+    def _edges(self, start: int) -> Iterator[Edge]:
+        """The view's edges (u, v) with u >= start, in all_edges(n) order."""
+        for u in range(start, self._state.n - 1):
+            row = self._row(u)
+            while row:
+                low = row & -row
+                yield u, u + low.bit_length()
+                row ^= low
+
+    def __len__(self) -> int:
+        if self._own is None:
+            return self._state._open
+        return (sum(m.bit_count() for m in self._own) - self._state.n) // 2
+
+
+@dataclass(init=False)
 class GameState:
-    """Full game position: ownership, biases, and the move log.
+    """Full game position: the two players' graphs, biases, and the move log.
 
     Strategies receive this object read-only each time they are asked to
     move.  `move_log` lists every single claim in order, one (player, edge)
     entry per edge, so any auxiliary bookkeeping can be rebuilt from it.
 
-    The state also keeps one derived index, built from the edge sets on
-    first read and extended by apply_claim once it exists: closed(player),
-    that player's graph as graph_metrics.closed_masks (one int per vertex,
-    the format every BFS in the package walks).  The two players' masks
-    are the whole position: edge (u, v) is open exactly when bit v of
-    closed(MAKER)[u] | closed(BREAKER)[u] is clear, and a vertex's degree
-    is its mask's popcount minus one.  Beside them sits one cached
-    position: every edge before it in all_edges(n) order is claimed, so
-    lowest_open() starts its walk there.  A state only gains claims, so
-    the position only moves forward.  Neither is a constructor argument,
-    so a copy() or a state built from its fields starts without the masks
-    and at the first edge.  The masks are live views of this board, and
-    read-only: a reader that needs to change them copies them first.
-    Like every other bookkeeping, they follow from `move_log` alone.
+    The position is held once, as closed(player): that player's graph as
+    graph_metrics.closed_masks, one int per vertex, live and read-only.
+    Edge (u, v) is open exactly when bit v of closed(MAKER)[u] |
+    closed(BREAKER)[u] is clear, and a degree is a mask's popcount minus
+    one.  Beside the masks sit the open-edge count and lowest_open()'s
+    cached row, below which every edge is claimed.  `unclaimed`,
+    `maker_edges` and `breaker_edges` are EdgeViews of the masks.
     """
 
     n: int
     a: int
     b: int
     first: Player
-    maker_edges: set[Edge] = field(default_factory=set)
-    breaker_edges: set[Edge] = field(default_factory=set)
-    unclaimed: set[Edge] = field(default_factory=set)
-    to_move: Player = Player.MAKER
-    move_log: list[tuple[Player, Edge]] = field(default_factory=list)
-    _closed: dict[Player, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _claimed_below: Edge = field(default=(0, 1), init=False, repr=False, compare=False)
+    to_move: Player
+    move_log: list[tuple[Player, Edge]]
+    _maker: list[int]
+    _breaker: list[int]
+    _open: int
 
-    def bias_of(self, player: Player) -> int:
-        return self.a if player is Player.MAKER else self.b
+    def __init__(self, n: int, a: int, b: int, first: Player, maker_edges: Iterable[Edge] = (),
+                 breaker_edges: Iterable[Edge] = (), to_move: Player = Player.MAKER, move_log: Iterable = ()):
+        self.n, self.a, self.b, self.first, self.to_move = n, a, b, first, to_move
+        self.move_log = list(move_log)
+        self._maker, self._breaker = closed_masks(n, maker_edges), closed_masks(n, breaker_edges)
+        # The masks hold 2n vertex bits and two bits per claimed edge.
+        self._open = (n * (n + 1) - sum(map(int.bit_count, self._maker + self._breaker))) // 2
+        self._low_row = 0
 
-    def owner(self, edge: Edge) -> Player | None:
-        if edge in self.maker_edges:
-            return Player.MAKER
-        if edge in self.breaker_edges:
-            return Player.BREAKER
-        return None
+    # A view holds its state, so the state does not keep its views: a cycle
+    # would hold every finished board until the collector found it.
+    unclaimed = property(lambda self: EdgeView(self, None))
+    maker_edges = property(lambda self: EdgeView(self, self._maker))
+    breaker_edges = property(lambda self: EdgeView(self, self._breaker))
 
     def required_claim_count(self, player: Player) -> int:
-        return min(self.bias_of(player), len(self.unclaimed))
+        return min(self.a if player is Player.MAKER else self.b, self._open)
 
     def is_exhausted(self) -> bool:
-        return not self.unclaimed
+        return not self._open
 
     def closed(self, player: Player) -> list[int]:
         """graph_metrics.closed_masks of `player`'s graph; live, so read-only."""
-        masks = self._closed.get(player)
-        if masks is None:
-            edges = self.maker_edges if player is Player.MAKER else self.breaker_edges
-            masks = self._closed[player] = closed_masks(self.n, edges)
-        return masks
+        return self._maker if player is Player.MAKER else self._breaker
 
     def lowest_open(self, count: int, skip: Container[Edge] = ()) -> list[Edge]:
         """Up to `count` unclaimed edges not in `skip`, lowest first in all_edges(n) order."""
-        n, unclaimed = self.n, self.unclaimed
-        u, v = self._claimed_below
-        while u < n - 1 and (u, v) not in unclaimed:
-            u, v = (u, v + 1) if v < n - 1 else (u + 1, u + 2)
-        self._claimed_below = (u, v)
-        picks: list[Edge] = []
-        while u < n - 1 and len(picks) < count:
-            if (u, v) in unclaimed and (u, v) not in skip:
-                picks.append((u, v))
-            u, v = (u, v + 1) if v < n - 1 else (u + 1, u + 2)
-        return picks
+        unclaimed = self.unclaimed
+        while self._low_row < self.n - 1 and not unclaimed._row(self._low_row):
+            self._low_row += 1
+        return list(islice((e for e in unclaimed._edges(self._low_row) if e not in skip), count))
 
-    def copy(self) -> "GameState":
-        return GameState(
-            n=self.n,
-            a=self.a,
-            b=self.b,
-            first=self.first,
-            maker_edges=set(self.maker_edges),
-            breaker_edges=set(self.breaker_edges),
-            unclaimed=set(self.unclaimed),
-            to_move=self.to_move,
-            move_log=list(self.move_log),
-        )
+    def copy(self) -> GameState:
+        clone = copy.copy(self)
+        clone.move_log, clone._maker, clone._breaker = self.move_log[:], self._maker[:], self._breaker[:]
+        return clone
 
 
 def new_game(n: int, a: int, b: int, first: Player = Player.MAKER) -> GameState:
@@ -198,9 +227,7 @@ def new_game(n: int, a: int, b: int, first: Player = Player.MAKER) -> GameState:
         raise InvalidParameters(f"need at least 2 vertices, got n={n}")
     if a < 1 or b < 1:
         raise InvalidParameters(f"biases must be positive, got a={a}, b={b}")
-    return GameState(
-        n=n, a=a, b=b, first=first, unclaimed=set(all_edges(n)), to_move=first
-    )
+    return GameState(n=n, a=a, b=b, first=first, to_move=first)
 
 
 def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> GameState:
@@ -219,27 +246,21 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         )
     if len(set(edges)) != len(edges):
         raise AlreadyClaimed(f"duplicate edge in claim {edges}")
-    if player is Player.MAKER:
-        own, other = state.maker_edges, state.breaker_edges
-    else:
-        own, other = state.breaker_edges, state.maker_edges
+    maker, breaker = state._maker, state._breaker
     # Check every edge before the first store, so a rejected claim changes nothing.
     for edge in edges:
         if edge != mk_edge(*edge):
             raise InvalidParameters(f"edge {edge} is not canonical")
-        if edge not in state.unclaimed:
-            raise AlreadyClaimed(f"edge {edge} is not available")
-        # Ownership stays disjoint by construction; guard the invariant anyway.
-        assert edge not in other
-    closed = state._closed.get(player)
-    for edge in edges:
-        state.unclaimed.discard(edge)
-        own.add(edge)
         u, v = edge
-        if closed is not None:
-            closed[u] |= 1 << v
-            closed[v] |= 1 << u
+        if u < 0 or v >= state.n or (maker[u] | breaker[u]) >> v & 1:
+            raise AlreadyClaimed(f"edge {edge} is not available")
+    own = maker if player is Player.MAKER else breaker
+    for edge in edges:
+        u, v = edge
+        own[u] |= 1 << v
+        own[v] |= 1 << u
         state.move_log.append((player, edge))
+    state._open -= len(edges)
     state.to_move = player.other()
     return state
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 INFINITE = math.inf
@@ -71,11 +72,19 @@ def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     GameState.closed(player) for each player's graph on the live board,
     and the exact solvers'.
     """
-    closed = [1 << v for v in range(n)]
+    bits = _vertex_bits(n)
+    closed = list(bits)
     for u, v in edges:
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
+        closed[u] |= bits[v]
+        closed[v] |= bits[u]
     return closed
+
+
+@lru_cache(maxsize=4)
+def _vertex_bits(n: int) -> tuple[int, ...]:
+    """1 << v for every vertex v < n, built once per board size: the exact
+    verifiers build masks for every snapshot they hand a strategy."""
+    return tuple(1 << v for v in range(n))
 
 
 def complement(closed: Sequence[int]) -> list[int]:

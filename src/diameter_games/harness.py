@@ -266,20 +266,17 @@ def _make_observer(cfg: ExperimentConfig, maker, sink: list[str]):
     claims = LogCursor()
 
     def observe(state) -> None:
-        onboard = (
-            len(state.maker_edges) + len(state.breaker_edges) + len(state.unclaimed)
-        )
+        # Each claim moves one edge from the open count into the log.
+        onboard = len(state.move_log) + len(state.unclaimed)
         if onboard != total:
-            raise InvariantViolation(
-                f"ownership counts drifted: {onboard} != {total}"
-            )
+            raise InvariantViolation(f"ownership counts drifted: {onboard} != {total}")
         # An edge owned twice was logged twice, so the later claim meets the
-        # other owner: only the claims logged since the last round are tested.
+        # other owner's mask: only the claims logged since the last round are tested.
         new = claims.new_claims(state)
-        for player, edge in state.move_log if new is None else new:
-            other = state.breaker_edges if player is Player.MAKER else state.maker_edges
-            if edge in other:
-                raise InvariantViolation(f"edge {edge} is owned by both players")
+        maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
+        for player, (u, v) in state.move_log if new is None else new:
+            if (breaker if player is Player.MAKER else maker)[u] >> v & 1:
+                raise InvariantViolation(f"edge {(u, v)} is owned by both players")
         if tracker is not None:
             log = state.move_log
             cut = len(log)

@@ -270,8 +270,8 @@ class OpenPairs:
     vertices that changed (the two ends of the previous pick, in every
     caller) to their place by bisection on (-w, index).
 
-    The weights are numpy arrays.  numpy is imported by take(), not by this
-    module, so a process that never picks a pair never loads it.
+    The weights are numpy float arrays.  take() calls only the methods of the
+    arrays it is handed, so this module never loads numpy itself.
     """
 
     __slots__ = ("n", "maker", "breaker", "open_deg", "masked", "order", "_neg", "_eff")
@@ -301,12 +301,11 @@ class OpenPairs:
 
     def take(self, w: np.ndarray) -> Edge | None:
         """The best open pair under vertex weights w, now masked; None when none is left."""
-        import numpy as np
-
-        eff = np.where(self.open_deg > 0, w, -math.inf)
+        eff = w.copy()
+        eff[self.open_deg <= 0] = -math.inf
         if not self.order:
             neg = -eff
-            ranks = np.argsort(neg, kind="stable")
+            ranks = neg.argsort(kind="stable")
             self.order = ranks.tolist()
             self._neg = neg[ranks].tolist()
         else:

@@ -14,7 +14,6 @@ from diameter_games import (
     Player,
     RandomStrategy,
     StrategyInapplicable,
-    all_edges,
     apply_claim,
     d2_breaker_params,
     d2_maker_bias_bound,
@@ -245,16 +244,7 @@ class TestD2Maker:
     @staticmethod
     def _on_board(maker_edges, breaker_edges, n=8):
         """A D2Maker holding, as inside select(), the closed masks of a board with these edges."""
-        claimed = set(maker_edges) | set(breaker_edges)
-        state = GameState(
-            n=n,
-            a=2,
-            b=1,
-            first=Player.MAKER,
-            maker_edges=set(maker_edges),
-            breaker_edges=set(breaker_edges),
-            unclaimed=set(all_edges(n)) - claimed,
-        )
+        state = GameState(n=n, a=2, b=1, first=Player.MAKER, maker_edges=maker_edges, breaker_edges=breaker_edges)
         maker = D2Maker(n, 1)
         maker._mclosed = list(state.closed(Player.MAKER))
         maker._bclosed = state.closed(Player.BREAKER)

@@ -35,8 +35,14 @@ from diameter_games import (
     verify_final_property,
     verify_one_sided,
 )
-from diameter_games.exact_solver import _canonical_masks, _neighbour_masks
+from diameter_games.exact_solver import _canonical_from_neighbours, _neighbour_masks
 from diameter_games.graph_metrics import diameter_within
+
+
+def _canonical_masks(n, maker_mask, breaker_mask):
+    """The refined key's mask pair of the position given as two edge masks in all_edges(n) order."""
+    edges = all_edges(n)
+    return _canonical_from_neighbours(_neighbour_masks(n, maker_mask, edges), _neighbour_masks(n, breaker_mask, edges))
 
 
 class TestSolve:

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from dataclasses import replace
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -60,25 +60,28 @@ def test_all_edges_is_lexicographic():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=7), st.data())
 def test_lowest_open_matches_sorted_unclaimed(n, data):
-    # The reference is PureLexStrategy's rule.  Several probes per position,
-    # with and without the lowest edges skipped, and positions that only
-    # gain claims: a cached position that stepped over a skipped or
-    # returned edge would miss it on a later probe.
+    # The reference is PureLexStrategy's rule over a plain set of the edges
+    # not yet played.  Several probes per position, with and without the
+    # lowest edges skipped, and positions that only gain claims: a cached
+    # row that stepped over a skipped or returned edge would miss it on a
+    # later probe.
     edges = all_edges(n)
     state = new_game(n, 1, 1)
+    unclaimed = set(edges)
     for edge in data.draw(st.permutations(edges)) + [None]:
         if data.draw(st.booleans()):
-            low = sorted(state.unclaimed)[:3]
-            # copy(), and a state built from its fields as the verifiers' snapshots are
-            fresh = (state.copy(), replace(state))
+            low = sorted(unclaimed)[:3]
+            # copy(), and a state built from the players' edges as the verifiers' snapshots are
+            fresh = (state.copy(), rebuilt(state))
             for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
                 count = data.draw(st.integers(min_value=0, max_value=4))
                 skip = data.draw(st.sets(st.sampled_from(low + edges), max_size=3))
-                expected = sorted(state.unclaimed - skip)[:count]
+                expected = sorted(unclaimed - skip)[:count]
                 for probe in (state, *fresh):
                     assert probe.lowest_open(count, skip) == expected
         if edge is not None:
             apply_claim(state, state.to_move, [edge])
+            unclaimed.discard(edge)
     assert state.lowest_open(1) == []
 
 
@@ -176,21 +179,29 @@ class TestApplyClaim:
         state = new_game(5, 2, 1)
         apply_claim(state, Player.MAKER, [(0, 1), (1, 2)])
         apply_claim(state, Player.BREAKER, [(0, 3)])
-        for player in Player:
-            state.closed(player)  # build the live masks, so apply_claim would write them
         before = state.copy()
         with pytest.raises(error):
             apply_claim(state, Player.MAKER, claim)
-        assert state == before  # edge sets, move log and side to move
+        assert state == before  # masks, open count, move log and side to move
         for player in Player:
             assert state.closed(player) == before.closed(player)
 
-    @pytest.mark.skipif(not __debug__, reason="assert statements are stripped under -O")
     def test_disjointness_guard_fires_on_corrupted_board(self):
         state = new_game(4, 1, 1)
-        state.breaker_edges.add((0, 1))  # owned by Breaker, yet still unclaimed
-        with pytest.raises(AssertionError):
+        breaker = state.closed(Player.BREAKER)
+        breaker[0] |= 1 << 1  # Breaker's mask holds (0, 1), though no claim logged it
+        breaker[1] |= 1 << 0
+        before = state.copy()
+        with pytest.raises(AlreadyClaimed):
             apply_claim(state, Player.MAKER, [(0, 1)])
+        assert state == before
+
+    @pytest.mark.parametrize("edge", [(0, 4), (-1, 2), (2, 9)])
+    def test_edge_off_the_board_rejected(self, edge):
+        state = new_game(4, 1, 1)
+        with pytest.raises(AlreadyClaimed):
+            apply_claim(state, Player.MAKER, [edge])
+        assert state == new_game(4, 1, 1)
 
 
 def test_copy_is_independent(fresh_game):
@@ -201,36 +212,99 @@ def test_copy_is_independent(fresh_game):
     assert clone.to_move is Player.MAKER
 
 
-def assert_is_reference_maker_graph(g, state):
-    """g equals the validated Graph of state's Maker edges, neighbour lists included."""
-    ref = Graph(state.n, frozenset(state.maker_edges))
+def test_fresh_large_board_allocates_little():
+    """A fresh board is the two players' masks, 2n ints: no edge is stored."""
+    tracemalloc.start()
+    try:
+        state = new_game(3000, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert len(state.unclaimed) == edge_count(3000)
+    assert state.lowest_open(2) == [(0, 1), (0, 2)]
+
+
+class TestEdgeViews:
+    def _board(self):
+        state = new_game(6, 2, 1)
+        apply_claim(state, Player.MAKER, [(0, 1), (2, 5)])
+        apply_claim(state, Player.BREAKER, [(1, 4)])
+        return state
+
+    @pytest.mark.parametrize(
+        "probe", [(1, 0), (5, 2), (4, 1), (3, 3), (0, 6), (-1, 2), (0, 1, 2), (0,), "ab", None, 7]
+    )
+    def test_membership_is_false_off_the_canonical_edges(self, probe):
+        state = self._board()
+        for view in (state.maker_edges, state.breaker_edges, state.unclaimed):
+            assert probe not in view
+
+    def test_views_are_sets_in_edge_order(self):
+        state = self._board()
+        assert list(state.maker_edges) == [(0, 1), (2, 5)]
+        assert state.breaker_edges == {(1, 4)} and {(1, 4)} == state.breaker_edges
+        assert state.unclaimed - {(0, 2)} == set(all_edges(6)) - {(0, 1), (2, 5), (1, 4), (0, 2)}
+        assert isinstance(state.unclaimed - {(0, 2)}, set)
+        assert state.maker_edges | state.breaker_edges == {(0, 1), (2, 5), (1, 4)}
+        assert len(state.unclaimed) == 12 and len(state.maker_edges) == 2 and len(state.breaker_edges) == 1
+        assert not hasattr(state.unclaimed, "add") and not hasattr(state.unclaimed, "discard")
+
+    def test_views_follow_later_claims(self):
+        state = self._board()
+        unclaimed = state.unclaimed
+        apply_claim(state, Player.MAKER, [(3, 4), (4, 5)])
+        assert (3, 4) not in unclaimed and (3, 4) in state.maker_edges and len(unclaimed) == 10
+
+
+def rebuilt(state):
+    """A state built from `state`'s fields and its players' edges, as the verifiers' snapshots are."""
+    return GameState(
+        state.n, state.a, state.b, state.first, state.maker_edges, state.breaker_edges, state.to_move, state.move_log
+    )
+
+
+def replayed_sets(state, start=((), ())):
+    """Plain sets of Maker's, Breaker's and the unclaimed edges: the
+    constructor's edges `start`, then every claim of the move log."""
+    owned = {Player.MAKER: set(start[0]), Player.BREAKER: set(start[1])}
+    for player, edge in state.move_log:
+        owned[player].add(edge)
+    maker, breaker = owned[Player.MAKER], owned[Player.BREAKER]
+    return maker, breaker, set(all_edges(state.n)) - maker - breaker
+
+
+def check_maker_graph(state, start=((), ())):
+    """maker_graph, both players' live masks, and the three edge views
+    against plain sets replayed from the move log."""
+    maker, breaker, unclaimed = replayed_sets(state, start)
+    g, ref = maker_graph(state), Graph(state.n, frozenset(maker))
     assert g.n == ref.n and g.edges == ref.edges
     assert [g.neighbors(v) for v in range(ref.n)] == [ref.neighbors(v) for v in range(ref.n)]
+    assert state.closed(Player.MAKER) == closed_masks(state.n, maker)
+    assert state.closed(Player.BREAKER) == closed_masks(state.n, breaker)
+    for view, edges in ((state.maker_edges, maker), (state.breaker_edges, breaker), (state.unclaimed, unclaimed)):
+        assert list(view) == sorted(edges) and len(view) == len(edges) and view == edges
+        assert [e in view for e in all_edges(state.n)] == [e in edges for e in all_edges(state.n)]
+    assert state.is_exhausted() == (not unclaimed)
 
 
-def check_maker_graph(state):
-    """maker_graph, and both players' live masks, against references built from the edge sets."""
-    g = maker_graph(state)
-    assert_is_reference_maker_graph(g, state)
-    assert state.closed(Player.MAKER) == closed_masks(state.n, state.maker_edges)
-    assert state.closed(Player.BREAKER) == closed_masks(state.n, state.breaker_edges)
-
-
-def check_open_cells(state):
+def check_open_cells(state, start=((), ())):
     """The open cells and degrees that OpenPairs and the degree strategies read
-    from the two closed masks match the three edge sets: a cell is open exactly
-    when neither mask has it, and a vertex's open degree is n minus the bits of
-    the union of its two rows."""
+    from the two closed masks match plain sets replayed from the move log: a
+    cell is open exactly when neither mask has it, and a vertex's open degree
+    is n minus the bits of the union of its two rows."""
     n = state.n
+    maker_set, breaker_set, unclaimed = replayed_sets(state, start)
     maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
     for u in range(n):
         taken = maker[u] | breaker[u]
         for v in range(n):
             if u != v:
-                assert (not taken >> v & 1) == (mk_edge(u, v) in state.unclaimed)
-        assert n - taken.bit_count() == sum(u in e for e in state.unclaimed)
-        assert maker[u].bit_count() - 1 == sum(u in e for e in state.maker_edges)
-        assert breaker[u].bit_count() - 1 == sum(u in e for e in state.breaker_edges)
+                assert (not taken >> v & 1) == (mk_edge(u, v) in unclaimed)
+        assert n - taken.bit_count() == sum(u in e for e in unclaimed)
+        assert maker[u].bit_count() - 1 == sum(u in e for e in maker_set)
+        assert breaker[u].bit_count() - 1 == sum(u in e for e in breaker_set)
         assert not maker[u] & breaker[u] & ~(1 << u)  # no cell is held by both
 
 
@@ -246,9 +320,9 @@ DERIVED_INDEXES = pytest.mark.parametrize(
 
 
 class TestMakerGraph:
-    """The state's derived index, both players' closed masks, Maker's
-    adjacency, and the open cells read from the masks, against references
-    rebuilt from the edge sets."""
+    """The board, both players' closed masks, Maker's adjacency, the edge
+    views and the open cells read from the masks, against plain sets
+    replayed from the move log."""
 
     @DERIVED_INDEXES
     @pytest.mark.parametrize("n,a,b", [(6, 1, 1), (9, 2, 3), (12, 3, 1)])
@@ -286,20 +360,12 @@ class TestMakerGraph:
     def test_directly_constructed_state(self, check):
         maker = {(0, 3), (1, 2), (0, 1), (3, 4)}
         breaker = {(0, 2), (2, 4)}
-        state = GameState(
-            n=5,
-            a=1,
-            b=1,
-            first=Player.MAKER,
-            maker_edges=set(maker),
-            breaker_edges=set(breaker),
-            unclaimed=set(all_edges(5)) - maker - breaker,
-        )
-        check(state)
+        state = GameState(n=5, a=1, b=1, first=Player.MAKER, maker_edges=maker, breaker_edges=breaker)
+        check(state, (maker, breaker))
         apply_claim(state, Player.MAKER, [(1, 4)])
-        check(state)
+        check(state, (maker, breaker))
         apply_claim(state, Player.BREAKER, [(2, 3)])
-        check(state)
+        check(state, (maker, breaker))
 
     def test_earlier_graph_is_unchanged_by_later_claims(self):
         state = new_game(5, 1, 1)
@@ -316,10 +382,7 @@ class TestMakerGraph:
 
 def maker_board(n, edges):
     """A position on K_n where Maker owns exactly `edges` and the rest is open."""
-    maker = set(edges)
-    return GameState(
-        n=n, a=1, b=1, first=Player.MAKER, maker_edges=maker, unclaimed=set(all_edges(n)) - maker
-    )
+    return GameState(n=n, a=1, b=1, first=Player.MAKER, maker_edges=edges)
 
 
 @st.composite

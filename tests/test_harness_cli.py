@@ -326,11 +326,13 @@ class TestObserverCatchesCorruption:
         return observe, state
 
     def _double_own(self, state):
-        # Breaker "claims" Maker's (0, 1), and an unclaimed edge vanishes so
-        # that the ownership count still adds up.
-        state.breaker_edges.add((0, 1))
+        # Breaker "claims" Maker's (0, 1): its mask takes the edge, the log
+        # records the claim and the open count drops, so the counts still add up.
+        breaker = state.closed(Player.BREAKER)
+        breaker[0] |= 1 << 1
+        breaker[1] |= 1 << 0
         state.move_log.append((Player.BREAKER, (0, 1)))
-        state.unclaimed.discard((4, 5))
+        state._open -= 1
 
     def test_edge_owned_by_both_in_the_latest_round(self):
         observe, state = self._played()
@@ -349,7 +351,14 @@ class TestObserverCatchesCorruption:
     def test_ownership_count_drifted(self):
         observe, state = self._played()
         observe(state)
-        state.unclaimed.discard((4, 5))
+        state._open -= 1  # an open edge vanished from the count
+        with pytest.raises(harness.InvariantViolation, match="drifted"):
+            observe(state)
+
+    def test_claim_missing_from_the_log_drifted(self):
+        observe, state = self._played()
+        observe(state)
+        state.move_log.pop()  # Breaker's (0, 2) stays in its mask and out of the count
         with pytest.raises(harness.InvariantViolation, match="drifted"):
             observe(state)
 

@@ -377,7 +377,7 @@ def _play_turn(rng, w, open_, exclude):
     n = len(w)
     pairs_of_kn = {(u, v) for u in range(n) for v in range(u + 1, n)}
     unclaimed = {(u, v) for u, v in pairs_of_kn if open_[u, v]}
-    state = GameState(n=n, a=1, b=1, first=Player.MAKER, maker_edges=pairs_of_kn - unclaimed, unclaimed=unclaimed)
+    state = GameState(n=n, a=1, b=1, first=Player.MAKER, maker_edges=pairs_of_kn - unclaimed)
     pairs = OpenPairs(state, open_.sum(axis=1), exclude)
     closed = ~open_
     for u, v in exclude:
