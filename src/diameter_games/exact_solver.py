@@ -17,15 +17,18 @@ the format of Graph and of both players' graphs on the board.
 
 verify_final_property() is the one board verifier: a DFS that pins one side
 to a scripted strategy, branches over every opposing play, and undoes each
-claim on the way back.  It keeps the position as edge sets, which the
-prune reads; the scripted side and the final predicate get a GameState
-built from them.  A caller's prune may settle a node early; the final
-predicate judges the full board.  verify_one_sided() is that DFS with the
-two diameter cutoffs as its prune.  Strategies verified this way must be
-snapshot-pure: select(state) may depend only on the passed state (including
-its move log), because the verifier re-enters earlier positions after
-backtracking.  Retained state is fine when it follows game_core.LogCursor's
-rule: rebuild unless the log grew since the previous select().
+claim on the way back.  It plays on one live GameState, with
+game_core.push_claims and pop_claims, so the masks, the open count,
+to_move and the log move together.  The prune reads that board's live
+edge views; the scripted side and the final predicate each get a copy,
+O(n) ints and the log.  A caller's prune may settle a node early; the
+final predicate judges the full board.  verify_one_sided() is that DFS
+with the two diameter cutoffs as its prune.  Strategies verified this way
+must be snapshot-pure: select(state) may depend only on the passed state
+(including its move log), because the verifier re-enters earlier
+positions after backtracking.  Retained state is fine when it follows
+game_core.LogCursor's rule: rebuild unless the log grew since the
+previous select().
 
 solve() and verify_family_one_sided() keep their own searches.  solve() is
 two-sided and memoises on canonical keys; the family verifier memoises on
@@ -50,6 +53,8 @@ from .game_core import (
     all_edges,
     edge_count,
     mk_edge,
+    pop_claims,
+    push_claims,
 )
 from .graph_metrics import closed_masks, complement, diameter_within
 from .potential_engine import FamilyGameState, WinningSetFamily
@@ -296,16 +301,6 @@ def solve(
 # --- one-sided verification on the board ------------------------------------
 
 
-def _board_edges(n: int, edge_cap: int) -> list[tuple[int, int]]:
-    total_edges = edge_count(n)
-    if total_edges > edge_cap:
-        raise OverCapError(
-            f"board verifier capped at {edge_cap} edges, K_{n} has {total_edges}",
-            count=total_edges,
-        )
-    return all_edges(n)
-
-
 def verify_final_property(
     n: int,
     a: int,
@@ -319,54 +314,52 @@ def verify_final_property(
 ) -> bool:
     """True iff the scripted side wins against every opposing play, with an arbitrary goal.
 
-    final_predicate(state) is evaluated at board exhaustion.  prune, if
-    given, receives (maker_edges, breaker_edges, unclaimed, move_log) before
-    each node is expanded and may return True/False to settle the subtree
-    early, or None to continue.  All structures passed to prune are live and
-    must not be mutated.  The scripted strategy must be snapshot-pure: what
-    it keeps between calls follows game_core.LogCursor's rule, rebuilt
+    final_predicate(state) is evaluated at board exhaustion, on a copy of
+    the board.  prune, if given, receives (maker_edges, breaker_edges,
+    unclaimed, move_log) before each node is expanded and may return
+    True/False to settle the subtree early, or None to continue.  They are
+    the live EdgeViews and move log of the one board the DFS plays on: a
+    prune must not mutate them, nor keep them past its return.  The
+    scripted strategy gets a copy of the board, and must be snapshot-pure:
+    what it keeps between calls follows game_core.LogCursor's rule, rebuilt
     unless the log grew since its previous select().  An illegal scripted
     claim raises, and so does a strategy that refuses a log that did not grow.
     """
-    maker: set = set()
-    breaker: set = set()
-    unclaimed = set(_board_edges(n, edge_cap))
-    log: list = []
+    total_edges = edge_count(n)
+    if total_edges > edge_cap:
+        raise OverCapError(
+            f"board verifier capped at {edge_cap} edges, K_{n} has {total_edges}", count=total_edges
+        )
+    state = GameState(n, a, b, first, to_move=first)
+    unclaimed = state.unclaimed
+    views = (state.maker_edges, state.breaker_edges, unclaimed, state.move_log)
 
-    def play(to_move: Player, picks) -> bool:
-        own = maker if to_move is Player.MAKER else breaker
-        for e in picks:
-            unclaimed.discard(e)
-            own.add(e)
-            log.append((to_move, e))
-        ok = dfs(to_move.other())
-        for e in picks:
-            own.discard(e)
-            unclaimed.add(e)
-            log.pop()
+    def play(picks) -> bool:
+        push_claims(state, picks)
+        ok = dfs()
+        pop_claims(state, len(picks))
         return ok
 
-    def dfs(to_move: Player) -> bool:
+    def dfs() -> bool:
         if prune is not None:
-            decided = prune(maker, breaker, unclaimed, log)
+            decided = prune(*views)
             if decided is not None:
                 return decided
-        if not unclaimed:
-            snap = GameState(n, a, b, first, maker, breaker, to_move, log)
-            return bool(final_predicate(snap))
-        count = min(a if to_move is Player.MAKER else b, len(unclaimed))
+        if state.is_exhausted():
+            return bool(final_predicate(state.copy()))
+        to_move = state.to_move
+        count = state.required_claim_count(to_move)
         if to_move is not side:
-            return all(play(to_move, combo) for combo in combinations(sorted(unclaimed), count))
-        snap = GameState(n, a, b, first, maker, breaker, to_move, log)
-        picks = [mk_edge(*e) for e in scripted.select(snap)]
+            return all(play(combo) for combo in combinations(list(unclaimed), count))
+        picks = [mk_edge(*e) for e in scripted.select(state.copy())]
         if len(picks) != count or len(set(picks)) != count:
             raise GameError(f"scripted {side.value} returned a bad claim {picks}")
         for e in picks:
             if e not in unclaimed:
                 raise GameError(f"scripted {side.value} claimed unavailable edge {e}")
-        return play(to_move, picks)
+        return play(picks)
 
-    return dfs(first)
+    return dfs()
 
 
 def verify_one_sided(

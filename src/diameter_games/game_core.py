@@ -9,16 +9,16 @@ bit-exactly from their line-delimited JSON form.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import Callable, Container, Iterable, Iterator, Protocol
+from operator import or_
+from typing import Callable, Container, Iterable, Iterator, Protocol, Sequence
 
-from .graph_metrics import Graph, closed_masks, diameter_within
+from .graph_metrics import Graph, MaskedEdges, closed_masks, complement, diameter_within, graph_from_edges
 
 Edge = tuple[int, int]
 
@@ -108,11 +108,15 @@ def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-class EdgeView(Set):
+class EdgeView(Set, MaskedEdges):
     """A read-only set of edges off a board's mask rows: one player's, given
     that player's masks, or (None) the unclaimed ones.  `in` is one mask
     test, iteration follows all_edges(n) order, len(unclaimed) is the
-    board's count, and -, & and | return plain sets."""
+    board's count, and - and & return plain sets.  A union of two views of
+    one board size is a snapshot view: it holds its own OR of the two
+    views' rows, so later claims do not change it.  closed_masks() copies
+    the rows; graph_metrics.closed_masks and graph_from_edges read a view
+    through it, in O(n), without visiting an edge."""
 
     __slots__ = ("_state", "_own")
 
@@ -121,12 +125,26 @@ class EdgeView(Set):
 
     _from_iterable = staticmethod(set)
 
-    def _row(self, u: int) -> int:
-        """Bit i is set when (u, u + 1 + i) is in the view."""
+    def closed_masks(self) -> list[int]:
+        """The view's graph as graph_metrics.closed_masks, a fresh list: O(n), no edge is visited."""
+        if self._own is not None:
+            return self._own[:]
         state = self._state
+        return complement(list(map(or_, state._maker, state._breaker)))
+
+    def __or__(self, other):
+        if not isinstance(other, EdgeView) or other._state.n != self._state.n:
+            return Set.__or__(self, other)
         if self._own is None:
-            return ((state._maker[u] | state._breaker[u]) ^ ((1 << state.n) - 1)) >> (u + 1)
-        return self._own[u] >> (u + 1)
+            self, other = other, self
+        if self._own is None or other._own is not None:
+            return EdgeView(self._state, list(map(or_, self.closed_masks(), other.closed_masks())))
+        # An own view and an unclaimed one, in one pass: an own row holds its
+        # vertex's bit, which the open row lacks.
+        state = other._state
+        everyone = (1 << state.n) - 1
+        rows = [x | (m | b) ^ everyone for x, m, b in zip(self._own, state._maker, state._breaker)]
+        return EdgeView(self._state, rows)
 
     def __contains__(self, edge: object) -> bool:
         try:
@@ -143,9 +161,16 @@ class EdgeView(Set):
         return self._edges(0)
 
     def _edges(self, start: int) -> Iterator[Edge]:
-        """The view's edges (u, v) with u >= start, in all_edges(n) order."""
-        for u in range(start, self._state.n - 1):
-            row = self._row(u)
+        """The view's edges (u, v) with u >= start, in all_edges(n) order.
+
+        Row u holds bit v of the view's edge (u, v); the rows of the
+        unclaimed view are the complement of both players' rows."""
+        state, own = self._state, self._own
+        n = state.n
+        everyone = (1 << n) - 1
+        maker, breaker = state._maker, state._breaker
+        for u in range(start, n - 1):
+            row = (own[u] if own is not None else (maker[u] | breaker[u]) ^ everyone) >> (u + 1)
             while row:
                 low = row & -row
                 yield u, u + low.bit_length()
@@ -171,7 +196,9 @@ class GameState:
     closed(BREAKER)[u] is clear, and a degree is a mask's popcount minus
     one.  Beside the masks sit the open-edge count and lowest_open()'s
     cached row, below which every edge is claimed.  `unclaimed`,
-    `maker_edges` and `breaker_edges` are EdgeViews of the masks.
+    `maker_edges` and `breaker_edges` are EdgeViews of the masks.  Only
+    apply_claim, push_claims and pop_claims change a position, so they
+    keep the masks, the count, to_move, the log and the row in step.
     """
 
     n: int
@@ -211,14 +238,20 @@ class GameState:
 
     def lowest_open(self, count: int, skip: Container[Edge] = ()) -> list[Edge]:
         """Up to `count` unclaimed edges not in `skip`, lowest first in all_edges(n) order."""
-        unclaimed = self.unclaimed
-        while self._low_row < self.n - 1 and not unclaimed._row(self._low_row):
-            self._low_row += 1
-        return list(islice((e for e in unclaimed._edges(self._low_row) if e not in skip), count))
+        n, maker, breaker = self.n, self._maker, self._breaker
+        everyone = (1 << n) - 1
+        low = self._low_row
+        while low < n - 1 and not ((maker[low] | breaker[low]) ^ everyone) >> (low + 1):
+            low += 1
+        self._low_row = low
+        return list(islice((e for e in self.unclaimed._edges(low) if e not in skip), count))
 
     def copy(self) -> GameState:
-        clone = copy.copy(self)
+        """An independent position: it shares no list with this one, and costs O(n + log)."""
+        clone = object.__new__(GameState)
+        clone.n, clone.a, clone.b, clone.first, clone.to_move = self.n, self.a, self.b, self.first, self.to_move
         clone.move_log, clone._maker, clone._breaker = self.move_log[:], self._maker[:], self._breaker[:]
+        clone._open, clone._low_row = self._open, self._low_row
         return clone
 
 
@@ -254,20 +287,63 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
         u, v = edge
         if u < 0 or v >= state.n or (maker[u] | breaker[u]) >> v & 1:
             raise AlreadyClaimed(f"edge {edge} is not available")
-    own = maker if player is Player.MAKER else breaker
+    push_claims(state, edges)
+    return state
+
+
+# Enum members are read through EnumType.__getattr__, about 0.1 us a read in
+# Python 3.11; push_claims and pop_claims run at every node of a verification.
+_MAKER, _BREAKER = Player.MAKER, Player.BREAKER
+
+
+def push_claims(state: GameState, edges: Sequence[Edge]) -> None:
+    """state.to_move claims `edges` and the turn passes, unchecked: apply_claim
+    after its checks.
+
+    The edges must be canonical, open and distinct, as many as the mover's
+    claim count; the board verifier pushes the turns it enumerates from the
+    open edges, and the scripted turns it has checked.
+    """
+    player = state.to_move
+    if player is _MAKER:
+        own, state.to_move = state._maker, _BREAKER
+    else:
+        own, state.to_move = state._breaker, _MAKER
+    log = state.move_log
     for edge in edges:
         u, v = edge
         own[u] |= 1 << v
         own[v] |= 1 << u
-        state.move_log.append((player, edge))
+        log.append((player, edge))
     state._open -= len(edges)
-    state.to_move = player.other()
-    return state
+
+
+def pop_claims(state: GameState, count: int) -> None:
+    """Take back the last turn, its `count` claims: the inverse of push_claims
+    and of apply_claim.
+
+    The claims come off the log and the masks, the open count rises, the
+    turn returns to their player, and lowest_open()'s row moves down to the
+    lowest row that got an open edge back.
+    """
+    log = state.move_log
+    player = log[-1][0]
+    own = state._maker if player is _MAKER else state._breaker
+    low = state._low_row
+    for _ in range(count):
+        _, (u, v) = log.pop()
+        own[u] ^= 1 << v
+        own[v] ^= 1 << u
+        if u < low:
+            low = u
+    state._low_row = low
+    state._open += count
+    state.to_move = player
 
 
 def maker_graph(state: GameState) -> Graph:
-    """Maker's graph at this position, validated; later claims do not change it."""
-    return Graph(state.n, frozenset(state.maker_edges))
+    """Maker's graph at this position, a copy of its mask rows; later claims do not change it."""
+    return graph_from_edges(state.n, state.maker_edges)
 
 
 class Strategy(Protocol):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import xor
 
 INFINITE = math.inf
 
@@ -23,25 +24,52 @@ class InvalidGraph(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: vertex set {0..n-1} plus a set of edges (u, v), u < v, kept as its closed_masks."""
+    """Immutable simple graph: vertex set {0..n-1} plus a set of edges (u, v), u < v, kept as its closed_masks.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    closed: list[int] = field(init=False, repr=False, compare=False)
+    Graph(n, edges) checks a set of canonical pairs; graph_from_edges also
+    takes reversed pairs, or copies the mask rows of a board's edge view
+    without visiting its edges.  `edges` is then made on its first read.
+    Two graphs are equal, and hash alike, when their n and masks are, that
+    is when their n and edges are.
+    """
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
         if n < 0:
             raise InvalidGraph(f"vertex count must be nonnegative, got {n}")
         closed = [1 << v for v in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             if not (0 <= u < v < n):
                 raise InvalidGraph(f"edge ({u}, {v}) is not canonical for n={n}")
             closed[u] |= 1 << v
             closed[v] |= 1 << u
-        object.__setattr__(self, "closed", closed)
+        self.__dict__.update(n=n, closed=closed, _edges=edges)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        edges = self._edges
+        if edges is None:
+            edges = self.__dict__["_edges"] = frozenset(
+                (u, v) for u, mask in enumerate(self.closed) for v in set_bits(mask >> u + 1 << u + 1)
+            )
+        return edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.closed == other.closed  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.closed)))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
@@ -55,8 +83,15 @@ def graph_from_edges(n: int, edges) -> Graph:
     Any iterable of such tuples will do, a one-shot generator too: it is frozen
     once, and a set of canonical pairs (u < v) becomes the Graph as it is.
     Only input holding a reversed pair is canonicalised, and built again.
+    An edge view of an n-vertex board (game_core.EdgeView) gives a copy of
+    its mask rows, read in O(n); later claims do not change the Graph.
     Loops and vertices outside {0..n-1} raise InvalidGraph.
     """
+    closed = _view_masks(n, edges)
+    if closed is not None:
+        graph = object.__new__(Graph)
+        graph.__dict__.update(n=n, closed=closed, _edges=None)
+        return graph
     edges = frozenset(edges)
     try:
         return Graph(n, edges)
@@ -70,8 +105,12 @@ def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
     The one format for a graph in this package: a Graph's `closed`,
     GameState.closed(player) for each player's graph on the live board,
-    and the exact solvers'.
+    and the exact solvers'.  An edge view of an n-vertex board gives a
+    fresh copy of its rows, read in O(n).
     """
+    closed = _view_masks(n, edges)
+    if closed is not None:
+        return closed
     bits = _vertex_bits(n)
     closed = list(bits)
     for u, v in edges:
@@ -82,19 +121,47 @@ def closed_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
 @lru_cache(maxsize=4)
 def _vertex_bits(n: int) -> tuple[int, ...]:
-    """1 << v for every vertex v < n, built once per board size: the exact
-    verifiers build masks for every snapshot they hand a strategy."""
+    """1 << v for every vertex v < n, built once per board size: an edge set's
+    masks start from it, and a board or a prune may build them at every turn."""
     return tuple(1 << v for v in range(n))
+
+
+class MaskedEdges:
+    """An edge collection that holds its graph's closed masks already, as a
+    board's edge views do (game_core.EdgeView): closed_masks and
+    graph_from_edges copy them in O(n) instead of visiting edges."""
+
+    __slots__ = ()
+
+    def closed_masks(self) -> list[int]:
+        """The collection's graph as closed_masks, a fresh list."""
+        raise NotImplementedError
+
+
+def _view_masks(n: int, edges) -> list[int] | None:
+    """A fresh copy of the closed masks of MaskedEdges on n vertices, or
+    None for any other edge collection, which is read edge by edge."""
+    if not isinstance(edges, MaskedEdges):
+        return None
+    closed = edges.closed_masks()
+    return closed if len(closed) == n else None
 
 
 def complement(closed: Sequence[int]) -> list[int]:
     """Closed masks of the graph joining every pair that `closed` does not join.
 
-    Vertex v keeps v and swaps every other bit: on the live board, the
-    complement of one player's graph is every edge that player lacks.
+    Vertex v keeps its own bit, which every closed mask holds, and swaps
+    every other bit: on the live board, the complement of one player's
+    graph is every edge that player lacks.
     """
-    everyone = (1 << len(closed)) - 1
-    return [everyone ^ m | 1 << v for v, m in enumerate(closed)]
+    return list(map(xor, closed, _all_but_one(len(closed))))
+
+
+@lru_cache(maxsize=4)
+def _all_but_one(n: int) -> tuple[int, ...]:
+    """Every vertex but v, for each v < n: XOR with it swaps all bits of a closed mask but v's own."""
+    everyone = (1 << n) - 1
+    return tuple(everyone ^ 1 << v for v in range(n))
 
 
 def set_bits(mask: int) -> list[int]:

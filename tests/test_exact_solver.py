@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from diameter_games import (
     ExperimentConfig,
     FloodingBreaker,
     GameError,
+    GameState,
     LowestEdgeStrategy,
     OverCapError,
     PairingBreaker,
@@ -29,6 +30,7 @@ from diameter_games import (
     graph_from_edges,
     make_strategy,
     mindeg_breaker_select,
+    mk_edge,
     new_game,
     solve,
     verify_family_one_sided,
@@ -36,7 +38,7 @@ from diameter_games import (
     verify_one_sided,
 )
 from diameter_games.exact_solver import _canonical_from_neighbours, _neighbour_masks
-from diameter_games.graph_metrics import diameter_within
+from diameter_games.graph_metrics import closed_masks, complement, diameter_within
 
 
 def _canonical_masks(n, maker_mask, breaker_mask):
@@ -412,6 +414,135 @@ class TestVerifyFinalProperty:
             5, 1, 1, PureLexStrategy(), Player.BREAKER, lambda snap: False, prune=prune
         )
         assert calls["n"] == 1
+
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            lambda state: [(0, 1), (0, 1)],
+            lambda state: [(0, 1), (0, 2)],
+            lambda state: [(0, 5)],
+            lambda state: [state.move_log[-1][1]] if state.move_log else [(0, 1)],
+        ],
+        ids=["duplicate", "too-many", "off-the-board", "already-claimed"],
+    )
+    def test_bad_scripted_claim_raises(self, script):
+        scripted = _Script(script)
+        with pytest.raises(GameError, match="^scripted breaker (returned a bad claim|claimed unavailable edge)"):
+            verify_final_property(4, 1, 1, scripted, Player.BREAKER, lambda snap: True, first=Player.BREAKER)
+        with pytest.raises(GameError):
+            verify_final_property(4, 2, 1, scripted, Player.MAKER, lambda snap: True, first=Player.BREAKER)
+
+
+class _Script:
+    name = "script"
+
+    def __init__(self, select):
+        self.select = select
+
+
+def _set_based_verify(n, a, b, scripted, side, final_predicate, prune=None, first=Player.MAKER):
+    """The board verifier as it was before it played on one GameState: three
+    edge sets, played and undone, and a GameState built from them for every
+    snapshot.  The reference of TestBoardVerifierMatchesSetBasedDfs."""
+    maker, breaker, unclaimed, log = set(), set(), set(all_edges(n)), []
+
+    def play(to_move, picks):
+        own = maker if to_move is Player.MAKER else breaker
+        for e in picks:
+            unclaimed.discard(e)
+            own.add(e)
+            log.append((to_move, e))
+        ok = dfs(to_move.other())
+        for e in picks:
+            own.discard(e)
+            unclaimed.add(e)
+            log.pop()
+        return ok
+
+    def dfs(to_move):
+        if prune is not None:
+            decided = prune(maker, breaker, unclaimed, log)
+            if decided is not None:
+                return decided
+        if not unclaimed:
+            return bool(final_predicate(GameState(n, a, b, first, maker, breaker, to_move, log)))
+        count = min(a if to_move is Player.MAKER else b, len(unclaimed))
+        if to_move is not side:
+            return all(play(to_move, combo) for combo in combinations(sorted(unclaimed), count))
+        picks = [mk_edge(*e) for e in scripted.select(GameState(n, a, b, first, maker, breaker, to_move, log))]
+        if len(picks) != count or len(set(picks)) != count or not set(picks) <= unclaimed:
+            raise GameError(f"scripted {side.value} returned a bad claim {picks}")
+        return play(to_move, picks)
+
+    return dfs(first)
+
+
+_DIFFERENTIAL_SCRIPTS = {
+    "lowest-edge": LowestEdgeStrategy,
+    "pairing": PairingBreaker,
+    "flooding": FloodingBreaker,
+}
+_DIFFERENTIAL_CASES = [
+    ("lowest-edge", Player.MAKER),
+    ("lowest-edge", Player.BREAKER),
+    ("pairing", Player.BREAKER),
+    ("flooding", Player.BREAKER),
+]
+
+
+def _recorded_run(verify, n, a, b, sid, side, first, pruned, walk_all):
+    """verify's verdict (or the error it raised) and, in order, every position
+    shown to the scripted select, the prune and the final predicate.  With
+    walk_all the final predicate is always True, so an unpruned DFS visits
+    every node."""
+    seen = []
+    strategy = _DIFFERENTIAL_SCRIPTS[sid]()
+
+    def position(maker, breaker, log):
+        return frozenset(maker), frozenset(breaker), tuple(log)
+
+    def select(state):
+        seen.append(("select", position(state.maker_edges, state.breaker_edges, state.move_log), state.to_move))
+        return strategy.select(state)
+
+    def final_predicate(snap):
+        seen.append(("final", position(snap.maker_edges, snap.breaker_edges, snap.move_log), snap.to_move))
+        return walk_all or diameter_within(snap.closed(Player.MAKER), 2) == (side is Player.MAKER)
+
+    def prune(maker, breaker, unclaimed, log):
+        reach = maker | unclaimed
+        seen.append(("prune", position(maker, breaker, log), frozenset(unclaimed), frozenset(reach), len(reach)))
+        if diameter_within(closed_masks(n, maker), 2):
+            return side is Player.MAKER
+        if not diameter_within(complement(closed_masks(n, breaker)), 2):
+            return side is Player.BREAKER
+        return None
+
+    try:
+        outcome = verify(n, a, b, _Script(select), side, final_predicate, prune=prune if pruned else None, first=first)
+    except GameError as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, seen
+
+
+class TestBoardVerifierMatchesSetBasedDfs:
+    """The DFS on one live GameState, with its pushes and pops, against the
+    set-based DFS it replaced: the same verdict, and the same positions, in
+    the same order, at every select, prune and final predicate."""
+
+    @pytest.mark.parametrize("sid,side", _DIFFERENTIAL_CASES, ids=[f"{s}-as-{p.value}" for s, p in _DIFFERENTIAL_CASES])
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER], ids=["maker-first", "breaker-first"])
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_same_verdict_and_positions(self, n, a, b, first, sid, side):
+        for pruned, walk_all in ((False, False), (False, True), (True, False)):
+            ref = _recorded_run(_set_based_verify, n, a, b, sid, side, first, pruned, walk_all)
+            live = _recorded_run(verify_final_property, n, a, b, sid, side, first, pruned, walk_all)
+            assert live[0] == ref[0], (pruned, walk_all)
+            assert len(live[1]) == len(ref[1]), (pruned, walk_all)
+            assert live[1] == ref[1], (pruned, walk_all)
+            assert any(call[0] == "select" for call in ref[1])
 
 
 class TestVerifyFamily:

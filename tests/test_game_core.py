@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import networkx as nx
@@ -43,7 +44,8 @@ from diameter_games import (
     run_match,
     transcript_from_jsonl,
 )
-from diameter_games.graph_metrics import closed_masks
+from diameter_games.game_core import EdgeView, pop_claims, push_claims
+from diameter_games.graph_metrics import InvalidGraph, closed_masks, graph_from_edges
 
 
 def test_mk_edge_orders_endpoints():
@@ -71,7 +73,7 @@ def test_lowest_open_matches_sorted_unclaimed(n, data):
     for edge in data.draw(st.permutations(edges)) + [None]:
         if data.draw(st.booleans()):
             low = sorted(unclaimed)[:3]
-            # copy(), and a state built from the players' edges as the verifiers' snapshots are
+            # copy(), as the verifier's snapshots are, and a state built from the players' edges
             fresh = (state.copy(), rebuilt(state))
             for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
                 count = data.draw(st.integers(min_value=0, max_value=4))
@@ -212,6 +214,51 @@ def test_copy_is_independent(fresh_game):
     assert clone.to_move is Player.MAKER
 
 
+def test_copy_shares_no_list():
+    state = new_game(5, 1, 2)
+    apply_claim(state, Player.MAKER, [(0, 1)])
+    clone = state.copy()
+    assert clone == state and vars(clone).keys() == vars(state).keys()
+    shared = [name for name, value in vars(state).items() if isinstance(value, list) and vars(clone)[name] is value]
+    assert shared == []
+    apply_claim(clone, Player.BREAKER, [(0, 2), (3, 4)])
+    assert state.move_log == [(Player.MAKER, (0, 1))] and (0, 2) in state.unclaimed
+
+
+class TestPushPop:
+    """push_claims and pop_claims, the verifier's play and undo on one board."""
+
+    def test_pop_restores_masks_count_turn_log_and_lowest_row(self):
+        n = 5
+        state, fresh = new_game(n, 2, 1), new_game(n, 2, 1)
+        turns = [[(0, 1), (0, 2)], [(0, 3)], [(0, 4), (1, 2)], [(2, 3)]]
+        boards = [fresh.copy()]
+        for i, turn in enumerate(turns):
+            if i % 2:
+                apply_claim(state, state.to_move, turn)
+            else:
+                push_claims(state, turn)
+            boards.append(state.copy())
+        # Row 0 is all claimed, so lowest_open's cached row moved past it.
+        assert state.lowest_open(1) == [(1, 3)] and state._low_row == 1
+        for turn, before in zip(reversed(turns), reversed(boards[:-1])):
+            pop_claims(state, len(turn))
+            assert state == before
+            played = {e for _, e in state.move_log}
+            assert state.lowest_open(edge_count(n)) == [e for e in all_edges(n) if e not in played]
+        assert state == fresh and state.to_move is Player.MAKER and state.move_log == []
+        assert state._low_row == fresh._low_row == 0
+        assert state.lowest_open(3) == fresh.lowest_open(3) == [(0, 1), (0, 2), (0, 3)]
+
+    def test_push_matches_apply_claim(self):
+        state, ref = new_game(4, 1, 2, Player.BREAKER), new_game(4, 1, 2, Player.BREAKER)
+        for turn in ([(0, 1), (2, 3)], [(1, 2)], [(0, 2), (0, 3)], [(1, 3)]):
+            push_claims(state, turn)
+            apply_claim(ref, ref.to_move, turn)
+            assert state == ref
+        assert state.is_exhausted() and len(state.unclaimed) == 0
+
+
 def test_fresh_large_board_allocates_little():
     """A fresh board is the two players' masks, 2n ints: no edge is stored."""
     tracemalloc.start()
@@ -257,8 +304,73 @@ class TestEdgeViews:
         assert (3, 4) not in unclaimed and (3, 4) in state.maker_edges and len(unclaimed) == 10
 
 
+class TestGraphsFromViews:
+    """Graphs and masks built from an edge view copy its mask rows; they equal
+    the ones built from the same edges as a plain set."""
+
+    def _board(self):
+        state = new_game(6, 2, 1)
+        apply_claim(state, Player.MAKER, [(0, 1), (2, 5)])
+        apply_claim(state, Player.BREAKER, [(1, 4)])
+        apply_claim(state, Player.MAKER, [(0, 5), (3, 4)])
+        return state
+
+    def _views(self, state):
+        return state.maker_edges, state.breaker_edges, state.unclaimed
+
+    def test_view_built_graphs_equal_set_built_and_stay_put(self):
+        state = self._board()
+        n = state.n
+        built = []
+        for view in self._views(state):
+            edges = set(view)
+            g, ref = graph_from_edges(n, view), graph_from_edges(n, edges)
+            assert g == ref and hash(g) == hash(ref) and g.edges == ref.edges == edges
+            assert g.closed == ref.closed and repr(g) == repr(ref)
+            masks = closed_masks(n, view)
+            assert masks == closed_masks(n, edges) == g.closed
+            assert masks is not g.closed
+            built.append((g, ref, masks, closed_masks(n, edges)))
+        assert maker_graph(state) == built[0][1] and hash(maker_graph(state)) == hash(built[0][1])
+        apply_claim(state, Player.BREAKER, [(1, 2)])
+        for g, ref, masks, ref_masks in built:
+            assert g == ref and g.closed == ref.closed and masks == ref_masks
+        assert graph_from_edges(n, state.unclaimed) != built[2][1]
+
+    def test_view_of_another_board_size_is_read_edge_by_edge(self):
+        state = self._board()
+        for view in self._views(state):
+            assert graph_from_edges(8, view) == graph_from_edges(8, set(view))
+            assert closed_masks(8, view) == closed_masks(8, set(view))
+        with pytest.raises(InvalidGraph, match=r"edge \(2, 5\) is not canonical for n=4"):
+            graph_from_edges(4, state.maker_edges)
+
+    def test_union_of_views_is_the_set_union_and_a_snapshot(self):
+        state = self._board()
+        unions = []
+        for x, y in product(self._views(state), repeat=2):
+            union, ref = x | y, set(x) | set(y)
+            assert isinstance(union, EdgeView)
+            assert union == ref and len(union) == len(ref) and list(union) == sorted(ref)
+            assert [e in union for e in all_edges(state.n)] == [e in ref for e in all_edges(state.n)]
+            assert graph_from_edges(state.n, union) == graph_from_edges(state.n, ref)
+            unions.append((union, ref))
+        apply_claim(state, Player.BREAKER, [(1, 2)])
+        for union, ref in unions:
+            assert union == ref and len(union) == len(ref)
+        other_board = new_game(6, 1, 1)
+        apply_claim(other_board, Player.MAKER, [(3, 5)])
+        apply_claim(other_board, Player.BREAKER, [(0, 2)])
+        for x, y in product(self._views(state), self._views(other_board)):
+            assert x | y == set(x) | set(y) and y | x == set(x) | set(y)
+        for other in ({(0, 1), (2, 3)}, frozenset({(2, 3)})):
+            mixed = state.maker_edges | other
+            assert type(mixed) is set and mixed == set(state.maker_edges) | other
+            assert other | state.maker_edges == mixed
+
+
 def rebuilt(state):
-    """A state built from `state`'s fields and its players' edges, as the verifiers' snapshots are."""
+    """A state built from `state`'s fields and its players' edges."""
     return GameState(
         state.n, state.a, state.b, state.first, state.maker_edges, state.breaker_edges, state.to_move, state.move_log
     )

@@ -93,6 +93,17 @@ class TestConstruction:
         with pytest.raises(InvalidGraph, match="vertex count must be nonnegative"):
             graph_from_edges(-1, [])
 
+    def test_equal_graphs_hash_alike_and_stay_immutable(self):
+        g, h = graph_from_edges(4, [(2, 1), (0, 3)]), Graph(4, frozenset({(1, 2), (0, 3)}))
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert g != Graph(4, frozenset({(1, 2)})) and g != Graph(5, h.edges) and g != h.edges
+        assert repr(g) == repr(h) == f"Graph(n=4, edges={h.edges!r})"
+        for name in ("n", "edges", "closed"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+
     def test_neighbors_sorted(self):
         g = graph_from_edges(5, [(0, 4), (0, 2), (0, 1)])
         assert g.neighbors(0) == [1, 2, 4]
