@@ -9,31 +9,26 @@ are refined by the classes of each vertex's neighbours (McKay & Piperno,
 of ownership masks over the relabellings that permute vertices only
 inside their class.  Isomorphic positions, and only those, share a key.
 Keys are capped at n <= 8, because a vertex-transitive position has a
-single class and then all n! relabellings are tried.  The cutoffs: Maker
-has already won once his graph has diameter <= d, and Breaker has already
-won once some pair cannot be connected within d even using every
-unclaimed edge.  Both are graph_metrics.diameter_within on closed masks,
-the format of Graph and of both players' graphs on the board.
+single class and then all n! relabellings are tried.  The cutoffs,
+diameter_cutoff(): Maker has won once Maker's graph has diameter <= d, and
+Breaker once some pair cannot be joined within d even using every
+unclaimed edge.  Both are graph_metrics.diameter_within on closed masks.
 
-verify_final_property() is the one board verifier: a DFS that pins one side
-to a scripted strategy, branches over every opposing play, and undoes each
-claim on the way back.  It plays on one live GameState, with
-game_core.push_claims and pop_claims, so the masks, the open count,
-to_move and the log move together.  The prune reads that board's live
-edge views; the scripted side and the final predicate each get a copy,
-O(n) ints and the log.  A caller's prune may settle a node early; the
-final predicate judges the full board.  verify_one_sided() is that DFS
-with the two diameter cutoffs as its prune.  Strategies verified this way
-must be snapshot-pure: select(state) may depend only on the passed state
-(including its move log), because the verifier re-enters earlier
-positions after backtracking.  Retained state is fine when it follows
-game_core.LogCursor's rule: rebuild unless the log grew since the
-previous select().
-
-solve() and verify_family_one_sided() keep their own searches.  solve() is
-two-sided and memoises on canonical keys; the family verifier memoises on
-masks of positions.  Neither has the board verifier's snapshots and move
-log, so folding them in would make the DFS branch on its caller.
+solve() and the board verifier, verify_final_property(), play and undo on
+one live GameState (game_core.push_claims, pop_claims), so the masks, the
+open count, to_move and the log move together.  solve() branches over both
+sides' plays and keys its memo on the live masks.  The board verifier pins
+one side to a scripted strategy and branches over every opposing play.
+Its prune reads the board's live edge views; the scripted side and the
+final predicate each get a copy, O(n) ints and the log.  A prune may
+settle a node early; the final predicate judges the full board.
+verify_one_sided() is that DFS with diameter_cutoff() as its prune.
+Strategies verified this way must be snapshot-pure: select(state) may
+depend only on the passed state (including its move log), because the
+verifier re-enters earlier positions after backtracking.  Retained state
+is fine when it follows game_core.LogCursor's rule: rebuild unless the log
+grew since the previous select().  verify_family_one_sided() plays on a
+winning-set family and memoises on masks of its positions.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import xor
 
 from .game_core import (
     GameError,
@@ -53,10 +49,11 @@ from .game_core import (
     all_edges,
     edge_count,
     mk_edge,
+    new_game,
     pop_claims,
     push_claims,
 )
-from .graph_metrics import closed_masks, complement, diameter_within
+from .graph_metrics import _vertex_bits, closed_masks, complement, diameter_within
 from .potential_engine import FamilyGameState, WinningSetFamily
 
 DEFAULT_EDGE_CAP = 21  # C(n,2) <= 21, i.e. n <= 7
@@ -77,18 +74,6 @@ def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
     for i, (u, v) in enumerate(all_edges(n)):
         bits[u][v] = bits[v][u] = 1 << i
     return tuple(map(tuple, bits))
-
-
-def _neighbour_masks(n: int, mask: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Each vertex's neighbours in the edge mask's graph, as a vertex bitmask."""
-    nbr = [0] * n
-    while mask:
-        low = mask & -mask
-        u, v = edges[low.bit_length() - 1]
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        mask ^= low
-    return nbr
 
 
 # _VERTICES[mask] lists the vertices of a vertex bitmask on n <= CANONICAL_MAX_N.
@@ -181,10 +166,23 @@ def canonical_key(state: GameState):
     """
     if state.n > CANONICAL_MAX_N:
         raise OverCapError(f"canonical_key capped at n={CANONICAL_MAX_N}", count=state.n)
-    mnbr = [m ^ 1 << v for v, m in enumerate(state.closed(Player.MAKER))]
-    bnbr = [m ^ 1 << v for v, m in enumerate(state.closed(Player.BREAKER))]
+    bits = _vertex_bits(state.n)
+    mnbr = list(map(xor, state.closed(Player.MAKER), bits))
+    bnbr = list(map(xor, state.closed(Player.BREAKER), bits))
     cm, cb = _canonical_from_neighbours(mnbr, bnbr)
     return (cm, cb, state.to_move.value, state.required_claim_count(state.to_move))
+
+
+def diameter_cutoff(maker: list[int], breaker: list[int], d: int) -> bool | None:
+    """True once Maker's graph (closed masks) has diameter <= d, False once
+    the complement of Breaker's graph, every edge Breaker lacks, does not,
+    None while neither holds.  A full board is always decided: there the
+    complement is Maker's graph."""
+    if diameter_within(maker, d):
+        return True
+    if not diameter_within(complement(breaker), d):
+        return False
+    return None
 
 
 @dataclass(frozen=True)
@@ -238,52 +236,46 @@ def solve(
         )
     if use_canonical and n > CANONICAL_MAX_N:
         raise OverCapError(f"canonical keys capped at n={CANONICAL_MAX_N}", count=n)
-    edges = all_edges(n)
-    everyone = (1 << n) - 1
+    state = new_game(n, a, b, first)
+    maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
+    unclaimed = state.unclaimed
+    bits = _vertex_bits(n)
     memo: dict = {}
     visited = 0
     start = time.perf_counter()
 
-    def search(maker_mask: int, breaker_mask: int, side: Player) -> bool:
+    def search() -> bool:
+        """Whether Maker wins from the live position, which it leaves as it found it."""
         nonlocal visited
         visited += 1
-        mnbr = _neighbour_masks(n, maker_mask, edges)
-        bnbr = _neighbour_masks(n, breaker_mask, edges)
-        if diameter_within([m | 1 << v for v, m in enumerate(mnbr)], d):
-            return True
-        # On a full board Breaker's complement is Maker's graph, so this
-        # cutoff has decided it: below, an edge is always open.
-        if not diameter_within([everyone & ~m for m in bnbr], d):
-            return False
-        claimed = maker_mask | breaker_mask
+        decided = diameter_cutoff(maker, breaker, d)
+        if decided is not None:
+            return decided
+        # Undecided, so the board is not full: every node below has a child.
+        side = state.to_move
         if use_canonical:
-            key = (*_canonical_from_neighbours(mnbr, bnbr), side)
+            key = (*_canonical_from_neighbours(list(map(xor, maker, bits)), list(map(xor, breaker, bits))), side)
         else:
-            key = (maker_mask, breaker_mask, side)
+            key = (tuple(maker), tuple(breaker), side)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        open_bits = [i for i in range(total_edges) if not claimed >> i & 1]
-        k = min(a if side is Player.MAKER else b, len(open_bits))
-        result = side is Player.BREAKER
-        for combo in combinations(open_bits, k):
-            add = 0
-            for i in combo:
-                add |= 1 << i
-            if side is Player.MAKER:
-                if search(maker_mask | add, breaker_mask, Player.BREAKER):
-                    result = True
-                    break
-            else:
-                if not search(maker_mask, breaker_mask | add, Player.MAKER):
-                    result = False
-                    break
+        # Maker wins if some child wins for Maker; Breaker if some child loses.
+        goal = side is Player.MAKER
+        result = not goal
+        for combo in combinations(list(unclaimed), state.required_claim_count(side)):
+            push_claims(state, combo)
+            won = search()
+            pop_claims(state, len(combo))
+            if won is goal:
+                result = goal
+                break
         if len(memo) >= memo_cap:
             raise OverCapError(f"memo cap {memo_cap} reached", count=len(memo))
         memo[key] = result
         return result
 
-    maker_wins = search(0, 0, first)
+    maker_wins = search()
     return SolveResult(
         n=n,
         a=a,
@@ -324,13 +316,14 @@ def verify_final_property(
     what it keeps between calls follows game_core.LogCursor's rule, rebuilt
     unless the log grew since its previous select().  An illegal scripted
     claim raises, and so does a strategy that refuses a log that did not grow.
+    Bad game parameters (n < 2, a or b < 1) raise InvalidParameters.
     """
-    total_edges = edge_count(n)
+    total_edges = edge_count(max(n, 0))  # new_game rejects n < 2
     if total_edges > edge_cap:
         raise OverCapError(
             f"board verifier capped at {edge_cap} edges, K_{n} has {total_edges}", count=total_edges
         )
-    state = GameState(n, a, b, first, to_move=first)
+    state = new_game(n, a, b, first)
     unclaimed = state.unclaimed
     views = (state.maker_edges, state.breaker_edges, unclaimed, state.move_log)
 
@@ -376,17 +369,17 @@ def verify_one_sided(
 
     Goal: diameter(maker graph) <= d at exhaustion when side is Maker,
     diameter > d when side is Breaker.  This is verify_final_property with
-    solve()'s two cutoffs as the prune.  On a full board the complement of
-    Breaker's graph is Maker's graph, so the cutoffs settle every leaf and
-    the final predicate is never reached.
+    solve()'s cutoffs, diameter_cutoff, as the prune; they settle every full
+    board, so the final predicate is never reached.  d < 1 raises
+    InvalidParameters, as in solve().
     """
+    if d < 1:
+        raise InvalidParameters(f"bad diameter d={d}")
+    maker_side = side is Player.MAKER
 
     def prune(maker, breaker, unclaimed, log) -> bool | None:
-        if diameter_within(closed_masks(n, maker), d):
-            return side is Player.MAKER
-        if not diameter_within(complement(closed_masks(n, breaker)), d):
-            return side is Player.BREAKER
-        return None
+        decided = diameter_cutoff(closed_masks(n, maker), closed_masks(n, breaker), d)
+        return None if decided is None else decided is maker_side
 
     def unreachable(snap: GameState) -> bool:
         raise AssertionError("the diameter cutoffs settle every full board")
@@ -413,8 +406,10 @@ def verify_family_one_sided(
     the ownership masks (every shipped family selector is), which makes
     memoization over (maker mask, breaker mask, side) sound; the memo is
     capped at DEFAULT_MEMO_CAP entries.  Goal: Maker side completes a set;
-    Breaker side prevents every set.
+    Breaker side prevents every set.  A bias below 1 raises InvalidParameters.
     """
+    if a < 1 or b < 1:
+        raise InvalidParameters(f"biases must be positive, got a={a}, b={b}")
     u = family.universe_size
     set_masks = [sum(1 << p for p in aset) for aset in family.sets]
     full = (1 << u) - 1

@@ -55,6 +55,11 @@ class Player(Enum):
         return Player.BREAKER if self is Player.MAKER else Player.MAKER
 
 
+# Enum members are read through EnumType.__getattr__, about 0.1 us a read in
+# Python 3.11; the reads below run at every node of an exhaustive search.
+_MAKER, _BREAKER = Player.MAKER, Player.BREAKER
+
+
 def mk_edge(u: int, v: int) -> Edge:
     """Canonical edge: endpoints sorted ascending."""
     if u == v:
@@ -227,14 +232,14 @@ class GameState:
     breaker_edges = property(lambda self: EdgeView(self, self._breaker))
 
     def required_claim_count(self, player: Player) -> int:
-        return min(self.a if player is Player.MAKER else self.b, self._open)
+        return min(self.a if player is _MAKER else self.b, self._open)
 
     def is_exhausted(self) -> bool:
         return not self._open
 
     def closed(self, player: Player) -> list[int]:
         """graph_metrics.closed_masks of `player`'s graph; live, so read-only."""
-        return self._maker if player is Player.MAKER else self._breaker
+        return self._maker if player is _MAKER else self._breaker
 
     def lowest_open(self, count: int, skip: Container[Edge] = ()) -> list[Edge]:
         """Up to `count` unclaimed edges not in `skip`, lowest first in all_edges(n) order."""
@@ -289,11 +294,6 @@ def apply_claim(state: GameState, player: Player, edges: Iterable[Edge]) -> Game
             raise AlreadyClaimed(f"edge {edge} is not available")
     push_claims(state, edges)
     return state
-
-
-# Enum members are read through EnumType.__getattr__, about 0.1 us a read in
-# Python 3.11; push_claims and pop_claims run at every node of a verification.
-_MAKER, _BREAKER = Player.MAKER, Player.BREAKER
 
 
 def push_claims(state: GameState, edges: Sequence[Edge]) -> None:
@@ -369,7 +369,7 @@ TargetProperty = Callable[[GameState], bool]
 
 def diameter_at_most(d: int) -> TargetProperty:
     def prop(state: GameState) -> bool:
-        return diameter_within(state.closed(Player.MAKER), d)
+        return diameter_within(state.closed(_MAKER), d)
 
     prop.property_id = f"diameter<={d}"  # type: ignore[attr-defined]
     return prop
@@ -377,7 +377,7 @@ def diameter_at_most(d: int) -> TargetProperty:
 
 def min_degree_exceeds(k: int) -> TargetProperty:
     def prop(state: GameState) -> bool:
-        return min((m.bit_count() for m in state.closed(Player.MAKER)), default=1) - 1 > k
+        return min((m.bit_count() for m in state.closed(_MAKER)), default=1) - 1 > k
 
     prop.property_id = f"mindeg>{k}"  # type: ignore[attr-defined]
     return prop

@@ -3,6 +3,7 @@
 import json
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from diameter_games import (
     FloodingBreaker,
     GameError,
     GameState,
+    InvalidParameters,
     LowestEdgeStrategy,
     OverCapError,
     PairingBreaker,
@@ -37,14 +39,19 @@ from diameter_games import (
     verify_final_property,
     verify_one_sided,
 )
-from diameter_games.exact_solver import _canonical_from_neighbours, _neighbour_masks
+from diameter_games.exact_solver import _canonical_from_neighbours, diameter_cutoff
 from diameter_games.graph_metrics import closed_masks, complement, diameter_within
+
+
+def _closed(n, mask):
+    """closed_masks of the graph of an edge mask in all_edges(n) order."""
+    return closed_masks(n, [e for i, e in enumerate(all_edges(n)) if mask >> i & 1])
 
 
 def _canonical_masks(n, maker_mask, breaker_mask):
     """The refined key's mask pair of the position given as two edge masks in all_edges(n) order."""
-    edges = all_edges(n)
-    return _canonical_from_neighbours(_neighbour_masks(n, maker_mask, edges), _neighbour_masks(n, breaker_mask, edges))
+    maker, breaker = ([m ^ 1 << v for v, m in enumerate(_closed(n, mask))] for mask in (maker_mask, breaker_mask))
+    return _canonical_from_neighbours(maker, breaker)
 
 
 class TestSolve:
@@ -103,6 +110,61 @@ class TestSolve:
         # Past n = 8 a key may cost n! relabellings; plain keys have no cap.
         with pytest.raises(OverCapError):
             solve(9, 1, 1, d=2, edge_cap=36)
+
+
+_SOLVE_COUNTS = json.loads((Path(__file__).resolve().parent / "solve_counts.json").read_text())
+_COUNT_ROWS = [dict(zip(_SOLVE_COUNTS["columns"], row)) for row in _SOLVE_COUNTS["rows"]]
+
+
+class TestSolveCounts:
+    """solve's whole traversal, pinned: the winner, states_visited and
+    memo_entries of every exact-solve grid cell (n in 4..6, a and b in 1..2,
+    d in 2..3, both first movers), and of the plain-key cells with n <= 5.
+    A change that keeps the verdicts but visits or memoises other positions
+    shows up here."""
+
+    def test_table_covers_the_grid(self):
+        cells = {(r["n"], r["a"], r["b"], r["d"], r["first"], r["canonical"]) for r in _COUNT_ROWS}
+        grid = {
+            (n, a, b, d, first, canonical)
+            for canonical, ns in ((True, (4, 5, 6)), (False, (4, 5)))
+            for n, a, b, d, first in product(ns, (1, 2), (1, 2), (2, 3), ("maker", "breaker"))
+        }
+        assert len(_COUNT_ROWS) == len(cells) == 80
+        assert cells == grid
+
+    @pytest.mark.parametrize(
+        "row",
+        _COUNT_ROWS,
+        ids=[f"{r['n']}-{r['a']}-{r['b']}-{r['d']}-{r['first']}-{'canonical' if r['canonical'] else 'plain'}" for r in _COUNT_ROWS],
+    )
+    def test_pinned_cell(self, row):
+        res = solve(row["n"], row["a"], row["b"], row["d"], Player(row["first"]), use_canonical=row["canonical"])
+        assert (res.winner.value, res.states_visited, res.memo_entries) == (
+            row["winner"],
+            row["states_visited"],
+            row["memo_entries"],
+        )
+
+
+class TestBadParameters:
+    """Every exhaustive search rejects a board it cannot play with
+    InvalidParameters, before any search."""
+
+    @pytest.mark.parametrize("n,a,b,d", [(-3, 1, 1, 2), (0, 1, 1, 2), (1, 1, 1, 2), (4, 0, 1, 2), (4, 1, -1, 2), (4, 0, 0, 2), (4, 1, 1, 0)])
+    def test_board_verifiers(self, n, a, b, d):
+        with pytest.raises(InvalidParameters):
+            verify_one_sided(n, a, b, d, PairingBreaker(), Player.BREAKER)
+        if d >= 1:
+            with pytest.raises(InvalidParameters):
+                verify_final_property(n, a, b, PureLexStrategy(), Player.BREAKER, lambda snap: True)
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-1, 1), (1, -2)])
+    @pytest.mark.parametrize("side,select", [(Player.MAKER, box_maker_select), (Player.BREAKER, esb_breaker_select)])
+    def test_family_verifier(self, a, b, side, select):
+        fam = family_from_sets(4, [frozenset({0, 1}), frozenset({2, 3})])
+        with pytest.raises(InvalidParameters, match="biases must be positive"):
+            verify_family_one_sided(fam, a, b, select, side)
 
 
 class TestCanonicalKey:
@@ -217,8 +279,7 @@ class TestRefinedKey:
 
 def _within(n, mask, d):
     """diameter_within on the graph of an edge mask in all_edges(n) order."""
-    nbr = _neighbour_masks(n, mask, all_edges(n))
-    return diameter_within([m | 1 << v for v, m in enumerate(nbr)], d)
+    return diameter_within(_closed(n, mask), d)
 
 
 def _reference_within(n, mask, d):
@@ -256,6 +317,28 @@ class TestDiameterWithin:
                     1 << i for i, (u, v) in enumerate(edges) if (u < n // 2) == (v < n // 2)
                 )
                 assert not _within(n, halves, d), f"split K_{n}"
+
+
+class TestDiameterCutoff:
+    """solve's and verify_one_sided's cutoffs on the two players' closed masks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    ), st.integers(1, 4))
+    def test_decided_exactly_when_a_bound_is_met(self, board, d):
+        n, owners = board
+        maker_mask, breaker_mask = _split(n, owners)
+        maker, breaker = _closed(n, maker_mask), _closed(n, breaker_mask)
+        reach = ((1 << len(owners)) - 1) ^ breaker_mask  # Maker's edges and the open ones
+        expected = True if _within(n, maker_mask, d) else False if not _within(n, reach, d) else None
+        assert diameter_cutoff(maker, breaker, d) is expected
+        if 0 not in owners:
+            # A full board is always decided, by Maker's own graph.
+            assert expected is _within(n, maker_mask, d)
+
+    def test_fresh_board_is_open(self):
+        assert diameter_cutoff(closed_masks(4, []), closed_masks(4, []), 2) is None
 
 
 class PureLexStrategy:

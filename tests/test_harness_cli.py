@@ -496,6 +496,25 @@ class TestCli:
         blob = json.loads(capsys.readouterr().out)
         assert blob["verified"] is True
 
+    @pytest.mark.parametrize("n", ["-3", "0", "1"])
+    def test_verify_pairing_rejects_a_board_below_two_vertices(self, n, capsys):
+        """--n -3 used to end in a raw ValueError traceback, and 0 and 1 in "verified": false."""
+        assert main(["verify", "pairing", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need at least 2 vertices, got n={n}\n"
+
+    @pytest.mark.parametrize("target", ["box", "esb"])
+    @pytest.mark.parametrize("bias", [["--b", "0"], ["--a", "0"], ["--b", "-1"]])
+    def test_verify_family_rejects_a_bias_below_one(self, target, bias, tmp_path, capsys):
+        """verify box --b 0 used to print "verified": true."""
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"universe_size": 4, "sets": [[0, 1], [2, 3]]}))
+        assert main(["verify", target, "--family", str(path), *bias]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: biases must be positive")
+
     def test_simulate_runs_config(self, tmp_path, capsys):
         cfg = dict(
             name="cli-smoke",
