@@ -185,8 +185,16 @@ class D2Breaker:
     smallest-first (ties to the lower x, edges in lex order); a box dies
     when Maker claims inside it.  The exact harmonic criterion is evaluated
     when the boxes freeze and flagged if it fails; leftover claims go to
-    the lowest unclaimed edge.  Phase and boxes are history, so a log that
-    did not grow since the previous turn is refused (game_core.LogCursor).
+    the lowest unclaimed edge.
+
+    History, kept across turns: the target, the Phase I ring position and
+    round count, and from the freeze on two vertex masks, the spokes
+    u_1..u_t and the x whose box was live at the previous turn.  Everything
+    else is read off the board's closed masks: box x's open edges are the
+    spokes outside both players' rows at x, and it is live while that row
+    is nonzero and Maker's row at x misses the spokes.  Because of the
+    history, a log that did not grow since the previous turn is refused
+    (game_core.LogCursor).
     """
 
     name = "d2-breaker"
@@ -200,97 +208,83 @@ class D2Breaker:
             self.flags.append("d2-breaker-worst-case-box-condition-failed")
         self._target: int | None = None
         self._ring = 0
-        self._phase = 1
-        self._boxes: dict[int, set[Edge]] = {}
-        self._edge_box: dict[Edge, int] = {}
+        self._spokes: int | None = None  # None until the target is saturated
+        self._boxes = 0
         self._log = LogCursor()
         self._rounds = 0
         self._checked_bias = False
 
     def select(self, state: GameState) -> list[Edge]:
-        new = self._log.require_growth(state)
+        self._log.require_growth(state)
         self._rounds += 1
         if not self._checked_bias:
             self._checked_bias = True
             if state.b != self.params.b:
                 self.flags.append("d2-breaker-bias-mismatch")
+        maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
         if self._target is None:
             try:
                 self._target = flood_target(state)
             except StrategyInapplicable:
-                closed = state.closed(Player.MAKER)
-                self._target = min(range(state.n), key=lambda x: closed[x].bit_count())
+                self._target = min(range(state.n), key=lambda x: maker[x].bit_count())
                 self.flags.append("d2-breaker-no-untouched-vertex")
         count = state.required_claim_count(Player.BREAKER)
         picks: list[Edge] = []
-        picked: set[Edge] = set()
-        if self._phase == 1:
+        if self._spokes is None:
             t = self._target
+            taken = maker[t] | breaker[t]  # holds t itself
             while self._ring < state.n and len(picks) < count:
                 w = self._ring
                 self._ring += 1
-                if w == t:
-                    continue
-                e = mk_edge(t, w)
-                if e in state.unclaimed:
-                    picks.append(e)
-                    picked.add(e)
+                if not taken >> w & 1:
+                    picks.append(mk_edge(t, w))
             if self._ring >= state.n:
                 # every edge at the target now has an owner: freeze the boxes
-                self._freeze_boxes(state, picked)
-                self._phase = 2
-        if self._phase == 2:
-            self._sync_boxes(new)
-            while len(picks) < count:
-                box = self._smallest_box()
-                if box is None:
+                self._freeze_boxes(state)
+        if self._spokes is not None:
+            spokes = self._spokes
+            rows: dict[int, int] = {}
+            for x in set_bits(self._boxes):
+                row = spokes & ~(maker[x] | breaker[x])
+                if row and not maker[x] & spokes:
+                    rows[x] = row
+                else:
+                    self._boxes ^= 1 << x  # Maker entered the box, or Breaker owns all of it
+            # Taking a box whole leaves the others' sizes, so one order serves the turn.
+            for x in sorted(rows, key=lambda x: (rows[x].bit_count(), x)):
+                if len(picks) >= count:
                     break
-                x, edges = box
-                for e in sorted(edges):
-                    if len(picks) >= count:
-                        break
-                    picks.append(e)
-                    picked.add(e)
-                for e in picks:
-                    edges.discard(e)
-                if not edges:
-                    del self._boxes[x]
-            picks += state.lowest_open(count - len(picks), picked)
+                picks += [mk_edge(x, u) for u in set_bits(rows[x])[: count - len(picks)]]
+            picks += state.lowest_open(count - len(picks), set(picks))
         return picks
 
-    def _freeze_boxes(self, state: GameState, picked: set[Edge]) -> None:
+    def _freeze_boxes(self, state: GameState) -> None:
         t = self._target
-        closed = state.closed(Player.MAKER)
-        u_mask = closed[t] & ~(1 << t)
-        u_list = set_bits(u_mask)
-        unclaimed = state.unclaimed
+        maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
+        self._spokes = spokes = maker[t] & ~(1 << t)
+        sizes: list[int] = []
         pre_completed = 0
         for x in range(state.n):
-            if x == t or closed[x] & u_mask:
+            if x == t or maker[x] & spokes:
                 continue  # a u_i itself, or already two steps from the target through one
-            box = {
-                mk_edge(x, u)
-                for u in u_list
-                if mk_edge(x, u) in unclaimed and mk_edge(x, u) not in picked
-            }
-            if box:
-                self._boxes[x] = box
-                for e in box:
-                    self._edge_box[e] = x
+            row = spokes & ~(maker[x] | breaker[x])
+            if row:
+                self._boxes |= 1 << x
+                sizes.append(row.bit_count())
             else:
                 # nothing left to claim: the pair (target, x) is already cut off
                 pre_completed += 1
-        k = len(self._boxes)
-        max_size = max((len(b) for b in self._boxes.values()), default=0)
+        k = len(sizes)
+        max_size = max(sizes, default=0)
         exact_ok = k >= 2 and box_game_condition(max_size, k, state.b, 2)
-        if self._boxes and not exact_ok:
+        if k and not exact_ok:
             self.flags.append("d2-breaker-runtime-box-condition-failed")
-        if not self._boxes and not pre_completed:
+        if not k and not pre_completed:
             self.flags.append("d2-breaker-no-eligible-boxes")
         self.annotations.append(
             {
                 "target_vertex": t,
-                "maker_neighbors_at_saturation": len(u_list),
+                "maker_neighbors_at_saturation": spokes.bit_count(),
                 "eligible_boxes": k,
                 "max_box_size": max_size,
                 "boxes_pre_completed": pre_completed,
@@ -301,29 +295,6 @@ class D2Breaker:
         logger.debug(
             "d2-breaker: flood -> box game at log length %d: %s", len(state.move_log), self.annotations[-1]
         )
-
-    def _sync_boxes(self, new_claims: list[tuple[Player, Edge]]) -> None:
-        for player, edge in new_claims:
-            x = self._edge_box.get(edge)
-            if x is None or x not in self._boxes:
-                continue
-            if player is Player.MAKER:
-                del self._boxes[x]
-            else:
-                box = self._boxes[x]
-                box.discard(edge)
-                if not box:
-                    del self._boxes[x]
-
-    def _smallest_box(self) -> tuple[int, set[Edge]] | None:
-        best: tuple[int, int] | None = None
-        for x, edges in self._boxes.items():
-            key = (len(edges), x)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            return None
-        return best[1], self._boxes[best[1]]
 
 
 # --- the four-game composite Maker ------------------------------------------

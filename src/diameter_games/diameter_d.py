@@ -290,28 +290,25 @@ def _depth(rings: list[int], x: int, n: int) -> int:
     return next((k for k, ring in enumerate(rings) if ring >> x & 1), n + 1)
 
 
-def _distances(closed: list[int], src: int) -> list[int]:
-    """BFS distances from src, with _depth's n + 1 for unreachable vertices."""
-    dist = [len(closed) + 1] * len(closed)
-    for k, ring in enumerate(spheres(closed, src)):
-        for x in set_bits(ring):
-            dist[x] = k
-    return dist
-
-
 def a1_blocking_invariant(state: GameState, u: int, v: int, d: int) -> bool:
     """True while no Maker edge joins B_k(u) to B_(d-1-k)(v), any k.
 
-    Distances live in Maker's own graph.  The condition is equivalent
-    to every Maker edge (p, q) satisfying dist(u,p) + dist(v,q) >= d
-    and dist(u,q) + dist(v,p) >= d, and it forces dist(u, v) > d: a
-    shorter u..v walk would contain a crossing edge.
+    Balls live in Maker's own graph, as graph_metrics.spheres rings on
+    the board's closed(Player.MAKER) masks.  OR-ing Maker's closed rows
+    over B_k(u) gives B_k(u) with its Maker neighbours, so each k is one
+    mask test against B_(d-1-k)(v): O(n d) mask operations in all.  The
+    rows hold their own bits, so balls that meet also fail the test,
+    which is exact: for u != v, two balls that meet also hold a crossing
+    edge.  The invariant forces dist(u, v) > d, since a shorter u..v
+    walk would contain a crossing edge.
     """
     closed = state.closed(Player.MAKER)
-    du = _distances(closed, u)
-    dv = _distances(closed, v)
-    for p, q in state.maker_edges:
-        if du[p] + dv[q] <= d - 1 or du[q] + dv[p] <= d - 1:
+    v_rings = spheres(closed, v, d - 1)
+    reach = 0
+    for k, ring in enumerate(spheres(closed, u, d - 1)):
+        for x in set_bits(ring):
+            reach |= closed[x]
+        if reach & sum(v_rings[: d - k]):
             return False
     return True
 
@@ -338,9 +335,12 @@ class DdBreakerA1:
 
     Distances and balls are graph_metrics.spheres rings on the board's
     closed(Player.MAKER) masks, and the anchor depends only on Maker's
-    opening edge, so both follow from the log; the filler is
-    GameState.lowest_open(), and the capping engine keeps
-    game_core.LogCursor's rule.
+    opening edge, so both follow from the log.  The answer builds no
+    edge set: each ring x ball is walked as mask rows in vertex order,
+    an edge is open when it is outside both players' closed rows and
+    the answer's own picks (one mask per lower endpoint, kept for the
+    call).  The filler is GameState.lowest_open(), and the capping
+    engine keeps game_core.LogCursor's rule.
     """
 
     name = "dd-breaker-a1"
@@ -412,30 +412,29 @@ class DdBreakerA1:
         else:
             case_two(q, p)
 
+        def rows():
+            # Per job and ring, vertex x's partners in ring x ball, x in vertex order.
+            for centre, anchor_rings, radius in jobs:
+                for k, ring in enumerate(spheres(closed, centre, radius)):
+                    ball = sum(anchor_rings[: radius - k + 1])
+                    for x in set_bits(ring | ball):
+                        yield x, (ball if ring >> x & 1 else 0) | (ring if ball >> x & 1 else 0)
+
+        # Edges (x, y) with y above x come out in lex order per ring; the
+        # answer's own picks are not on the board yet, so `mine` holds them by x.
+        breaker = state.closed(Player.BREAKER)
+        mine: dict[int, int] = {}
         out: list[Edge] = []
-        seen: set[Edge] = set()
-        unclaimed = state.unclaimed
-        overflow = False
-        for centre, anchor_rings, radius in jobs:
-            for k, ring in enumerate(spheres(closed, centre, radius)):
-                ball = set_bits(sum(anchor_rings[: radius - k + 1]))
-                cands = {
-                    mk_edge(a, c) for a in set_bits(ring) for c in ball if a != c
-                }
-                for e in sorted(cands):
-                    if e in seen or e not in unclaimed:
-                        continue
-                    seen.add(e)
-                    if len(out) >= budget:
-                        overflow = True
-                        break
-                    out.append(e)
-                if overflow:
-                    break
-            if overflow:
+        for x, partners in rows():
+            partners &= -(2 << x) & ~(closed[x] | breaker[x] | mine.get(x, 0))
+            ys = set_bits(partners)
+            if len(ys) > budget - len(out):
+                out += [(x, y) for y in ys[: budget - len(out)]]
+                if "dd-breaker-a1-blocking-budget-exceeded" not in self.flags:
+                    self.flags.append("dd-breaker-a1-blocking-budget-exceeded")
                 break
-        if overflow and "dd-breaker-a1-blocking-budget-exceeded" not in self.flags:
-            self.flags.append("dd-breaker-a1-blocking-budget-exceeded")
+            out += [(x, y) for y in ys]
+            mine[x] = mine.get(x, 0) | partners
         return out
 
     def select(self, state: GameState) -> list[Edge]:

@@ -1,5 +1,6 @@
 """Diameter-2 strategies: pairing, saturate-and-box Breaker, composite Maker."""
 
+import hashlib
 import math
 import random
 
@@ -21,8 +22,10 @@ from diameter_games import (
     d2_maker_params,
     diameter,
     diameter_at_most,
+    flood_target,
     game4_lambda,
     maker_graph,
+    mk_edge,
     new_game,
     pairing_breaker_select,
     run_match,
@@ -189,6 +192,58 @@ class TestD2Breaker:
         breaker = D2Breaker(6)
         assert breaker.select(state) == [(1, 2), (1, 3), (1, 4), (1, 5)]
         assert "d2-breaker-no-untouched-vertex" in breaker.flags
+
+
+class BoxContestingMaker:
+    """Maker who floods D2Breaker's target too, then fights its box game.
+
+    Until flood_target(state) has no open edge, Maker claims its lowest
+    open edge, so the target ends with many Maker neighbours and the boxes
+    are large.  Then Maker enters the live box (no Maker edge to the
+    target's neighbours, some edge still open) with the most Breaker edges,
+    ties to the lower x, at its lowest open edge; with no live box left,
+    the lowest open edge of the board.
+    """
+
+    name = "box-contesting-maker"
+
+    def select(self, state):
+        maker, breaker = state.closed(Player.MAKER), state.closed(Player.BREAKER)
+        t = flood_target(state)
+        at_t = ((1 << state.n) - 1) & ~(maker[t] | breaker[t])
+        if at_t:
+            return [mk_edge(t, (at_t & -at_t).bit_length() - 1)]
+        spokes = maker[t] & ~(1 << t)
+        best = None
+        for x in range(state.n):
+            row = spokes & ~(maker[x] | breaker[x])
+            if row and not maker[x] & spokes:
+                key = (-(breaker[x] & spokes).bit_count(), x)
+                if best is None or key < best[0]:
+                    best = key, mk_edge(x, (row & -row).bit_length() - 1)
+        return [best[1]] if best else state.lowest_open(1)
+
+
+# sha256 of the concatenated transcripts below, recorded while D2Breaker
+# still kept its boxes as edge sets.
+BOX_GAME_SHA256 = "62fea7633523ab7c393c831744556260b8ef667259680f770fe69485da3c330f"
+
+
+def test_d2_breaker_box_game_with_large_boxes():
+    digest = hashlib.sha256()
+    for n in (40, 60, 100, 150):
+        breaker = D2Breaker(n)
+        tr = run_match(
+            new_game(n, 1, breaker.params.b),
+            BoxContestingMaker(),
+            breaker,
+            diameter_at_most(2),
+            early_stop=False,
+        )
+        assert tr.fault is None
+        assert breaker.annotations[0]["max_box_size"] >= 2, n
+        digest.update(tr.to_jsonl().encode())
+    assert digest.hexdigest() == BOX_GAME_SHA256
 
 
 class TestMakerParams:

@@ -1,20 +1,25 @@
 """General-diameter strategies: stage sizing, ball-growing Maker, blocking Breakers."""
 
+import hashlib
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diameter_games import (
     DdBreakerA1,
     DdBreakerA2,
     DdMaker,
+    DegreeGreedyStrategy,
+    GameState,
     InvalidParameters,
+    PathGreedyStrategy,
     Player,
     RandomStrategy,
     a1_blocking_invariant,
+    all_edges,
     apply_claim,
     block_budget,
     claim2_bound,
@@ -28,7 +33,7 @@ from diameter_games import (
     new_game,
     run_match,
 )
-from diameter_games.graph_metrics import dist
+from diameter_games.graph_metrics import dist, set_bits, spheres
 
 
 class TestParams:
@@ -263,6 +268,159 @@ class TestDdBreakerA1:
             early_stop=False,
         )
         assert "dd-breaker-a1-maker-bias-not-one" in breaker.flags
+
+
+def _reference_invariant(state, u, v, d):
+    """The edge walk a1_blocking_invariant's mask test replaced: BFS
+    distances from both anchors (n + 1 when unreachable), then every
+    Maker edge checked in both orientations."""
+    closed = state.closed(Player.MAKER)
+    n = state.n
+
+    def distances(src):
+        out = [n + 1] * n
+        for k, ring in enumerate(spheres(closed, src)):
+            for x in set_bits(ring):
+                out[x] = k
+        return out
+
+    du, dv = distances(u), distances(v)
+    return all(du[p] + dv[q] >= d and du[q] + dv[p] >= d for p, q in state.maker_edges)
+
+
+@st.composite
+def _anchored_maker_graphs(draw):
+    # From n = 5, DdBreakerA1's smallest board, on: the reference's n + 1
+    # for unreachable vertices is only large enough while d <= n + 1.
+    n = draw(st.integers(min_value=5, max_value=12))
+    edges = draw(st.lists(st.sampled_from(all_edges(n)), unique=True))
+    u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return n, edges, u, v, draw(st.integers(min_value=3, max_value=5))
+
+
+def _path(*vertices):
+    return list(zip(vertices, vertices[1:]))
+
+
+class TestA1BlockingInvariant:
+    @settings(max_examples=400, deadline=None)
+    @given(_anchored_maker_graphs())
+    # anchors in different components
+    @example((8, _path(0, 1, 2) + _path(3, 4, 5), 0, 5, 3))
+    # a u..v path of length d: the balls meet
+    @example((8, _path(0, 1, 2, 3), 0, 3, 3))
+    @example((10, _path(0, 1, 2, 3, 4, 5), 5, 0, 5))
+    # one step longer: the balls stay apart
+    @example((8, _path(0, 1, 2, 3, 4), 0, 4, 3))
+    def test_masks_match_the_edge_walk(self, case):
+        n, edges, u, v, d = case
+        state = GameState(n, 1, 1, Player.MAKER, maker_edges=edges)
+        assert a1_blocking_invariant(state, u, v, d) == _reference_invariant(state, u, v, d)
+
+    def test_anchors_apart_on_a_board_smaller_than_d(self):
+        """No Maker walk joins 0 and 2, so the invariant holds; the edge
+        walk's finite n + 1 = 4 for unreachable vertices said otherwise."""
+        state = GameState(3, 1, 1, Player.MAKER, maker_edges=[(0, 1)])
+        assert a1_blocking_invariant(state, 0, 2, 5)
+        assert not _reference_invariant(state, 0, 2, 5)
+
+    @pytest.mark.parametrize(
+        "maker",
+        [RandomStrategy(random.Random(7)), PathGreedyStrategy(3), DegreeGreedyStrategy()],
+        ids=["random", "path-greedy", "degree-greedy"],
+    )
+    def test_masks_match_the_edge_walk_in_play(self, maker):
+        """Every Breaker turn of one n = 60, d = 3 match: the anchor pair, and
+        Maker's newest edge's lower end paired with every other vertex, so
+        that both verdicts occur."""
+        n, d = 60, 3
+        b, _ = dd_breaker_a1_biases(n, d)
+        breaker = DdBreakerA1(n, d)
+        verdicts = set()
+
+        class Audited:
+            name = breaker.name
+
+            def select(self, state):
+                p = state.move_log[-1][1][0]
+                pairs = [(p, y) for y in range(n) if y != p]
+                if breaker.anchor is not None:
+                    pairs.append(breaker.anchor)
+                for u, v in pairs:
+                    held = a1_blocking_invariant(state, u, v, d)
+                    assert held == _reference_invariant(state, u, v, d), (u, v, len(state.move_log))
+                    verdicts.add(held)
+                return breaker.select(state)
+
+        run_match(new_game(n, 1, b), maker, Audited(), diameter_at_most(d), early_stop=False)
+        assert verdicts == {True, False}
+
+
+# sha256 of the concatenated transcripts of _a1_matches(), recorded before
+# DdBreakerA1 moved from edge sets to the board's masks.
+A1_PICKS_SHA256 = "73823990b44ce620d8274893c15c998674f40469cd33a4edc0ae77ae722b055b"
+
+
+def _a1_matches():
+    for n, d in [(40, 3), (60, 3), (60, 4), (100, 3)]:
+        b, _ = dd_breaker_a1_biases(n, d)
+        for seed in range(3):
+            for b1 in (None, 1, b - 1):
+                for maker in (RandomStrategy(random.Random(seed)), PathGreedyStrategy(d), DegreeGreedyStrategy()):
+                    yield run_match(
+                        new_game(n, 1, b),
+                        maker,
+                        DdBreakerA1(n, d, b1=b1),
+                        diameter_at_most(d),
+                        seed=seed,
+                        early_stop=False,
+                    )
+
+
+def test_dd_breaker_a1_picks_pinned():
+    """(n, d) in {(40,3), (60,3), (60,4), (100,3)}, three seeds, the three
+    shipped Makers, and the default capping share, b1 = 1 and b1 = b - 1."""
+    digest = hashlib.sha256()
+    overflowed = 0
+    for tr in _a1_matches():
+        digest.update(tr.to_jsonl().encode())
+        overflowed += "breaker:dd-breaker-a1-blocking-budget-exceeded" in tr.flags
+        assert tr.fault is None
+    assert overflowed  # b1 = b - 1 leaves one blocking claim a turn, which some answers outgrow
+    assert digest.hexdigest() == A1_PICKS_SHA256
+
+
+# sha256 of the answers below, recorded while _blocking_claims still built
+# a Python set of edges per ring.
+A1_ANSWERS_SHA256 = "2399b667022c334c2011897d6632c565ea3770e157cc16450acf4757f368ffd5"
+
+
+def test_blocking_answer_pinned_on_random_boards():
+    """The blocking answer on boards no match reaches: random Maker and
+    Breaker edges with the invariant broken, so one edge can come from two
+    rings and must be claimed once, and budgets from 0 up, so the answer
+    overflows."""
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        n, d = rng.randint(5, 12), rng.randint(3, 5)
+        density = rng.choice((0.1, 0.25, 0.4))
+        maker, breaker = [], []
+        for e in all_edges(n):
+            r = rng.random()
+            if r < density:
+                maker.append(e)
+            elif r < density + 0.1:
+                breaker.append(e)
+        if not maker:
+            continue
+        state = GameState(n, 1, 1, Player.MAKER, maker_edges=maker, breaker_edges=breaker)
+        strategy = DdBreakerA1(n, d)
+        strategy.anchor = tuple(rng.sample(range(n), 2))
+        out = strategy._blocking_claims(state, rng.choice(maker), rng.choice((0, 1, 3, 10**9)))
+        assert len(set(out)) == len(out) and all(e in state.unclaimed for e in out)
+        digest.update(repr((out, strategy.flags)).encode())
+    assert digest.hexdigest() == A1_ANSWERS_SHA256
 
 
 class TestDdBreakerA2:
