@@ -7,137 +7,35 @@ diameter-2 and diameter-d strategies (diameter2, diameter_d), scripted
 opponents (heuristics), an exact solver with one-sided verifiers
 (exact_solver), and a seeded experiment harness with a CLI (harness,
 cli).
+
+The top level binds only the names in __all__; everything else is
+imported from its module.
 """
 
-from .degree_games import (
-    DegreeWeightState,
-    FloodingBreaker,
-    MinDegParams,
-    MinDegStrategy,
-    flood_degree_bound,
-    flood_target,
-    mindeg_breaker_select,
-    mindeg_maker_select,
-    mindeg_params,
-    mindeg_potential,
-)
-from .diameter2 import (
-    D2Breaker,
-    D2BreakerParams,
-    D2Maker,
-    D2MakerParams,
-    D2SimpleMaker,
-    PairingBreaker,
-    d2_breaker_params,
-    d2_maker_bias_bound,
-    d2_maker_min_scale,
-    d2_maker_params,
-    game4_lambda,
-    pairing_breaker_select,
-)
-from .diameter_d import (
-    DdBreakerA1,
-    DdBreakerA2,
-    DdMaker,
-    DdParams,
-    a1_blocking_invariant,
-    block_budget,
-    claim2_bound,
-    claim2_check,
-    claim2_f,
-    dd_breaker_a1_biases,
-    dd_breaker_a2_bias,
-    dd_params,
-)
-from .exact_solver import (
-    OverCapError,
-    SolveResult,
-    canonical_key,
-    solve,
-    verify_family_one_sided,
-    verify_final_property,
-    verify_one_sided,
-)
-from .expansion_games import (
-    ExpMaker,
-    ExpansionParams,
-    exp_condition,
-    exp_family,
-    exp_maker_select,
-    exp_start_value_closed_form,
-)
-from .game_core import (
-    AlreadyClaimed,
-    Edge,
-    GameError,
-    GameState,
-    InvalidParameters,
-    Player,
-    StrategyInapplicable,
-    Transcript,
-    TurnRecord,
-    WrongClaimCount,
-    WrongTurn,
-    all_edges,
-    apply_claim,
-    diameter_at_most,
-    edge_count,
-    maker_graph,
-    min_degree_exceeds,
-    mk_edge,
-    new_game,
-    property_from_id,
-    read_transcript,
-    replay_transcript,
-    run_match,
-    transcript_from_jsonl,
-)
-from .graph_metrics import (
-    Graph,
-    ball,
-    degree_profile,
-    diameter,
-    dist,
-    graph_from_edges,
-    has_expansion,
-    sphere,
-)
-from .harness import (
-    CSV_COLUMNS,
-    STRATEGY_IDS,
-    ExperimentConfig,
-    InvariantViolation,
-    MatchResult,
-    make_strategy,
-    match_seed,
-    run_experiment,
-    summarize,
-    write_csv,
-    write_transcripts,
-)
-from .heuristics import (
-    DegreeGreedyStrategy,
-    EsbDegreeBreaker,
-    LowestEdgeStrategy,
-    PathGreedyStrategy,
-    RandomStrategy,
-)
-from .potential_engine import (
-    EsbStart,
-    FamilyGameState,
-    FamilyTooLarge,
-    WinningSetFamily,
-    box_game_condition,
-    box_maker_select,
-    esb_breaker_select,
-    esb_potential,
-    esb_start_value,
-    family_apply_claim,
-    family_from_sets,
-    harmonic,
-    new_family_game,
-    run_family_match,
-    validate_box_family,
-)
+from .diameter2 import PairingBreaker
+from .exact_solver import solve, verify_family_one_sided, verify_final_property, verify_one_sided
+from .expansion_games import exp_condition, exp_maker_select
+from .game_core import Player
+from .graph_metrics import graph_from_edges, has_expansion
+from .harness import ExperimentConfig, run_experiment
+from .potential_engine import box_maker_select, esb_breaker_select, family_from_sets
+
+__all__ = [
+    "ExperimentConfig",
+    "PairingBreaker",
+    "Player",
+    "box_maker_select",
+    "esb_breaker_select",
+    "exp_condition",
+    "exp_maker_select",
+    "family_from_sets",
+    "graph_from_edges",
+    "has_expansion",
+    "run_experiment",
+    "solve",
+    "verify_family_one_sided",
+    "verify_final_property",
+    "verify_one_sided",
+]
 
 __version__ = "0.1.0"

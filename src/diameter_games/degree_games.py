@@ -221,12 +221,6 @@ class DegreeWeightState:
         return picks
 
 
-def mindeg_maker_select(state: GameState, weights: DegreeWeightState) -> list[Edge]:
-    """One degree-game turn for the weight state's role player."""
-    weights.sync(state)
-    return weights.select_turn(state, state.required_claim_count(weights.role))
-
-
 def mindeg_potential(state: GameState, params: MinDegParams, role: Player = Player.MAKER) -> float:
     """Potential T recomputed from scratch at the current position."""
     fresh = DegreeWeightState(params, role)
@@ -249,7 +243,8 @@ class MinDegStrategy:
             self.flags.append("mindeg-vacuous")
 
     def select(self, state: GameState) -> list[Edge]:
-        return mindeg_maker_select(state, self.weights)
+        self.weights.sync(state)
+        return self.weights.select_turn(state, state.required_claim_count(Player.MAKER))
 
 
 # --- flooding Breaker (degree capping by saturation) ------------------------
@@ -288,18 +283,8 @@ def flood_target(state: GameState) -> int:
     raise StrategyInapplicable("every vertex is Maker-touched; flooding has no target")
 
 
-def mindeg_breaker_select(state: GameState) -> list[Edge]:
-    """Flood the target vertex; spill leftover claims onto the lowest unclaimed edges."""
-    target = flood_target(state)
-    count = state.required_claim_count(Player.BREAKER)
-    taken = state.closed(Player.MAKER)[target] | state.closed(Player.BREAKER)[target]
-    open_row = taken ^ ((1 << state.n) - 1)
-    picks = [(target, w) if target < w else (w, target) for w in set_bits(open_row)[:count]]
-    return picks + state.lowest_open(count - len(picks), picks)
-
-
 class FloodingBreaker:
-    """run_match wrapper over mindeg_breaker_select.
+    """Floods the target vertex and spills leftover claims onto the lowest unclaimed edges.
 
     The rule keeps nothing between turns: the target follows from the log,
     one mask row gives the target's open edges, and the leftover
@@ -309,4 +294,9 @@ class FloodingBreaker:
     name = "flooding-breaker"
 
     def select(self, state: GameState) -> list[Edge]:
-        return mindeg_breaker_select(state)
+        target = flood_target(state)
+        count = state.required_claim_count(Player.BREAKER)
+        taken = state.closed(Player.MAKER)[target] | state.closed(Player.BREAKER)[target]
+        open_row = taken ^ ((1 << state.n) - 1)
+        picks = [(target, w) if target < w else (w, target) for w in set_bits(open_row)[:count]]
+        return picks + state.lowest_open(count - len(picks), picks)

@@ -47,59 +47,54 @@ logger = logging.getLogger(__name__)
 # --- pairing Breaker (1:1) --------------------------------------------------
 
 
-def pairing_breaker_select(state: GameState) -> list[Edge]:
-    """Pairing response for Breaker in the (1:1) diameter-2 game, n >= 4.
+class PairingBreaker:
+    """Pairing Breaker in the (1:1) diameter-2 game, n >= 4.
 
     Breaker's first claim anchors the lowest edge (u, v) disjoint from
     Maker's opening edge.  Afterwards a Maker claim uw is answered by wv and
     vw by wu, so Maker never finishes a two-step route between u and v; the
     direct edge uv is Breaker's own first claim.  Maker moves that touch
     neither anchor (and any claims left over on biased turns) fall back to
-    the lowest unclaimed edge.  A pure function of the snapshot, so the
-    exhaustive verifier can drive it.
+    the lowest unclaimed edge.  The pick is a function of the snapshot
+    alone, so the exhaustive verifier can drive it.
     """
-    if state.n < 4:
-        raise StrategyInapplicable("the pairing argument needs n >= 4")
-    count = state.required_claim_count(Player.BREAKER)
-    log = state.move_log
-    picks: list[Edge] = []
-    anchor: Edge | None = None
-    for player, edge in log:
-        if player is Player.BREAKER:
-            anchor = edge
-            break
-    if anchor is None:
-        opener = log[0][1] if log else ()
-        off_opener = (e for e in state.unclaimed if e[0] not in opener and e[1] not in opener)
-        picks = list(islice(off_opener, 1))
-    else:
-        u, v = anchor
-        last_maker: Edge | None = None
-        for player, edge in reversed(log):
-            if player is Player.MAKER:
-                last_maker = edge
-                break
-        partner: Edge | None = None
-        if last_maker is not None:
-            x, y = last_maker
-            if u in last_maker and v not in last_maker:
-                partner = mk_edge(y if x == u else x, v)
-            elif v in last_maker and u not in last_maker:
-                partner = mk_edge(y if x == v else x, u)
-        if partner is not None and partner in state.unclaimed:
-            picks.append(partner)
-    if len(picks) < count:
-        picks += state.lowest_open(count - len(picks), picks)
-    return picks
-
-
-class PairingBreaker:
-    """run_match wrapper over pairing_breaker_select."""
 
     name = "pairing-breaker"
 
     def select(self, state: GameState) -> list[Edge]:
-        return pairing_breaker_select(state)
+        if state.n < 4:
+            raise StrategyInapplicable("the pairing argument needs n >= 4")
+        count = state.required_claim_count(Player.BREAKER)
+        log = state.move_log
+        picks: list[Edge] = []
+        anchor: Edge | None = None
+        for player, edge in log:
+            if player is Player.BREAKER:
+                anchor = edge
+                break
+        if anchor is None:
+            opener = log[0][1] if log else ()
+            off_opener = (e for e in state.unclaimed if e[0] not in opener and e[1] not in opener)
+            picks = list(islice(off_opener, 1))
+        else:
+            u, v = anchor
+            last_maker: Edge | None = None
+            for player, edge in reversed(log):
+                if player is Player.MAKER:
+                    last_maker = edge
+                    break
+            partner: Edge | None = None
+            if last_maker is not None:
+                x, y = last_maker
+                if u in last_maker and v not in last_maker:
+                    partner = mk_edge(y if x == u else x, v)
+                elif v in last_maker and u not in last_maker:
+                    partner = mk_edge(y if x == v else x, u)
+            if partner is not None and partner in state.unclaimed:
+                picks.append(partner)
+        if len(picks) < count:
+            picks += state.lowest_open(count - len(picks), picks)
+        return picks
 
 
 # --- degree-only Maker ------------------------------------------------------
@@ -666,7 +661,7 @@ class D2Maker:
         if self._round <= self.phase1_rounds:
             game = (self._round - 1) % 4 + 1
             if game == 1:
-                for e in self._g1.select_turn(state, count, exclude=tuple(picked)):
+                for e in self._g1.select_turn(state, count):
                     self._take(e, picks, picked)
             elif game == 2:
                 self._claim_game2(picks, picked, count)

@@ -244,20 +244,12 @@ class DdMaker:
         count = state.required_claim_count(Player.MAKER)
         # Every Maker turn but a truncated last one claims exactly a edges.
         game = len(state.maker_edges) // state.a % self.half + 1
-        picks: list[Edge] = []
-        picked: set[Edge] = set()
         if game == 1:
             self._g1.sync(state)
-            for e in self._g1.select_turn(state, count):
-                picks.append(e)
-                picked.add(e)
+            picks = self._g1.select_turn(state, count)
         else:
-            for e in self._exp[game].select_turn(state, count):
-                if e not in picked:
-                    picks.append(e)
-                    picked.add(e)
-        picks += state.lowest_open(count - len(picks), picked)
-        return picks
+            picks = self._exp[game].select_turn(state, count)
+        return picks + state.lowest_open(count - len(picks), set(picks))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ DEFAULT_FAMILY_CAP = 2_000_000
 # Layouts the cache holds.  Callers use one (n, r, s) many times in a
 # row (each exhaustive cell, each subgame's ExpMaker), and an instance holds
 # its own layout, so one is enough.  D2Maker's family may hold up to
-# DEFAULT_FAMILY_CAP hyperedges, so the cache keeps no more than that one;
-# exp_maker_select's own cache of one may hold on to one more.
+# DEFAULT_FAMILY_CAP hyperedges, so the cache keeps no more than that one.
 _LAYOUT_CACHE_SIZE = 1
 
 
@@ -204,13 +203,6 @@ def _greedy_turn(layout: _Layout, state: GameState, count: int, maker_bias: int,
     return [layout.edges[pos] for pos in greedy_potential_picks(live, len(layout.edges), free, count)]
 
 
-def _check_biases(maker_bias: int, virtual_b: float) -> None:
-    if maker_bias < 1 or virtual_b <= 0:
-        raise InvalidParameters(
-            f"need maker_bias >= 1 and virtual_b > 0, got {maker_bias}, {virtual_b}"
-        )
-
-
 class ExpMaker:
     """Maker for one expansion game, playing greedy swapped-role potential.
 
@@ -236,7 +228,10 @@ class ExpMaker:
         virtual_b: float,
         cap: int = DEFAULT_FAMILY_CAP,
     ):
-        _check_biases(maker_bias, virtual_b)
+        if maker_bias < 1 or virtual_b <= 0:
+            raise InvalidParameters(
+                f"need maker_bias >= 1 and virtual_b > 0, got {maker_bias}, {virtual_b}"
+            )
         self.n = n
         self.r = r
         self.s = s
@@ -252,25 +247,16 @@ class ExpMaker:
         return self.select_turn(state, state.required_claim_count(Player.MAKER))
 
 
+# exp_maker_select's instance, one per (n, r, s, a, b).  A constructor that
+# raises caches nothing, so bad parameters raise on every call.
+_exp_maker = lru_cache(maxsize=_LAYOUT_CACHE_SIZE)(ExpMaker)
+
+
 def exp_maker_select(state: GameState, params: ExpansionParams) -> list[Edge]:
     """One expansion-Maker turn, the pick an ExpMaker(n, r, s, state.a, params.b) makes.
 
-    The checks and the layout come from the cache of the last
-    (n, r, s, a, b), so a run of calls on one cell costs a pick each, not
-    an enumeration or a check; a call on another (n, r, s) re-enumerates.
+    The instance comes from a cache of the last (n, r, s, a, b), so a run
+    of calls on one cell costs a pick each, not an enumeration or a check;
+    a call on another (n, r, s) re-enumerates.
     """
-    layout, virtual_b = _select_setup(params.n, params.r, params.s, state.a, params.b)
-    return _greedy_turn(layout, state, state.required_claim_count(Player.MAKER), state.a, virtual_b)
-
-
-@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _select_setup(n: int, r: int, s: int, a: int, b: float) -> tuple[_Layout, float]:
-    """exp_maker_select's checked layout and float bias, once per (n, r, s, a, b).
-
-    A verification calls it at every pick with the same arguments.  A
-    check that raises caches nothing, so bad parameters raise on every call.
-    """
-    virtual_b = float(b)
-    _check_biases(a, virtual_b)
-    _checked_count(n, r, s, DEFAULT_FAMILY_CAP)
-    return _layout(n, r, s), virtual_b
+    return _exp_maker(params.n, params.r, params.s, state.a, params.b).select(state)

@@ -464,39 +464,49 @@ class Transcript:
 
 
 def transcript_from_jsonl(text: str) -> Transcript:
+    """The transcript a to_jsonl() text holds; InvalidParameters for a
+    line that is not a JSON object, a record that lacks a key, or a value
+    of the wrong shape."""
     lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+    if not all(isinstance(rec, dict) for rec in lines):
+        raise InvalidParameters("every transcript line must be a JSON object")
     if not lines or lines[0].get("type") != "header" or lines[-1].get("type") != "footer":
         raise InvalidParameters("transcript must start with a header and end with a footer")
     head, foot = lines[0], lines[-1]
     claims = []
-    for rec in lines[1:-1]:
-        if rec.get("type") != "claim":
-            raise InvalidParameters(f"unexpected record type {rec.get('type')!r}")
-        claims.append(
-            TurnRecord(
-                turn=rec["turn"],
-                player=Player(rec["player"]),
-                edges=[mk_edge(*e) for e in rec["edges"]],
+    try:
+        for rec in lines[1:-1]:
+            if rec.get("type") != "claim":
+                raise InvalidParameters(f"unexpected record type {rec.get('type')!r}")
+            claims.append(
+                TurnRecord(
+                    turn=rec["turn"],
+                    player=Player(rec["player"]),
+                    edges=[mk_edge(*e) for e in rec["edges"]],
+                )
             )
+        return Transcript(
+            n=head["n"],
+            a=head["a"],
+            b=head["b"],
+            first=Player(head["first"]),
+            maker_id=head["maker"],
+            breaker_id=head["breaker"],
+            seed=head["seed"],
+            property_id=head["property"],
+            claims=claims,
+            verdict=foot["verdict"],
+            winner=Player(foot["winner"]),
+            rounds=foot["rounds"],
+            fault=Player(foot["fault"]) if foot["fault"] else None,
+            flags=list(foot["flags"]),
+            annotations=list(foot["annotations"]),
+            violations=list(foot["violations"]),
         )
-    return Transcript(
-        n=head["n"],
-        a=head["a"],
-        b=head["b"],
-        first=Player(head["first"]),
-        maker_id=head["maker"],
-        breaker_id=head["breaker"],
-        seed=head["seed"],
-        property_id=head["property"],
-        claims=claims,
-        verdict=foot["verdict"],
-        winner=Player(foot["winner"]),
-        rounds=foot["rounds"],
-        fault=Player(foot["fault"]) if foot["fault"] else None,
-        flags=list(foot["flags"]),
-        annotations=list(foot["annotations"]),
-        violations=list(foot["violations"]),
-    )
+    except KeyError as exc:
+        raise InvalidParameters(f"transcript record lacks key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameters(f"bad transcript record: {exc}") from None
 
 
 def read_transcript(path) -> Transcript:
@@ -535,7 +545,6 @@ def run_match(
     seed: int | None = None,
     early_stop: bool = True,
     round_observer: Callable[[GameState], None] | None = None,
-    max_rounds: int | None = None,
 ) -> Transcript:
     """Play a match to exhaustion (or early stop) and return its transcript.
 
@@ -559,8 +568,6 @@ def run_match(
     rounds = 0
 
     while not state.is_exhausted():
-        if max_rounds is not None and rounds >= max_rounds:
-            break
         side = state.to_move
         strategy = strategies[side]
         try:

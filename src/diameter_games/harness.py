@@ -136,7 +136,6 @@ class ExperimentConfig:
     repetitions: int = 1
     property_id: str | None = None
     early_stop: bool = True
-    max_rounds: int | None = None
     csv_path: str | None = None
     transcripts_path: str | None = None
     assert_invariants: bool = False
@@ -162,14 +161,19 @@ class ExperimentConfig:
             return cls.from_json(json.load(fh))
 
     def validate(self) -> None:
+        optional = ("property_id", "csv_path", "transcripts_path")
+        for key in ("maker", "breaker", *optional):
+            value = getattr(self, key)
+            if not isinstance(value, str) and not (value is None and key in optional):
+                raise InvalidParameters(f"{key} must be a string, got {value!r}")
         if self.maker not in _REGISTRY:
             raise InvalidParameters(f"unknown maker id {self.maker!r}")
         if self.breaker not in _REGISTRY:
             raise InvalidParameters(f"unknown breaker id {self.breaker!r}")
-        least_values = {"n": 2, "a": 1, "b": 1, "d": 1, "repetitions": 1, "max_rounds": 1}
+        least_values = {"n": 2, "a": 1, "b": 1, "d": 1, "repetitions": 1}
         for key, least in least_values.items():
             value = getattr(self, key)
-            if value is None and key in ("b", "max_rounds"):  # the two that may be unset
+            if value is None and key == "b":  # the one that may be unset
                 continue
             if not _is_int(value):
                 raise InvalidParameters(f"{key} must be an integer, got {value!r}")
@@ -316,7 +320,6 @@ def _play_match(cfg: ExperimentConfig, match_index: int, seed: int) -> MatchResu
         seed=seed,
         early_stop=cfg.early_stop,
         round_observer=observer,
-        max_rounds=cfg.max_rounds,
     )
     transcript.violations.extend(harness_violations)
     return MatchResult(match_index=match_index, seed=seed, transcript=transcript)

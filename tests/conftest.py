@@ -11,7 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from diameter_games import Player, new_game, run_match
+from diameter_games import Player
+from diameter_games.game_core import new_game, run_match
 from diameter_games.potential_engine import OpenPairs
 
 

@@ -17,22 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from diameter_games import (
-    Player,
-    StrategyInapplicable,
-    apply_claim,
-    new_game,
-    property_from_id,
-    read_transcript,
-    replay_transcript,
-    run_match,
-)
+from diameter_games import Player
 from diameter_games.degree_games import (
     DegreeWeightState,
     FloodingBreaker,
     MinDegStrategy,
     flood_degree_bound,
-    mindeg_breaker_select,
     mindeg_params,
 )
 from diameter_games.diameter2 import (
@@ -61,6 +51,15 @@ from diameter_games.expansion_games import (
     exp_family,
     exp_maker_select,
     exp_start_value_closed_form,
+)
+from diameter_games.game_core import (
+    StrategyInapplicable,
+    apply_claim,
+    new_game,
+    property_from_id,
+    read_transcript,
+    replay_transcript,
+    run_match,
 )
 from diameter_games.graph_metrics import (
     closed_masks,
@@ -303,7 +302,7 @@ def _check_flood_cap(n, a, b, bound):
 
     def script(state):
         try:
-            return mindeg_breaker_select(state)
+            return FloodingBreaker().select(state)
         except StrategyInapplicable:
             count = state.required_claim_count(Player.BREAKER)
             return sorted(state.unclaimed)[:count]

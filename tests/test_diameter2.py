@@ -6,31 +6,32 @@ import random
 
 import pytest
 
-from diameter_games import (
+from diameter_games import PairingBreaker, Player
+from diameter_games.degree_games import flood_target
+from diameter_games.diameter2 import (
     D2Breaker,
     D2Maker,
     D2SimpleMaker,
-    GameState,
-    PairingBreaker,
-    Player,
-    RandomStrategy,
-    StrategyInapplicable,
-    apply_claim,
+    _ConnectPair,
     d2_breaker_params,
     d2_maker_bias_bound,
     d2_maker_min_scale,
     d2_maker_params,
-    diameter,
-    diameter_at_most,
-    flood_target,
     game4_lambda,
+)
+from diameter_games.game_core import (
+    GameState,
+    InvalidParameters,
+    StrategyInapplicable,
+    apply_claim,
+    diameter_at_most,
     maker_graph,
     mk_edge,
     new_game,
-    pairing_breaker_select,
     run_match,
 )
-from diameter_games.diameter2 import _ConnectPair
+from diameter_games.graph_metrics import diameter
+from diameter_games.heuristics import RandomStrategy
 
 
 class TestPairing:
@@ -38,12 +39,12 @@ class TestPairing:
         state = new_game(3, 1, 1)
         apply_claim(state, Player.MAKER, [(0, 1)])
         with pytest.raises(StrategyInapplicable):
-            pairing_breaker_select(state)
+            PairingBreaker().select(state)
 
     def test_anchor_avoids_maker_opener(self):
         state = new_game(5, 1, 1)
         apply_claim(state, Player.MAKER, [(0, 1)])
-        picks = pairing_breaker_select(state)
+        picks = PairingBreaker().select(state)
         assert picks == [(2, 3)]
 
     def test_wedge_response(self):
@@ -51,7 +52,7 @@ class TestPairing:
         apply_claim(state, Player.MAKER, [(0, 1)])
         apply_claim(state, Player.BREAKER, [(2, 3)])  # anchor u=2, v=3
         apply_claim(state, Player.MAKER, [(2, 4)])  # Maker starts route 2-4-3
-        picks = pairing_breaker_select(state)
+        picks = PairingBreaker().select(state)
         assert picks == [(3, 4)]
 
     def test_response_to_other_anchor_endpoint(self):
@@ -59,7 +60,7 @@ class TestPairing:
         apply_claim(state, Player.MAKER, [(0, 1)])
         apply_claim(state, Player.BREAKER, [(2, 3)])
         apply_claim(state, Player.MAKER, [(0, 3)])  # touches v=3 via 0
-        picks = pairing_breaker_select(state)
+        picks = PairingBreaker().select(state)
         assert picks == [(0, 2)]
 
     def test_irrelevant_maker_move_falls_back_to_lex(self):
@@ -67,7 +68,7 @@ class TestPairing:
         apply_claim(state, Player.MAKER, [(0, 1)])
         apply_claim(state, Player.BREAKER, [(2, 3)])
         apply_claim(state, Player.MAKER, [(4, 5)])  # touches neither anchor
-        picks = pairing_breaker_select(state)
+        picks = PairingBreaker().select(state)
         assert picks == [(0, 2)]
 
     def test_keeps_anchor_pair_apart_in_play(self):
@@ -273,8 +274,6 @@ class TestMakerParams:
         assert p.virtual_b == pytest.approx(276.4826216187209, rel=1e-12)
 
     def test_rejects_degenerate(self):
-        from diameter_games import InvalidParameters
-
         with pytest.raises(InvalidParameters):
             d2_maker_params(2)
         with pytest.raises(InvalidParameters):

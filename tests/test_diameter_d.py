@@ -8,19 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diameter_games import (
+from diameter_games import Player
+from diameter_games.diameter_d import (
     DdBreakerA1,
     DdBreakerA2,
     DdMaker,
-    DegreeGreedyStrategy,
-    GameState,
-    InvalidParameters,
-    PathGreedyStrategy,
-    Player,
-    RandomStrategy,
     a1_blocking_invariant,
-    all_edges,
-    apply_claim,
     block_budget,
     claim2_bound,
     claim2_check,
@@ -28,12 +21,19 @@ from diameter_games import (
     dd_breaker_a1_biases,
     dd_breaker_a2_bias,
     dd_params,
+)
+from diameter_games.game_core import (
+    GameState,
+    InvalidParameters,
+    all_edges,
+    apply_claim,
     diameter_at_most,
     maker_graph,
     new_game,
     run_match,
 )
 from diameter_games.graph_metrics import dist, set_bits, spheres
+from diameter_games.heuristics import DegreeGreedyStrategy, PathGreedyStrategy, RandomStrategy
 
 
 class TestParams:

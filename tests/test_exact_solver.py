@@ -10,37 +10,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diameter_games import (
-    STRATEGY_IDS,
     ExperimentConfig,
-    FloodingBreaker,
-    GameError,
-    GameState,
-    InvalidParameters,
-    LowestEdgeStrategy,
-    OverCapError,
     PairingBreaker,
     Player,
-    RandomStrategy,
-    StrategyInapplicable,
-    all_edges,
-    apply_claim,
     box_maker_select,
-    canonical_key,
-    diameter,
     esb_breaker_select,
     family_from_sets,
     graph_from_edges,
-    make_strategy,
-    mindeg_breaker_select,
-    mk_edge,
-    new_game,
     solve,
     verify_family_one_sided,
     verify_final_property,
     verify_one_sided,
 )
-from diameter_games.exact_solver import _canonical_from_neighbours, diameter_cutoff
-from diameter_games.graph_metrics import closed_masks, complement, diameter_within
+from diameter_games.degree_games import FloodingBreaker
+from diameter_games.exact_solver import (
+    OverCapError,
+    _canonical_from_neighbours,
+    canonical_key,
+    diameter_cutoff,
+)
+from diameter_games.game_core import (
+    GameError,
+    GameState,
+    InvalidParameters,
+    StrategyInapplicable,
+    all_edges,
+    apply_claim,
+    mk_edge,
+    new_game,
+)
+from diameter_games.graph_metrics import closed_masks, complement, diameter, diameter_within
+from diameter_games.harness import STRATEGY_IDS, make_strategy
+from diameter_games.heuristics import LowestEdgeStrategy, RandomStrategy
 
 
 def _closed(n, mask):
@@ -412,7 +413,7 @@ class TestVerifyOneSided:
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2)])
     @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
     def test_flooding_cursor_matches_pure_rule(self, a, b, first):
-        script = Differential(FloodingBreaker(), mindeg_breaker_select)
+        script = Differential(FloodingBreaker(), lambda state: FloodingBreaker().select(state))
         verify_one_sided(5, a, b, 2, script, Player.BREAKER, first=first)
         assert verify_final_property(
             5, a, b, script, Player.BREAKER, lambda snap: True, first=first

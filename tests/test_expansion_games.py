@@ -8,27 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diameter_games import (
+from diameter_games import Player, exp_condition, exp_maker_select, has_expansion
+from diameter_games.exact_solver import verify_final_property
+from diameter_games.expansion_games import (
     ExpMaker,
-    FamilyTooLarge,
+    _exp_maker,
+    _layout,
+    exp_family,
+    exp_family_count,
+    exp_start_value_closed_form,
+)
+from diameter_games.game_core import (
     InvalidParameters,
-    Player,
-    RandomStrategy,
     all_edges,
     apply_claim,
     diameter_at_most,
-    exp_condition,
-    exp_family,
-    exp_maker_select,
-    exp_start_value_closed_form,
-    has_expansion,
     maker_graph,
     new_game,
     run_match,
 )
-from diameter_games.exact_solver import verify_final_property
-from diameter_games.expansion_games import _layout, exp_family_count
 from diameter_games.graph_metrics import closed_masks, expansion_of_closed
+from diameter_games.heuristics import RandomStrategy
+from diameter_games.potential_engine import FamilyTooLarge
 
 
 class TestCondition:
@@ -260,6 +261,22 @@ class _Scripted:
         self.select = select_fn
 
 
+def _verify_cell(n, r, s, a, b, select):
+    """verify_final_property on one expansion cell, `select` playing the scripted Maker."""
+
+    def predicate(snap):
+        return expansion_of_closed(closed_masks(n, snap.maker_edges), r, s)
+
+    def prune(maker, breaker, unclaimed, log):
+        if expansion_of_closed(closed_masks(n, maker), r, s):
+            return True
+        if not expansion_of_closed(closed_masks(n, maker | unclaimed), r, s):
+            return False
+        return None
+
+    return verify_final_property(n, a, b, _Scripted(select), Player.MAKER, predicate, prune=prune)
+
+
 class TestSharedLayout:
     """ExpMakers on one (n, r, s) share a cached layout and nothing else."""
 
@@ -303,18 +320,36 @@ class TestSharedLayout:
             assert pick == _reference_exp_pick(state, family, b)
             return pick
 
-        def predicate(snap):
-            return expansion_of_closed(closed_masks(n, snap.maker_edges), r, s)
-
-        def prune(maker, breaker, unclaimed, log):
-            if expansion_of_closed(closed_masks(n, maker), r, s):
-                return True
-            if not expansion_of_closed(closed_masks(n, maker | unclaimed), r, s):
-                return False
-            return None
-
-        assert verify_final_property(n, a, b, _Scripted(script), Player.MAKER, predicate, prune=prune)
+        assert _verify_cell(n, r, s, a, b, script)
         assert calls > 100
+
+    def test_one_shot_helper_builds_one_maker_per_cell(self):
+        """A whole verification of one criterion-07 cell builds its ExpMaker once."""
+        n, r, s, a, b = 6, 2, 4, 3, 3
+        params = exp_condition(n, r, s, a, b)
+        _exp_maker.cache_clear()
+        calls = 0
+
+        def script(state):
+            nonlocal calls
+            calls += 1
+            return exp_maker_select(state, params)
+
+        assert _verify_cell(n, r, s, a, b, script)
+        assert calls > 100
+        info = _exp_maker.cache_info()
+        assert (info.misses, info.hits) == (1, calls - 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_shot_helper_picks_as_fresh_makers_on_a_seeded_line(self, seed):
+        n, r, s, a, b = 7, 2, 3, 2, 2
+        params = exp_condition(n, r, s, a, b)
+        cached = _Scripted(lambda state: exp_maker_select(state, params))
+        fresh = _Scripted(lambda state: ExpMaker(n, r, s, maker_bias=a, virtual_b=b).select(state))
+        _exp_maker.cache_clear()
+        ours, theirs = _picks_through_seeded_game([cached, fresh], n, a, b, seed)
+        assert ours == theirs
+        assert _exp_maker.cache_info().misses == 1
 
 
 @settings(max_examples=40, deadline=None)

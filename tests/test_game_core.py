@@ -12,40 +12,48 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diameter_games import (
+from diameter_games import Player
+from diameter_games.diameter2 import D2SimpleMaker
+from diameter_games.game_core import (
     AlreadyClaimed,
-    D2SimpleMaker,
-    DegreeGreedyStrategy,
+    EdgeView,
     GameError,
     GameState,
-    Graph,
     InvalidParameters,
-    LowestEdgeStrategy,
-    PathGreedyStrategy,
-    Player,
-    RandomStrategy,
     Transcript,
     TurnRecord,
     WrongClaimCount,
     WrongTurn,
     all_edges,
     apply_claim,
-    degree_profile,
-    diameter,
     diameter_at_most,
     edge_count,
     maker_graph,
     min_degree_exceeds,
     mk_edge,
     new_game,
+    pop_claims,
     property_from_id,
+    push_claims,
     read_transcript,
     replay_transcript,
     run_match,
     transcript_from_jsonl,
 )
-from diameter_games.game_core import EdgeView, pop_claims, push_claims
-from diameter_games.graph_metrics import InvalidGraph, closed_masks, graph_from_edges
+from diameter_games.graph_metrics import (
+    Graph,
+    InvalidGraph,
+    closed_masks,
+    degree_profile,
+    diameter,
+    graph_from_edges,
+)
+from diameter_games.heuristics import (
+    DegreeGreedyStrategy,
+    LowestEdgeStrategy,
+    PathGreedyStrategy,
+    RandomStrategy,
+)
 
 
 def test_mk_edge_orders_endpoints():

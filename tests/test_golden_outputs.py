@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from diameter_games import ExperimentConfig, run_experiment, summarize, write_csv
+from diameter_games import ExperimentConfig, run_experiment
+from diameter_games.harness import summarize, write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"

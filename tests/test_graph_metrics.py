@@ -8,22 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diameter_games import (
-    Graph,
-    ball,
-    degree_profile,
-    diameter,
-    dist,
-    graph_from_edges,
-    has_expansion,
-    sphere,
-)
+from diameter_games import graph_from_edges, has_expansion
 from diameter_games.graph_metrics import (
     INFINITE,
+    Graph,
     InvalidGraph,
+    ball,
     closed_masks,
+    degree_profile,
+    diameter,
     diameter_within,
+    dist,
     set_bits,
+    sphere,
     spheres,
 )
 

@@ -12,24 +12,23 @@ from pathlib import Path
 
 import pytest
 
-from diameter_games import (
+from diameter_games import ExperimentConfig, Player, run_experiment
+from diameter_games import cli, harness
+from diameter_games.cli import main
+from diameter_games.diameter2 import d2_breaker_params
+from diameter_games.diameter_d import dd_breaker_a1_biases, dd_breaker_a2_bias
+from diameter_games.exact_solver import OverCapError
+from diameter_games.game_core import InvalidParameters, apply_claim, new_game
+from diameter_games.harness import (
     CSV_COLUMNS,
-    ExperimentConfig,
-    InvalidParameters,
-    Player,
     STRATEGY_IDS,
-    d2_breaker_params,
-    dd_breaker_a1_biases,
-    dd_breaker_a2_bias,
+    InvariantViolation,
     make_strategy,
     match_seed,
-    run_experiment,
     summarize,
     write_csv,
     write_transcripts,
 )
-from diameter_games import InvariantViolation, OverCapError, apply_claim, cli, harness, new_game
-from diameter_games.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TRANSCRIPT_DIR = CONFIG_DIR.parent / "transcripts"
@@ -113,26 +112,27 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("n", "10"), ("n", 10.5), ("n", True), ("a", 1.0), ("b", "2"), ("b", False),
-        ("repetitions", 2.5), ("max_rounds", 0), ("max_rounds", -3), ("max_rounds", 1.5),
-        ("d", -1), ("d", 0), ("d", "2"), ("seeds", [0, True]),
+        ("repetitions", 2.5), ("maker", ["random"]), ("breaker", ["lowest-edge"]),
+        ("property_id", 5), ("d", -1), ("d", 0), ("d", "2"), ("seeds", [0, True]),
         ("early_stop", "false"), ("early_stop", 0), ("assert_invariants", "no"),
+        ("csv_path", 7), ("transcripts_path", ["out"]),
     ])
     def test_rejects_bad_field(self, key, value, tmp_path, capsys):
-        """Wrong types used to raise TypeError, max_rounds 0 or d <= 0 used to
-        validate and then play no round or target diameter <= d, and the
-        string "false" used to turn early stop on."""
+        """Wrong types used to raise TypeError, d <= 0 used to validate and
+        then target diameter <= d, and the string "false" used to turn early
+        stop on."""
         with pytest.raises(InvalidParameters, match=key):
             small_config(**{key: value})
         path = tmp_path / "cfg.json"
         config = dict(name="bad-int", n=5, a=1, b=1, maker="random", breaker="lowest-edge")
         path.write_text(json.dumps({**config, key: value}))
         assert main(["simulate", "--config", str(path)]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
-    def test_accepts_unset_b_and_max_rounds(self):
-        cfg = small_config(b=None, breaker="d2-breaker", n=100, max_rounds=None)
-        assert cfg.max_rounds is None and cfg.effective_b() == 10
-        assert small_config(max_rounds=1, d=1).max_rounds == 1
+    def test_accepts_unset_b(self):
+        cfg = small_config(b=None, breaker="d2-breaker", n=100)
+        assert cfg.b is None and cfg.effective_b() == 10
 
     def test_rejects_bad_dd_maker_schedule_option(self):
         with pytest.raises(InvalidParameters, match="stay below n"):
@@ -597,6 +597,25 @@ class TestCli:
         lines[-1] = json.dumps(footer)
         transcript.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(transcript)]) == 1
+
+    @pytest.mark.parametrize("line,tamper", [
+        (1, lambda rec: {k: v for k, v in rec.items() if k != "edges"}),
+        (0, lambda rec: {k: v for k, v in rec.items() if k != "a"}),
+        (1, lambda rec: [rec]),
+        (1, lambda rec: {**rec, "player": "x"}),
+        (1, lambda rec: {**rec, "edges": [[0]]}),
+    ], ids=["claim-without-edges", "header-without-a", "list-line", "bad-player", "one-ended-edge"])
+    def test_malformed_transcript_is_a_usage_error(self, line, tamper, tmp_path, capsys):
+        """These used to end replay in a KeyError, AttributeError, ValueError
+        or TypeError traceback."""
+        text = run_experiment(small_config(n=5, seeds=[2], repetitions=1))[0].transcript.to_jsonl()
+        records = [json.loads(rec) for rec in text.splitlines()]
+        records[line] = tamper(records[line])
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_missing_config_file_exits_one(self):
         assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 1

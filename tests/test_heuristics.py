@@ -10,19 +10,12 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from diameter_games import (
-    D2Breaker,
-    D2Maker,
-    DegreeGreedyStrategy,
-    EsbDegreeBreaker,
+from diameter_games import Player
+from diameter_games.degree_games import MinDegStrategy
+from diameter_games.diameter2 import D2Breaker, D2Maker, d2_breaker_params
+from diameter_games.game_core import (
     GameError,
-    LowestEdgeStrategy,
-    MinDegStrategy,
-    PathGreedyStrategy,
-    Player,
-    RandomStrategy,
     apply_claim,
-    d2_breaker_params,
     diameter_at_most,
     maker_graph,
     mk_edge,
@@ -30,6 +23,13 @@ from diameter_games import (
     run_match,
 )
 from diameter_games.graph_metrics import dist
+from diameter_games.heuristics import (
+    DegreeGreedyStrategy,
+    EsbDegreeBreaker,
+    LowestEdgeStrategy,
+    PathGreedyStrategy,
+    RandomStrategy,
+)
 
 
 class TestRandomStrategy:

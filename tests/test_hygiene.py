@@ -238,6 +238,64 @@ def test_no_write_only_private_attributes(path):
     assert write_only_private_attributes(path.read_text()) == []
 
 
+def top_level_bindings(source: str) -> tuple[set[str], list[str]]:
+    """The names a module's top level binds, and its literal `__all__` list."""
+    bound: set[str] = set()
+    declared: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    declared = ast.literal_eval(node.value)
+                elif isinstance(target, ast.Name):
+                    bound.add(target.id)
+    return bound, declared
+
+
+def package_imports(source: str) -> set[str]:
+    """Names imported `from diameter_games` (the package top level), at any depth."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "diameter_games"
+        for alias in node.names
+    }
+
+
+def test_surface_scans_find_bindings_and_package_imports():
+    source = (
+        '"""Doc."""\n'
+        "from .a import b, c as d\n"
+        "import os.path\n"
+        "__all__ = ['b', 'd']\n"
+        "__version__ = '1'\n"
+        "def f():\n"
+        "    from diameter_games import game_core\n"
+        "from diameter_games.harness import run_experiment\n"
+        "from diameter_games import solve\n"
+    )
+    bound = {"b", "d", "os", "__version__", "f", "run_experiment", "solve"}
+    assert top_level_bindings(source) == (bound, ["b", "d"])
+    assert package_imports(source) == {"game_core", "solve"}
+
+
+def test_package_binds_its_declared_surface_and_perfbench_imports_only_from_it():
+    """__init__.py binds exactly the names in its __all__, plus __version__,
+    and every name perfbench imports from the package top level, other than
+    a submodule, is in __all__.  perfbench's files are only read."""
+    bound, declared = top_level_bindings((ROOT / "src/diameter_games/__init__.py").read_text())
+    assert len(declared) == len(set(declared))
+    assert bound == set(declared) | {"__version__"}
+    submodules = {path.stem for path in ROOT.glob("src/diameter_games/*.py")}
+    used = set().union(*(package_imports(path.read_text()) for path in ROOT.glob("perfbench/*.py")))
+    assert used - submodules - set(declared) == set()
+
+
 def imports_numpy(source: str) -> bool:
     """Whether the module imports numpy or a numpy submodule, at any depth."""
     for node in ast.walk(ast.parse(source)):

@@ -9,24 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diameter_games import (
-    InvalidParameters,
-    Player,
+from diameter_games import Player, box_maker_select, esb_breaker_select, family_from_sets
+from diameter_games.game_core import GameState, InvalidParameters
+from diameter_games.potential_engine import (
+    OpenPairs,
     WinningSetFamily,
     box_game_condition,
-    box_maker_select,
-    esb_breaker_select,
     esb_potential,
     esb_start_value,
     family_apply_claim,
-    family_from_sets,
+    greedy_potential_picks,
     harmonic,
     new_family_game,
     run_family_match,
     validate_box_family,
 )
-from diameter_games.game_core import GameState
-from diameter_games.potential_engine import OpenPairs, greedy_potential_picks
 
 
 def pairs_family(k):
