@@ -14,21 +14,22 @@ diameter_cutoff(): Maker has won once Maker's graph has diameter <= d, and
 Breaker once some pair cannot be joined within d even using every
 unclaimed edge.  Both are graph_metrics.diameter_within on closed masks.
 
-solve() and the board verifier, verify_final_property(), play and undo on
-one live GameState (game_core.push_claims, pop_claims), so the masks, the
-open count, to_move and the log move together.  solve() branches over both
-sides' plays and keys its memo on the live masks.  The board verifier pins
-one side to a scripted strategy and branches over every opposing play.
-Its prune reads the board's live edge views; the scripted side and the
-final predicate each get a copy, O(n) ints and the log.  A prune may
-settle a node early; the final predicate judges the full board.
-verify_one_sided() is that DFS with diameter_cutoff() as its prune.
-Strategies verified this way must be snapshot-pure: select(state) may
-depend only on the passed state (including its move log), because the
-verifier re-enters earlier positions after backtracking.  Retained state
-is fine when it follows game_core.LogCursor's rule: rebuild unless the log
-grew since the previous select().  verify_family_one_sided() plays on a
-winning-set family and memoises on masks of its positions.
+All three searches play and undo on one live position.  solve() and the
+board verifier, verify_final_property(), play on a GameState
+(game_core.push_claims, pop_claims), so the masks, the open count, to_move
+and the log move together.  solve() branches over both sides' plays and
+keys its memo on the live masks.  The board verifier pins one side to a
+scripted strategy and branches over every opposing play.  Its prune reads
+the board's live edge views; the scripted side and the final predicate each
+get a copy, O(n) ints and the log.  A prune may settle a node early; the
+final predicate judges the full board.  verify_one_sided() is that DFS with
+diameter_cutoff() as its prune.  Strategies verified this way must be
+snapshot-pure: select(state) may depend only on the passed state (including
+its move log), because the verifier re-enters earlier positions after
+backtracking.  Retained state is fine when it follows game_core.LogCursor's
+rule: rebuild unless the log grew since the previous select().
+verify_family_one_sided() plays on a FamilyGameState and memoises on masks
+of its positions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .game_core import (
     push_claims,
 )
 from .graph_metrics import _vertex_bits, closed_masks, complement, diameter_within
-from .potential_engine import FamilyGameState, WinningSetFamily
+from .potential_engine import WinningSetFamily, family_apply_claim, family_pop_claims, new_family_game
 
 DEFAULT_EDGE_CAP = 21  # C(n,2) <= 21, i.e. n <= 7
 DEFAULT_MEMO_CAP = 5_000_000
@@ -402,72 +403,42 @@ def verify_family_one_sided(
 ) -> bool:
     """Scripted side vs exhaustive opponent on an explicit family game.
 
-    scripted_select(FamilyGameState) -> positions must be a pure function of
-    the ownership masks (every shipped family selector is), which makes
-    memoization over (maker mask, breaker mask, side) sound; the memo is
-    capped at DEFAULT_MEMO_CAP entries.  Goal: Maker side completes a set;
-    Breaker side prevents every set.  A bias below 1 raises InvalidParameters.
+    scripted_select gets a copy of the live FamilyGameState, log included,
+    and must be a pure function of the ownership sets (every shipped family
+    selector is), which makes memoization over (maker mask, breaker mask,
+    side) sound; the memo is capped at DEFAULT_MEMO_CAP entries.  Goal:
+    Maker side completes a set; Breaker side prevents every set.  A bias
+    below 1, or an illegal scripted claim, raises InvalidParameters.
     """
-    if a < 1 or b < 1:
-        raise InvalidParameters(f"biases must be positive, got a={a}, b={b}")
-    u = family.universe_size
-    set_masks = [sum(1 << p for p in aset) for aset in family.sets]
-    full = (1 << u) - 1
+    state = new_family_game(family, a, b, first)
     memo: dict = {}
 
-    def game_state(mm: int, bm: int, to_move: Player) -> FamilyGameState:
-        return FamilyGameState(
-            family=family,
-            a=a,
-            b=b,
-            first=first,
-            maker={p for p in range(u) if mm >> p & 1},
-            breaker={p for p in range(u) if bm >> p & 1},
-            to_move=to_move,
-        )
+    def play(picks) -> bool:
+        family_apply_claim(state, state.to_move, picks)
+        ok = dfs()
+        family_pop_claims(state, len(picks))
+        return ok
 
-    def dfs(mm: int, bm: int, to_move: Player) -> bool:
-        if any(sm & ~mm == 0 for sm in set_masks):
+    def dfs() -> bool:
+        if state.maker_won():
             return side is Player.MAKER
-        if all(sm & bm for sm in set_masks):
-            return side is Player.BREAKER
-        if mm | bm == full:
+        if state.all_sets_dead() or len(state.move_log) == family.universe_size:
             return side is Player.BREAKER  # no set completed, none ever will be
-        key = (mm, bm, to_move)
+        to_move = state.to_move
+        key = (sum(1 << p for p in state.maker), sum(1 << p for p in state.breaker), to_move)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        open_positions = [p for p in range(u) if not (mm | bm) >> p & 1]
-        count = min(a if to_move is Player.MAKER else b, len(open_positions))
         if to_move is side:
-            picks = list(scripted_select(game_state(mm, bm, to_move)))
-            if len(picks) != count or len(set(picks)) != count:
-                raise GameError(f"scripted family {side.value} returned bad claim {picks}")
-            add = 0
-            for p in picks:
-                if not 0 <= p < u or (mm | bm) >> p & 1:
-                    raise GameError(f"scripted family {side.value} claimed taken or unknown position {p}")
-                add |= 1 << p
-            if to_move is Player.MAKER:
-                result = dfs(mm | add, bm, to_move.other())
-            else:
-                result = dfs(mm, bm | add, to_move.other())
+            result = play(list(scripted_select(state.copy())))
         else:
-            result = True
-            for combo in combinations(open_positions, count):
-                add = 0
-                for p in combo:
-                    add |= 1 << p
-                if to_move is Player.MAKER:
-                    ok = dfs(mm | add, bm, to_move.other())
-                else:
-                    ok = dfs(mm, bm | add, to_move.other())
-                if not ok:
-                    result = False
-                    break
+            count = state.required_claim_count(to_move)
+            result = all(play(combo) for combo in combinations(state.unclaimed(), count))
         if len(memo) >= DEFAULT_MEMO_CAP:
             raise OverCapError(f"memo cap {DEFAULT_MEMO_CAP} reached", count=len(memo))
         memo[key] = result
         return result
 
-    return dfs(0, 0, first)
+    won = dfs()
+    del dfs  # dfs and play refer to each other; break the cycle so the memo is freed now, not by the cyclic collector
+    return won

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -66,13 +66,15 @@ class WinningSetFamily:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
-            raise InvalidParameters("universe must be nonempty")
+        if type(self.universe_size) is not int or self.universe_size < 1:
+            raise InvalidParameters(f"universe_size must be a positive int, got {self.universe_size!r}")
         for a in self.sets:
             if not a:
                 raise InvalidParameters("winning sets must be nonempty")
-            if not all(0 <= p < self.universe_size for p in a):
-                raise InvalidParameters(f"set {sorted(a)} has positions outside the universe")
+            if not all(type(p) is int and 0 <= p < self.universe_size for p in a):
+                raise InvalidParameters(
+                    f"set {sorted(a, key=repr)} has a position that is not an int in 0..{self.universe_size - 1}"
+                )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -82,11 +84,13 @@ class WinningSetFamily:
 
     @staticmethod
     def from_json(text: str) -> "WinningSetFamily":
+        """Parse to_json's format; a malformed family raises InvalidParameters."""
         data = json.loads(text)
-        return WinningSetFamily(
-            universe_size=data["universe_size"],
-            sets=tuple(frozenset(a) for a in data["sets"]),
-        )
+        if not isinstance(data, dict) or not isinstance(data.get("sets"), list):
+            raise InvalidParameters("a family is a JSON object with universe_size and a list of sets")
+        if not all(isinstance(a, list) and all(type(p) is int for p in a) for a in data["sets"]):
+            raise InvalidParameters("each winning set is a JSON list of int positions")
+        return WinningSetFamily(data.get("universe_size"), tuple(frozenset(a) for a in data["sets"]))
 
     @staticmethod
     def from_file(path) -> "WinningSetFamily":
@@ -120,17 +124,19 @@ class FamilyGameState:
         taken = self.maker | self.breaker
         return [p for p in range(self.family.universe_size) if p not in taken]
 
-    def bias_of(self, player: Player) -> int:
-        return self.a if player is Player.MAKER else self.b
-
     def required_claim_count(self, player: Player) -> int:
-        return min(self.bias_of(player), self.family.universe_size - len(self.maker) - len(self.breaker))
+        bias = self.a if player is Player.MAKER else self.b
+        return min(bias, self.family.universe_size - len(self.maker) - len(self.breaker))
 
     def maker_won(self) -> bool:
         return any(a <= self.maker for a in self.family.sets)
 
     def all_sets_dead(self) -> bool:
         return all(a & self.breaker for a in self.family.sets)
+
+    def copy(self) -> FamilyGameState:
+        """An independent position: it shares no set or list with this one."""
+        return replace(self, maker=set(self.maker), breaker=set(self.breaker), move_log=self.move_log[:])
 
 
 def new_family_game(family: WinningSetFamily, a: int, b: int, first: Player = Player.MAKER) -> FamilyGameState:
@@ -155,6 +161,16 @@ def family_apply_claim(state: FamilyGameState, player: Player, positions) -> Fam
         state.move_log.append((player, p))
     state.to_move = player.other()
     return state
+
+
+def family_pop_claims(state: FamilyGameState, count: int) -> None:
+    """Take back the last turn, its `count` claims: the inverse of family_apply_claim."""
+    log = state.move_log
+    player = log[-1][0]
+    own = state.maker if player is Player.MAKER else state.breaker
+    for _ in range(count):
+        own.remove(log.pop()[1])
+    state.to_move = player
 
 
 # --- Erdos-Selfridge-Beck -------------------------------------------------

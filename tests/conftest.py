@@ -77,6 +77,25 @@ def play():
 
 
 @pytest.fixture
+def flood_rule():
+    """The flooding Breaker's rule recomputed from the edge sets: flood the
+    lowest vertex Maker had not touched before Breaker's first claim, taking
+    its unclaimed edges in ascending order, then the lowest unclaimed edges."""
+
+    def select(state):
+        log = state.move_log
+        opening = next((i for i, (player, _) in enumerate(log) if player is Player.BREAKER), len(log))
+        touched = {v for _, edge in log[:opening] for v in edge}
+        target = min(set(range(state.n)) - touched)
+        count = state.required_claim_count(Player.BREAKER)
+        unclaimed = sorted(state.unclaimed)
+        picks = [e for e in unclaimed if target in e][:count]
+        return picks + [e for e in unclaimed if e not in picks][: count - len(picks)]
+
+    return select
+
+
+@pytest.fixture
 def kept_order_checked(monkeypatch):
     """Every OpenPairs.take checks that its kept order is the one a fresh
     stable argsort of the effective weights gives; the list holds the count."""

@@ -347,8 +347,9 @@ class TestFloodTarget:
 
 
 class TestFloodingBreaker:
-    def test_fast_path_matches_reference(self, rng):
-        """A reused instance and a fresh one agree along random forward play."""
+    def test_fast_path_matches_reference(self, flood_rule):
+        """A reused instance agrees with the rule recomputed from the edge
+        sets along random forward play."""
         for trial in range(8):
             trial_rng = random.Random(trial)
             state = new_game(9, 2, 2)
@@ -356,7 +357,7 @@ class TestFloodingBreaker:
             while state.unclaimed:
                 side = state.to_move
                 if side is Player.BREAKER:
-                    expected = FloodingBreaker().select(state)
+                    expected = flood_rule(state)
                     got = breaker.select(state)
                     assert got == expected, f"trial {trial}, log {len(state.move_log)}"
                     apply_claim(state, side, got)

@@ -2,7 +2,8 @@
 
 import json
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from diameter_games.game_core import (
 from diameter_games.graph_metrics import closed_masks, complement, diameter, diameter_within
 from diameter_games.harness import STRATEGY_IDS, make_strategy
 from diameter_games.heuristics import LowestEdgeStrategy, RandomStrategy
+from diameter_games.potential_engine import FamilyGameState, family_apply_claim, new_family_game
 
 
 def _closed(n, mask):
@@ -412,8 +414,8 @@ class TestVerifyOneSided:
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2)])
     @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
-    def test_flooding_cursor_matches_pure_rule(self, a, b, first):
-        script = Differential(FloodingBreaker(), lambda state: FloodingBreaker().select(state))
+    def test_flooding_cursor_matches_pure_rule(self, a, b, first, flood_rule):
+        script = Differential(FloodingBreaker(), flood_rule)
         verify_one_sided(5, a, b, 2, script, Player.BREAKER, first=first)
         assert verify_final_property(
             5, a, b, script, Player.BREAKER, lambda snap: True, first=first
@@ -664,3 +666,113 @@ class TestVerifyFamily:
         fam = family_from_sets(3, [(1, 2)])
         with pytest.raises(GameError):
             verify_family_one_sided(fam, 1, 1, lambda s: [position], Player.MAKER)
+
+
+def _lowest_position(state):
+    return state.unclaimed()[: state.required_claim_count(state.to_move)]
+
+
+def _reference_family_verify(family, a, b, select, side, first):
+    """The family verifier before it played on one live FamilyGameState: a
+    DFS over position masks, with no memo, that builds a set-based
+    FamilyGameState, with an empty log, at every scripted node."""
+    u = family.universe_size
+    set_masks = [sum(1 << p for p in aset) for aset in family.sets]
+
+    def dfs(mm, bm, to_move):
+        if any(sm & ~mm == 0 for sm in set_masks):
+            return side is Player.MAKER
+        if all(sm & bm for sm in set_masks) or mm | bm == (1 << u) - 1:
+            return side is Player.BREAKER
+
+        def child(picks):
+            add = sum(1 << p for p in picks)
+            if to_move is Player.MAKER:
+                return dfs(mm | add, bm, Player.BREAKER)
+            return dfs(mm, bm | add, Player.MAKER)
+
+        if to_move is side:
+            maker = {p for p in range(u) if mm >> p & 1}
+            breaker = {p for p in range(u) if bm >> p & 1}
+            return child(select(FamilyGameState(family, a, b, first, maker, breaker, to_move)))
+        open_positions = [p for p in range(u) if not (mm | bm) >> p & 1]
+        count = min(a if to_move is Player.MAKER else b, len(open_positions))
+        return all(child(combo) for combo in combinations(open_positions, count))
+
+    return dfs(0, 0, first)
+
+
+def _random_family(rng):
+    universe = rng.randint(2, 8)
+    sets = [rng.sample(range(universe), rng.randint(1, universe)) for _ in range(rng.randint(1, 4))]
+    return family_from_sets(universe, sets)
+
+
+def _random_boxes(rng):
+    r, k = rng.choice([(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (2, 4)])
+    return family_from_sets(r * k, [range(i * r, (i + 1) * r) for i in range(k)])
+
+
+_FAMILY_SCRIPTS = [
+    ("esb-breaker", _random_family, esb_breaker_select, Player.BREAKER),
+    ("box-maker", _random_boxes, box_maker_select, Player.MAKER),
+    ("lowest-maker", _random_family, _lowest_position, Player.MAKER),
+    ("lowest-breaker", _random_family, _lowest_position, Player.BREAKER),
+]
+
+
+class TestFamilyVerifierMatchesReference:
+    """The memoised DFS on one live FamilyGameState against the unmemoised,
+    set-based DFS it replaced, on seeded random families."""
+
+    @pytest.mark.parametrize("name,families,select,side", _FAMILY_SCRIPTS, ids=[c[0] for c in _FAMILY_SCRIPTS])
+    def test_same_verdicts(self, name, families, select, side):
+        rng = random.Random(name)
+        verdicts = []
+        for _ in range(40):
+            family = families(rng)
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            for first in (Player.MAKER, Player.BREAKER):
+                ref = _reference_family_verify(family, a, b, select, side, first)
+                live = verify_family_one_sided(family, a, b, select, side, first=first)
+                assert live == ref, (family, a, b, first)
+                verdicts.append(live)
+        assert True in verdicts and False in verdicts
+
+
+class TestFamilyScriptedPosition:
+    @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (1, 2)])
+    def test_scripted_side_sees_its_own_position(self, a, b, first, side):
+        """Replaying the log it is shown gives the position it is shown.  The
+        log used to be empty at every node."""
+        family = family_from_sets(7, [{0, 1, 2}, {2, 3, 4}, {1, 5}, {4, 6}])
+        replayed = 0
+
+        def select(state):
+            nonlocal replayed
+            replay = new_family_game(state.family, state.a, state.b, state.first)
+            for player, claims in groupby(state.move_log, key=itemgetter(0)):
+                family_apply_claim(replay, player, [p for _, p in claims])
+            assert (replay.maker, replay.breaker, replay.to_move) == (state.maker, state.breaker, state.to_move)
+            replayed += bool(state.move_log)
+            return _lowest_position(state)
+
+        verify_family_one_sided(family, a, b, select, side, first=first)
+        assert replayed > 0
+
+    @pytest.mark.parametrize("side", [Player.MAKER, Player.BREAKER])
+    def test_scripted_side_cannot_change_the_live_position(self, side):
+        family = family_from_sets(6, [{0, 1, 2}, {3, 4}, {1, 5}])
+
+        def vandal(state):
+            picks = _lowest_position(state)
+            state.maker.clear()
+            state.breaker.add(5)
+            state.move_log.clear()
+            return picks
+
+        for first in (Player.MAKER, Player.BREAKER):
+            expected = verify_family_one_sided(family, 1, 1, _lowest_position, side, first=first)
+            assert verify_family_one_sided(family, 1, 1, vandal, side, first=first) == expected

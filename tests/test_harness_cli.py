@@ -515,6 +515,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: biases must be positive")
 
+    @pytest.mark.parametrize("target", ["box", "esb"])
+    @pytest.mark.parametrize("blob", [
+        {"universe_size": 3},
+        {"universe_size": 3, "sets": [["a"]]},
+        {"universe_size": "3", "sets": [[0, 1]]},
+        {"universe_size": 3, "sets": 5},
+        [[0, 1]],
+        {"universe_size": 3, "sets": [[1.5, 2]]},
+        {"universe_size": True, "sets": [[0]]},
+        {"universe_size": 3, "sets": [[True, 2]]},
+        {"universe_size": 3, "sets": [[[1], 2]]},
+    ], ids=["no-sets", "string-position", "string-universe", "int-sets", "top-level-list", "float-position",
+            "bool-universe", "bool-position", "nested-position"])
+    def test_malformed_family_is_a_usage_error(self, target, blob, tmp_path, capsys):
+        """The first five used to end verify in a KeyError or TypeError
+        traceback; a float position passed validation, then the verifier's
+        shift raised TypeError."""
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(blob))
+        assert main(["verify", target, "--family", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_simulate_runs_config(self, tmp_path, capsys):
         cfg = dict(
             name="cli-smoke",

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, defines a private
 top-level name it never reads, binds a module-level logger it never reads, or
-keeps a private attribute it only writes.
+keeps a private attribute it only writes, and no package definition is left
+without a reader.
 
 Stdlib ``ast`` scans over the package modules and the test modules.  A name
 bound by an import counts as used when the module reads it anywhere, or
@@ -14,7 +15,9 @@ rule, so a logger nothing writes to is caught.  A private
 instance attribute (``self._name``) is only written when the module stores
 it, or mutates it by a bare ``.add``, ``.append`` or ``.discard`` statement,
 and loads ``._name`` nowhere else, on any object, so state that nothing
-reads is caught.  Only the modules in NUMPY_MODULES import numpy, and each
+reads is caught.  Every module-level function and class of the package,
+public or private, is read somewhere in src/, tests/ or perfbench/ outside
+its own definition.  Only the modules in NUMPY_MODULES import numpy, and each
 of them does, so the list can only shrink.  They import it lazily, inside
 the functions that compute with it, and the harness imports its process
 pool only when it fans out: a fresh interpreter that imports the package
@@ -81,6 +84,35 @@ def unread_private_names(source: str) -> list[str]:
                 defined.setdefault(name, node.lineno)
     read = _loaded_names(tree)
     return [name for name, _ in sorted(defined.items(), key=lambda kv: kv[1]) if name not in read]
+
+
+def unread_definitions(sources: dict[str, str], defining) -> list[str]:
+    """`module:name` for each module-level function and class of the
+    `defining` modules that no module in `sources` reads outside its own
+    definition, in source order.
+
+    A read is a load of the bare name or of an attribute of that name, so a
+    method that shares a function's name hides it; a reference from inside
+    the definition itself, such as recursion, does not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+    unread = []
+    for module in defining:
+        for node in trees[module].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not any(
+                where != module or not node.lineno <= line <= node.end_lineno
+                for where, line in reads.get(node.name, ())
+            ):
+                unread.append(f"{module}:{node.name}")
+    return unread
 
 
 def unread_module_loggers(source: str) -> list[str]:
@@ -181,6 +213,43 @@ def test_private_scan_finds_unread_and_keeps_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def test_definition_scan_finds_unread_and_keeps_read():
+    sources = {
+        "lib": (
+            "def kept():\n"
+            "    return 1\n"
+            "def recursive(k):\n"
+            "    return recursive(k - 1) if k else kept()\n"
+            "class Alone:\n"
+            "    def copy(self):\n"
+            "        return Alone()\n"
+            "class Used:\n"
+            "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+        ),
+        "user": (
+            "import lib\n"
+            "from lib import Used\n"
+            "x: Used = lib.by_attribute()\n"
+            "def orphan():\n"
+            "    pass\n"
+        ),
+    }
+    assert unread_definitions(sources, ["lib"]) == ["lib:recursive", "lib:Alone"]
+    assert unread_definitions(sources, ["lib", "user"]) == ["lib:recursive", "lib:Alone", "user:orphan"]
+
+
+def test_every_package_definition_is_read():
+    """Each module-level function and class in the package is read somewhere
+    in src/, tests/ or perfbench/, so a helper that a refactor leaves without
+    callers is caught, public or not."""
+    paths = [path for pattern in ("src/diameter_games/*.py", "tests/*.py", "perfbench/*.py") for path in ROOT.glob(pattern)]
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+    package = sorted(module for module in sources if module.startswith("src/"))
+    assert unread_definitions(sources, package) == []
 
 
 def test_logger_scan_finds_unread_and_keeps_read():

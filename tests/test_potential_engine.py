@@ -18,6 +18,7 @@ from diameter_games.potential_engine import (
     esb_potential,
     esb_start_value,
     family_apply_claim,
+    family_pop_claims,
     greedy_potential_picks,
     harmonic,
     new_family_game,
@@ -47,6 +48,13 @@ class TestFamilyBasics:
     def test_rejects_out_of_range_positions(self):
         with pytest.raises(InvalidParameters):
             family_from_sets(3, [frozenset({0, 5})])
+
+    @pytest.mark.parametrize("universe,sets", [
+        ("3", [{0}]), (True, [{0}]), (3.0, [{0}]), (3, [{1.5}]), (3, [{True, 2}]), (3, [{"a"}]),
+    ])
+    def test_rejects_non_int_universe_and_positions(self, universe, sets):
+        with pytest.raises(InvalidParameters):
+            family_from_sets(universe, sets)
 
     def test_json_round_trip(self):
         fam = family_from_sets(5, [frozenset({0, 2}), frozenset({1, 3, 4})])
@@ -80,6 +88,29 @@ class TestFamilyGame:
         family_apply_claim(state, Player.BREAKER, [1, 2])
         assert state.all_sets_dead()
         assert not state.maker_won()
+
+
+    @pytest.mark.parametrize("first", [Player.MAKER, Player.BREAKER])
+    def test_pop_claims_undoes_apply_claim(self, first):
+        state = new_family_game(pairs_family(3), 2, 3, first=first)
+        opener = [4, 1, 3][: state.required_claim_count(first)]
+        family_apply_claim(state, first, opener)
+        before = state.copy()
+        reply = [0, 5, 2][: state.required_claim_count(first.other())]
+        family_apply_claim(state, first.other(), reply)
+        family_pop_claims(state, len(reply))
+        assert state == before
+        family_pop_claims(state, len(opener))
+        assert state == new_family_game(pairs_family(3), 2, 3, first=first)
+
+    def test_copy_shares_nothing_mutable(self):
+        state = new_family_game(pairs_family(2), 1, 1)
+        family_apply_claim(state, Player.MAKER, [0])
+        clone = state.copy()
+        assert clone == state
+        family_apply_claim(clone, Player.BREAKER, [1])
+        assert state.breaker == set() and state.move_log == [(Player.MAKER, 0)]
+        assert state.to_move is Player.BREAKER
 
 
 class TestStartValue:
